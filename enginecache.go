@@ -25,7 +25,8 @@ type EngineCacheStats struct {
 	// Builds counts O(n²·m) precedence constructions actually paid.
 	Builds uint64
 	// BuildsSkipped counts Engine calls that avoided a construction:
-	// Hits + Coalesced + DiskHits.
+	// Hits + Coalesced + DiskHits + PeerHits (an EngineCache has no fleet, so
+	// its PeerHits are always zero).
 	BuildsSkipped uint64
 	// Evictions counts matrices dropped under cell-budget pressure.
 	Evictions uint64
@@ -59,7 +60,7 @@ type EngineCacheStats struct {
 // the cache-resident one. Put re-admits a mutated Engine's state under its
 // current profile digest, making the incremental matrix reusable.
 type EngineCache struct {
-	mc    *cache.MatrixCache
+	mc    *cache.Tier[*Precedence]
 	store *cache.FileStore
 }
 
@@ -69,7 +70,7 @@ type EngineCache struct {
 // concurrent builds; with AttachDir it still cannot persist (there is
 // nothing admitted to write through), so give persistent caches a budget.
 func NewEngineCache(cells int64) *EngineCache {
-	return &EngineCache{mc: cache.NewMatrixCache(cells)}
+	return &EngineCache{mc: cache.New(cache.Config[*Precedence]{Budget: cells, Cost: (*Precedence).Cells})}
 }
 
 // AttachDir roots a persistent tier at dir: every built matrix is written
@@ -89,10 +90,10 @@ func (c *EngineCache) AttachDir(dir, engineVersion string) error {
 		return err
 	}
 	c.store = st
-	c.mc.AttachStore(st, cache.Codec{
-		Encode: func(v any) ([]byte, error) { return v.(*Precedence).MarshalBinary() },
-		Decode: func(data []byte) (any, error) { return ranking.UnmarshalPrecedence(data) },
-	}, func(v any) int64 { return v.(*Precedence).Cells() })
+	c.mc.AttachStore(st, cache.Codec[*Precedence]{
+		Encode: (*Precedence).MarshalBinary,
+		Decode: ranking.UnmarshalPrecedence,
+	})
 	return nil
 }
 
@@ -110,25 +111,17 @@ func (c *EngineCache) Engine(ctx context.Context, p Profile, opts ...EngineOptio
 		o(&cfg)
 	}
 	key := p.Digest(engineCacheVersion)
-	v, _, _, err := c.mc.Do(ctx, key, func() (any, int64, error) {
-		var (
-			w    *Precedence
-			werr error
-		)
+	w, _, _, err := c.mc.Do(ctx, key, func() (*Precedence, bool, error) {
 		if cfg.hasWorkers {
-			w, werr = ranking.NewPrecedenceWorkers(p, cfg.workers)
-		} else {
-			w, werr = ranking.NewPrecedence(p)
+			w, err := ranking.NewPrecedenceWorkers(p, cfg.workers)
+			return w, true, err
 		}
-		if werr != nil {
-			return nil, 0, werr
-		}
-		return w, w.Cells(), nil
+		w, err := ranking.NewPrecedence(p)
+		return w, true, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	w := v.(*Precedence)
 	if cfg.tab != nil && cfg.tab.N() != w.N() {
 		return nil, fmt.Errorf("manirank: table covers %d candidates, profile ranks %d", cfg.tab.N(), w.N())
 	}
@@ -157,7 +150,7 @@ func (c *EngineCache) Put(ctx context.Context, e *Engine) {
 	key := e.p.Digest(engineCacheVersion)
 	w := e.w.Clone()
 	e.mu.RUnlock()
-	c.mc.Put(ctx, key, w, w.Cells())
+	c.mc.Put(ctx, key, w)
 }
 
 // Flush re-persists every matrix held in memory to the attached directory
@@ -166,14 +159,18 @@ func (c *EngineCache) Put(ctx context.Context, e *Engine) {
 // write-through failed.
 func (c *EngineCache) Flush() int { return c.mc.Flush() }
 
-// Close flushes (when a directory is attached) and releases the persistent
-// tier. The cache remains usable in memory-only mode afterwards.
+// Close flushes (when a directory is attached), detaches and releases the
+// persistent tier. The cache remains usable in memory-only mode afterwards:
+// later builds and Puts touch nothing on disk.
 func (c *EngineCache) Close() error {
 	if c.store == nil {
 		return nil
 	}
 	c.mc.Flush()
-	return c.store.Close()
+	c.mc.AttachStore(nil, cache.Codec[*Precedence]{})
+	st := c.store
+	c.store = nil
+	return st.Close()
 }
 
 // Stats returns a snapshot of the cache's counters.

@@ -10,12 +10,18 @@ import (
 	"time"
 )
 
+// newUnit returns an LRU tier charging one unit per entry — the result
+// tier's shape — holding up to capacity values for at most ttl each.
+func newUnit(capacity int, ttl time.Duration) *Tier[any] {
+	return New(Config[any]{Name: "result", Budget: int64(capacity), TTL: ttl})
+}
+
 // compute returns a constant-value compute func for Do.
 func compute(v any) func() (any, bool, error) {
 	return func() (any, bool, error) { return v, true, nil }
 }
 
-func mustDo(t *testing.T, c *Cache, key string, v any) (any, bool) {
+func mustDo(t *testing.T, c *Tier[any], key string, v any) (any, bool) {
 	t.Helper()
 	got, hit, _, err := c.Do(context.Background(), key, compute(v))
 	if err != nil {
@@ -25,7 +31,7 @@ func mustDo(t *testing.T, c *Cache, key string, v any) (any, bool) {
 }
 
 func TestHitMissCounters(t *testing.T) {
-	c := New(4, 0)
+	c := newUnit(4, 0)
 	if _, hit := mustDo(t, c, "a", 1); hit {
 		t.Fatal("first access was a hit")
 	}
@@ -44,7 +50,7 @@ func TestHitMissCounters(t *testing.T) {
 // used ones.
 func TestEvictionCounterAccuracy(t *testing.T) {
 	const capacity, extra = 8, 13
-	c := New(capacity, 0)
+	c := newUnit(capacity, 0)
 	for i := 0; i < capacity+extra; i++ {
 		mustDo(t, c, fmt.Sprintf("k%d", i), i)
 	}
@@ -76,7 +82,7 @@ func TestEvictionCounterAccuracy(t *testing.T) {
 }
 
 func TestLRURefreshOnHit(t *testing.T) {
-	c := New(2, 0)
+	c := newUnit(2, 0)
 	mustDo(t, c, "a", 1)
 	mustDo(t, c, "b", 2)
 	mustDo(t, c, "a", 0) // refresh a; b is now LRU
@@ -90,7 +96,7 @@ func TestLRURefreshOnHit(t *testing.T) {
 }
 
 func TestTTLExpiry(t *testing.T) {
-	c := New(4, time.Minute)
+	c := newUnit(4, time.Minute)
 	now := time.Unix(1000, 0)
 	c.SetClock(func() time.Time { return now })
 	mustDo(t, c, "a", 1)
@@ -108,7 +114,7 @@ func TestTTLExpiry(t *testing.T) {
 }
 
 func TestZeroCapacityStoresNothing(t *testing.T) {
-	c := New(0, 0)
+	c := newUnit(0, 0)
 	mustDo(t, c, "a", 1)
 	if _, hit := mustDo(t, c, "a", 2); hit {
 		t.Fatal("zero-capacity cache produced a hit")
@@ -119,7 +125,7 @@ func TestZeroCapacityStoresNothing(t *testing.T) {
 }
 
 func TestUncacheableNotStored(t *testing.T) {
-	c := New(4, 0)
+	c := newUnit(4, 0)
 	if _, _, _, err := c.Do(context.Background(), "a", func() (any, bool, error) { return 1, false, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +135,7 @@ func TestUncacheableNotStored(t *testing.T) {
 }
 
 func TestErrorNotStored(t *testing.T) {
-	c := New(4, 0)
+	c := newUnit(4, 0)
 	boom := errors.New("boom")
 	if _, _, _, err := c.Do(context.Background(), "a", func() (any, bool, error) { return nil, true, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -145,7 +151,7 @@ func TestErrorNotStored(t *testing.T) {
 // synchronisation.
 func TestSingleFlightCoalescing(t *testing.T) {
 	const callers = 32
-	c := New(4, 0)
+	c := newUnit(4, 0)
 	var computes atomic.Int64
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
@@ -204,7 +210,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 // the leader is still computing returns promptly with the context error and
 // leaks nothing; the leader's result is unaffected.
 func TestCoalescedFollowerHonoursContext(t *testing.T) {
-	c := New(4, 0)
+	c := newUnit(4, 0)
 	gate := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {

@@ -17,7 +17,7 @@ func TestCacheDoFetchOutcomes(t *testing.T) {
 	computes := 0
 	compute := func() (any, bool, error) { computes++; return "computed", true, nil }
 
-	c := New(8, 0)
+	c := newUnit(8, 0)
 	v, hit, _, err := c.DoFetch(ctx, "aa01", func(context.Context) (any, bool, error) {
 		return "from-peer", true, nil
 	}, compute)
@@ -30,17 +30,17 @@ func TestCacheDoFetchOutcomes(t *testing.T) {
 	}
 
 	if v, hit, _, err := c.DoFetch(ctx, "aa02", func(context.Context) (any, bool, error) {
-		return nil, true, nil // authoritative peer miss
+		return nil, false, nil // authoritative peer miss
 	}, compute); err != nil || hit || v != "computed" {
 		t.Fatalf("peer miss should compute: v=%v hit=%v err=%v", v, hit, err)
 	}
 	if v, _, _, err := c.DoFetch(ctx, "aa03", func(context.Context) (any, bool, error) {
-		return nil, true, errors.New("peer down")
+		return nil, false, errors.New("peer down")
 	}, compute); err != nil || v != "computed" {
 		t.Fatalf("peer error should compute: v=%v err=%v", v, err)
 	}
 	if _, _, _, err := c.DoFetch(ctx, "aa04", func(context.Context) (any, bool, error) {
-		return nil, false, nil // self-owned: never asked
+		return nil, false, ErrNotAsked // self-owned: never asked
 	}, compute); err != nil {
 		t.Fatal(err)
 	}
@@ -57,25 +57,25 @@ func TestCacheDoFetchOutcomes(t *testing.T) {
 func TestMatrixDoFetchOutcomes(t *testing.T) {
 	ctx := context.Background()
 	builds := 0
-	build := func() (any, int64, error) { builds++; return "built", 1, nil }
+	build := func() (priced, bool, error) { builds++; return priced{"built", 1}, true, nil }
 
-	c := NewMatrixCache(100)
-	v, hit, _, err := c.DoFetch(ctx, "bb01", func(context.Context) (any, int64, bool, error) {
-		return "peer-matrix", 2, true, nil
+	c := newPriced(100)
+	v, hit, _, err := c.DoFetch(ctx, "bb01", func(context.Context) (priced, bool, error) {
+		return priced{"peer-matrix", 2}, true, nil
 	}, build)
-	if err != nil || !hit || v != "peer-matrix" || builds != 0 {
+	if err != nil || !hit || v.v != "peer-matrix" || builds != 0 {
 		t.Fatalf("peer hit: v=%v hit=%v builds=%d err=%v", v, hit, builds, err)
 	}
-	if v, hit, _, _ := c.Do(ctx, "bb01", build); !hit || v != "peer-matrix" {
+	if v, hit, _, _ := c.Do(ctx, "bb01", build); !hit || v.v != "peer-matrix" {
 		t.Fatalf("fetched matrix not admitted: v=%v hit=%v", v, hit)
 	}
-	if _, _, _, err := c.DoFetch(ctx, "bb02", func(context.Context) (any, int64, bool, error) {
-		return nil, 0, true, nil
+	if _, _, _, err := c.DoFetch(ctx, "bb02", func(context.Context) (priced, bool, error) {
+		return priced{}, false, nil
 	}, build); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.DoFetch(ctx, "bb03", func(context.Context) (any, int64, bool, error) {
-		return nil, 0, true, errors.New("peer down")
+	if _, _, _, err := c.DoFetch(ctx, "bb03", func(context.Context) (priced, bool, error) {
+		return priced{}, false, errors.New("peer down")
 	}, build); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestMatrixDoFetchOutcomes(t *testing.T) {
 // because a peer's traffic is not this node's traffic.
 func TestPeekDoesNotCountTraffic(t *testing.T) {
 	ctx := context.Background()
-	c := New(8, 0)
+	c := newUnit(8, 0)
 	store, err := OpenFileStore(t.TempDir(), "v1@engine-1/results")
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestPeekDoesNotCountTraffic(t *testing.T) {
 
 	// Evict the memory copy by building a fresh cache over the same store:
 	// Peek must restore from disk.
-	c2 := New(8, 0)
+	c2 := newUnit(8, 0)
 	c2.AttachStore(store, stringCodec())
 	if v, ok := c2.Peek(ctx, "cc01"); !ok || v != "value" {
 		t.Fatalf("Peek disk restore = (%v, %v)", v, ok)
@@ -125,17 +125,17 @@ func TestPeekDoesNotCountTraffic(t *testing.T) {
 	}
 
 	// Matrix tier mirrors the contract.
-	m := NewMatrixCache(100)
+	m := newPriced(100)
 	mstore, err := OpenFileStore(t.TempDir(), "v1@engine-1/matrices")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.AttachStore(mstore, stringCodec(), func(any) int64 { return 1 })
+	m.AttachStore(mstore, pricedCodec(1))
 	if _, ok := m.Peek(ctx, "cc02"); ok {
 		t.Fatal("matrix Peek hit on an empty cache")
 	}
-	m.Put(ctx, "cc02", "matrix", 1)
-	if v, ok := m.Peek(ctx, "cc02"); !ok || v != "matrix" {
+	m.Put(ctx, "cc02", priced{"matrix", 1})
+	if v, ok := m.Peek(ctx, "cc02"); !ok || v.v != "matrix" {
 		t.Fatalf("matrix Peek = (%v, %v)", v, ok)
 	}
 	if ms := m.Stats(); ms.Hits != 0 || ms.Misses != 0 || ms.DiskHits != 0 {
@@ -145,14 +145,14 @@ func TestPeekDoesNotCountTraffic(t *testing.T) {
 
 func TestKeysEnumerateResidents(t *testing.T) {
 	ctx := context.Background()
-	c := New(8, 0)
+	c := newUnit(8, 0)
 	c.Put(ctx, "dd01", "a")
 	c.Put(ctx, "dd02", "b")
 	if keys := c.Keys(); len(keys) != 2 {
 		t.Fatalf("Keys = %v, want 2 entries", keys)
 	}
-	m := NewMatrixCache(100)
-	m.Put(ctx, "dd03", "m", 1)
+	m := newPriced(100)
+	m.Put(ctx, "dd03", priced{"m", 1})
 	if keys := m.Keys(); len(keys) != 1 || keys[0] != "dd03" {
 		t.Fatalf("matrix Keys = %v", keys)
 	}

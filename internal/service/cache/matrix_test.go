@@ -10,18 +10,42 @@ import (
 	"time"
 )
 
+// priced is a matrix-tier test value that carries its own admission cost.
+type priced struct {
+	v    any
+	cost int64
+}
+
+// newPriced returns a cost-bounded LRU tier — the matrix tier's shape.
+func newPriced(budget int64) *Tier[priced] {
+	return New(Config[priced]{Name: "matrix", Budget: budget, Cost: func(p priced) int64 { return p.cost }})
+}
+
+// pricedCodec round-trips string values, pricing every restore at cost.
+func pricedCodec(cost int64) Codec[priced] {
+	return Codec[priced]{
+		Encode: func(p priced) ([]byte, error) { return []byte(p.v.(string)), nil },
+		Decode: func(d []byte) (priced, error) { return priced{string(d), cost}, nil },
+	}
+}
+
+// build returns a constant-value build func for Do.
+func build(v any, cost int64) func() (priced, bool, error) {
+	return func() (priced, bool, error) { return priced{v, cost}, true, nil }
+}
+
 // mustMatrixDo runs a plain build and fails the test on error.
-func mustMatrixDo(t *testing.T, c *MatrixCache, key string, v any, cost int64) (any, bool) {
+func mustMatrixDo(t *testing.T, c *Tier[priced], key string, v any, cost int64) (any, bool) {
 	t.Helper()
-	got, hit, _, err := c.Do(context.Background(), key, func() (any, int64, error) { return v, cost, nil })
+	got, hit, _, err := c.Do(context.Background(), key, build(v, cost))
 	if err != nil {
 		t.Fatalf("Do(%q): %v", key, err)
 	}
-	return got, hit
+	return got.v, hit
 }
 
 func TestMatrixHitMiss(t *testing.T) {
-	c := NewMatrixCache(100)
+	c := newPriced(100)
 	if _, hit := mustMatrixDo(t, c, "a", 1, 10); hit {
 		t.Fatal("first access was a hit")
 	}
@@ -41,7 +65,7 @@ func TestMatrixHitMiss(t *testing.T) {
 // count — three 40-cost entries under a 100 budget keep only two, evicting
 // the least recently used, and the accounting balances.
 func TestMatrixCostBoundedEviction(t *testing.T) {
-	c := NewMatrixCache(100)
+	c := newPriced(100)
 	mustMatrixDo(t, c, "a", "A", 40)
 	mustMatrixDo(t, c, "b", "B", 40)
 	mustMatrixDo(t, c, "a", "", 40) // refresh a; b is now the cold end
@@ -64,7 +88,7 @@ func TestMatrixCostBoundedEviction(t *testing.T) {
 // TestMatrixRejectsOversize: a value costing more than the whole budget is
 // returned but never stored — one huge profile must not flush the tier.
 func TestMatrixRejectsOversize(t *testing.T) {
-	c := NewMatrixCache(100)
+	c := newPriced(100)
 	mustMatrixDo(t, c, "small", 1, 60)
 	if v, hit := mustMatrixDo(t, c, "huge", 2, 101); hit || v.(int) != 2 {
 		t.Fatalf("oversize build: hit=%v v=%v", hit, v)
@@ -84,7 +108,7 @@ func TestMatrixRejectsOversize(t *testing.T) {
 // "precedence cache off" switch of the equivalence tests (single-flight
 // coalescing is unaffected; TestMatrixSingleFlightCoalescing covers it).
 func TestMatrixDisabledStoresNothing(t *testing.T) {
-	c := NewMatrixCache(0)
+	c := newPriced(0)
 	mustMatrixDo(t, c, "a", 1, 10)
 	if _, hit := mustMatrixDo(t, c, "a", 2, 10); hit {
 		t.Fatal("disabled cache produced a hit")
@@ -95,9 +119,9 @@ func TestMatrixDisabledStoresNothing(t *testing.T) {
 }
 
 func TestMatrixBuildErrorNotStored(t *testing.T) {
-	c := NewMatrixCache(100)
+	c := newPriced(100)
 	boom := errors.New("boom")
-	if _, _, _, err := c.Do(context.Background(), "a", func() (any, int64, error) { return nil, 0, boom }); !errors.Is(err, boom) {
+	if _, _, _, err := c.Do(context.Background(), "a", func() (priced, bool, error) { return priced{}, true, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if _, hit := mustMatrixDo(t, c, "a", 1, 10); hit {
@@ -113,7 +137,7 @@ func TestMatrixBuildErrorNotStored(t *testing.T) {
 // everyone gets the leader's value, and the counters add up.
 func TestMatrixSingleFlightCoalescing(t *testing.T) {
 	const callers = 32
-	c := NewMatrixCache(100)
+	c := newPriced(100)
 	var builds atomic.Int64
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
@@ -123,15 +147,15 @@ func TestMatrixSingleFlightCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, shared, err := c.Do(context.Background(), "profile", func() (any, int64, error) {
+			v, _, shared, err := c.Do(context.Background(), "profile", func() (priced, bool, error) {
 				builds.Add(1)
 				<-gate
-				return "matrix", 10, nil
+				return priced{"matrix", 10}, true, nil
 			})
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 			}
-			values[i], shareds[i] = v, shared
+			values[i], shareds[i] = v.v, shared
 		}(i)
 	}
 	// Release the leader only once every follower joined its flight, so the
@@ -171,14 +195,14 @@ func TestMatrixSingleFlightCoalescing(t *testing.T) {
 
 // TestMatrixStatsHitRate pins the derived ratio.
 func TestMatrixStatsHitRate(t *testing.T) {
-	c := NewMatrixCache(1000)
+	c := newPriced(1000)
 	for i := 0; i < 4; i++ {
 		mustMatrixDo(t, c, fmt.Sprintf("k%d", i%2), i, 5)
 	}
 	if hr := c.Stats().HitRate(); hr != 0.5 {
 		t.Fatalf("hit rate = %g, want 0.5", hr)
 	}
-	if hr := (MatrixStats{}).HitRate(); hr != 0 {
+	if hr := (Stats{}).HitRate(); hr != 0 {
 		t.Fatalf("empty hit rate = %g, want 0", hr)
 	}
 }
@@ -189,17 +213,17 @@ func TestMatrixStatsHitRate(t *testing.T) {
 // without running its builder, in this process or the next.
 func TestMatrixPut(t *testing.T) {
 	root := t.TempDir()
-	open := func() *MatrixCache {
+	open := func() *Tier[priced] {
 		st, err := OpenFileStore(root, "v1@engine-1/matrices")
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := NewMatrixCache(100)
-		c.AttachStore(st, stringCodec(), func(any) int64 { return 10 })
+		c := newPriced(100)
+		c.AttachStore(st, pricedCodec(10))
 		return c
 	}
 	c1 := open()
-	c1.Put(context.Background(), testKey, "patched", 10)
+	c1.Put(context.Background(), testKey, priced{"patched", 10})
 	if s := c1.Stats(); s.Entries != 1 || s.CostUsed != 10 || s.DiskPuts != 1 {
 		t.Fatalf("stats after Put = %+v, want resident and written through", s)
 	}
@@ -209,10 +233,8 @@ func TestMatrixPut(t *testing.T) {
 
 	// Restart: the Put entry restores from disk like any build.
 	c2 := open()
-	v, hit, _, err := c2.Do(context.Background(), testKey, func() (any, int64, error) {
-		return "rebuilt", 10, nil
-	})
-	if err != nil || !hit || v.(string) != "patched" {
+	v, hit, _, err := c2.Do(context.Background(), testKey, build("rebuilt", 10))
+	if err != nil || !hit || v.v.(string) != "patched" {
 		t.Fatalf("restart Do = %v hit=%v err=%v, want disk restore of the Put", v, hit, err)
 	}
 	if s := c2.Stats(); s.DiskHits != 1 || s.Builds != 0 {
@@ -220,8 +242,8 @@ func TestMatrixPut(t *testing.T) {
 	}
 
 	// Budget off: Put neither stores nor persists (matches Do's contract).
-	c3 := NewMatrixCache(0)
-	c3.Put(context.Background(), testKey, "x", 10)
+	c3 := newPriced(0)
+	c3.Put(context.Background(), testKey, priced{"x", 10})
 	if s := c3.Stats(); s.Entries != 0 || s.DiskPuts != 0 {
 		t.Fatalf("disabled-cache Put stats = %+v, want nothing stored", s)
 	}

@@ -24,34 +24,38 @@ const (
 func Policies() []string { return []string{PolicyLRU, PolicyClock} }
 
 // Policy is a cache replacement policy over string keys. It tracks residency
-// order only — the Cache owns the stored values — and is driven by three
-// events: Hit (key found resident), Add (key newly inserted; the policy
-// evicts a victim of its choosing when that insertion overflows the
-// capacity), and Forget (key removed for a reason the policy did not choose,
-// e.g. TTL expiry). Implementations are not thread-safe; the Cache serialises
-// access under its own lock.
+// order only — the Tier owns the stored values and their costs — and is
+// driven by four events: Hit (key found resident), Evict (the Tier needs
+// room for an incoming key and asks for a victim of the policy's choosing),
+// Add (key newly inserted), and Forget (key removed for a reason the policy
+// did not choose, e.g. TTL expiry). The Tier calls Evict until the incoming
+// value fits its budget, then Add; a unit-cost tier therefore evicts exactly
+// when an insertion would overflow its capacity. Implementations are not
+// thread-safe; the Tier serialises access under its own lock.
 type Policy interface {
 	// Name returns the policy's registry name (PolicyLRU, PolicyClock).
 	Name() string
 	// Hit records an access to a resident key.
 	Hit(key string)
-	// Add admits a key that was not resident. When the insertion overflows
-	// the capacity the policy picks a victim, removes it from its resident
-	// set, and returns it; otherwise it returns "".
-	Add(key string) (evicted string)
+	// Evict picks a resident victim to make room for incoming, removes it
+	// from the resident set, and returns it ("" when nothing is resident).
+	Evict(incoming string) (victim string)
+	// Add admits a key that was not resident.
+	Add(key string)
 	// Forget removes a resident key without counting it as a policy-chosen
-	// eviction (the Cache calls it on TTL expiry).
+	// eviction (the Tier calls it on TTL expiry).
 	Forget(key string)
 	// Len returns the number of resident keys.
 	Len() int
 }
 
-// NewPolicy returns the named replacement policy with the given capacity.
-// The empty name resolves to PolicyLRU.
+// NewPolicy returns the named replacement policy for a tier of the given
+// capacity in entries (the clock policy sizes its ghost directories and
+// adaptive split by it). The empty name resolves to PolicyLRU.
 func NewPolicy(name string, capacity int) (Policy, error) {
 	switch strings.ToLower(name) {
 	case "", PolicyLRU:
-		return newLRUPolicy(capacity), nil
+		return newLRUPolicy(), nil
 	case PolicyClock:
 		return newClockPolicy(capacity), nil
 	}
@@ -61,13 +65,12 @@ func NewPolicy(name string, capacity int) (Policy, error) {
 // lruPolicy is least-recently-used eviction: a recency list (front = most
 // recent) plus a key index.
 type lruPolicy struct {
-	capacity int
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
 }
 
-func newLRUPolicy(capacity int) *lruPolicy {
-	return &lruPolicy{capacity: capacity, ll: list.New(), items: make(map[string]*list.Element)}
+func newLRUPolicy() *lruPolicy {
+	return &lruPolicy{ll: list.New(), items: make(map[string]*list.Element)}
 }
 
 func (p *lruPolicy) Name() string { return PolicyLRU }
@@ -79,20 +82,23 @@ func (p *lruPolicy) Hit(key string) {
 	}
 }
 
-func (p *lruPolicy) Add(key string) (evicted string) {
-	if el, ok := p.items[key]; ok {
-		p.ll.MoveToFront(el)
-		return ""
-	}
-	p.items[key] = p.ll.PushFront(key)
-	if p.ll.Len() <= p.capacity {
-		return ""
-	}
+func (p *lruPolicy) Evict(string) string {
 	tail := p.ll.Back()
+	if tail == nil {
+		return ""
+	}
 	victim := tail.Value.(string)
 	p.ll.Remove(tail)
 	delete(p.items, victim)
 	return victim
+}
+
+func (p *lruPolicy) Add(key string) {
+	if el, ok := p.items[key]; ok {
+		p.ll.MoveToFront(el)
+		return
+	}
+	p.items[key] = p.ll.PushFront(key)
 }
 
 func (p *lruPolicy) Forget(key string) {
@@ -149,22 +155,28 @@ func (c *clockPolicy) Hit(key string) {
 	}
 }
 
-func (c *clockPolicy) Add(key string) (evicted string) {
-	if _, ok := c.resident[key]; ok {
-		c.Hit(key)
+// Evict sweeps out a victim and, when the incoming key is brand new (not a
+// ghost), frees it a directory slot: keep |t1|+|b1| <= c and the whole
+// directory <= 2c, dropping the stalest ghost history.
+func (c *clockPolicy) Evict(incoming string) string {
+	if c.Len() == 0 {
 		return ""
 	}
-	if c.Len() >= c.capacity {
-		evicted = c.sweep()
-		if _, inGhost := c.ghosts[key]; !inGhost {
-			// A brand-new key needs a directory slot: keep |t1|+|b1| <= c and
-			// the whole directory <= 2c, dropping the stalest ghost history.
-			if c.t1.Len()+c.b1.Len() >= c.capacity && c.b1.Len() > 0 {
-				c.dropGhost(c.b1)
-			} else if c.Len()+c.b1.Len()+c.b2.Len() >= 2*c.capacity && c.b2.Len() > 0 {
-				c.dropGhost(c.b2)
-			}
+	victim := c.sweep()
+	if _, inGhost := c.ghosts[incoming]; !inGhost {
+		if c.t1.Len()+c.b1.Len() >= c.capacity && c.b1.Len() > 0 {
+			c.dropGhost(c.b1)
+		} else if c.Len()+c.b1.Len()+c.b2.Len() >= 2*c.capacity && c.b2.Len() > 0 {
+			c.dropGhost(c.b2)
 		}
+	}
+	return victim
+}
+
+func (c *clockPolicy) Add(key string) {
+	if _, ok := c.resident[key]; ok {
+		c.Hit(key)
+		return
 	}
 	if gel, ok := c.ghosts[key]; ok {
 		// A ghost hit means the policy evicted this key too eagerly; grow the
@@ -183,7 +195,6 @@ func (c *clockPolicy) Add(key string) (evicted string) {
 	} else {
 		c.admit(c.t1, key)
 	}
-	return evicted
 }
 
 func (c *clockPolicy) Forget(key string) {

@@ -6,12 +6,14 @@ import (
 	"testing"
 )
 
-// policyTrace replays an access trace against a policy the way the Cache
-// drives it — Hit on resident keys, Add on absent ones — and records, per
-// access, whether it hit and what (if anything) was evicted. resident
-// mirrors the Cache's items map.
+// policyTrace replays an access trace against a policy the way a unit-cost
+// Tier drives it — Hit on resident keys; on absent ones Evict when the
+// insertion would overflow capacity, then Add — and records, per access,
+// whether it hit and what (if anything) was evicted. resident mirrors the
+// Tier's items map.
 type policyTrace struct {
 	p        Policy
+	capacity int
 	resident map[string]bool
 }
 
@@ -21,7 +23,7 @@ func newPolicyTrace(name string, capacity int, t *testing.T) *policyTrace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &policyTrace{p: p, resident: map[string]bool{}}
+	return &policyTrace{p: p, capacity: capacity, resident: map[string]bool{}}
 }
 
 // access touches one key and returns (hit, evicted).
@@ -30,10 +32,12 @@ func (tr *policyTrace) access(key string) (bool, string) {
 		tr.p.Hit(key)
 		return true, ""
 	}
-	evicted := tr.p.Add(key)
-	if evicted != "" {
+	evicted := ""
+	if tr.p.Len() >= tr.capacity {
+		evicted = tr.p.Evict(key)
 		delete(tr.resident, evicted)
 	}
+	tr.p.Add(key)
 	tr.resident[key] = true
 	return false, evicted
 }

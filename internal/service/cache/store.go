@@ -34,15 +34,13 @@ type Store interface {
 	Close() error
 }
 
-// Codec serialises cached values for a Store. The in-memory tiers hold
-// arbitrary values (any); a persistent tier needs their canonical byte form
-// — the serving layer uses JSON for consensus results and the flat-int32
-// wire form for precedence matrices.
-type Codec struct {
-	// Encode returns the byte form of a cached value.
-	Encode func(value any) ([]byte, error)
-	// Decode reconstructs a cached value from its byte form. A decode error
-	// marks the entry corrupt: the caller deletes it and treats the lookup
-	// as a miss.
-	Decode func(data []byte) (value any, err error)
+// Codec serialises a tier's values for a Store — the serving layer uses
+// JSON for consensus results and the flat-int32 wire form for precedence
+// matrices.
+type Codec[V any] struct {
+	// Encode returns the byte form of a value.
+	Encode func(V) ([]byte, error)
+	// Decode reconstructs a value from its byte form. A decode error marks
+	// the entry corrupt: the tier deletes it and treats the lookup as a miss.
+	Decode func([]byte) (V, error)
 }

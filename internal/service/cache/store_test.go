@@ -12,8 +12,8 @@ import (
 
 // stringCodec round-trips string values byte-for-byte — the test stand-in
 // for the serving layer's JSON / wire codecs.
-func stringCodec() Codec {
-	return Codec{
+func stringCodec() Codec[any] {
+	return Codec[any]{
 		Encode: func(v any) ([]byte, error) { return []byte(v.(string)), nil },
 		Decode: func(d []byte) (any, error) { return string(d), nil },
 	}
@@ -230,12 +230,12 @@ func TestFileStoreRejectsUnsafeKeys(t *testing.T) {
 // from disk — no recompute — and counts it as a disk hit.
 func TestCacheDiskWarmRestart(t *testing.T) {
 	root := t.TempDir()
-	open := func() *Cache {
+	open := func() *Tier[any] {
 		st, err := OpenFileStore(root, "v1@engine-1/results")
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := New(4, 0)
+		c := newUnit(4, 0)
 		c.AttachStore(st, stringCodec())
 		return c
 	}
@@ -275,13 +275,13 @@ func TestCacheDiskExpiryPreserved(t *testing.T) {
 	root := t.TempDir()
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	open := func() (*Cache, *FileStore) {
+	open := func() (*Tier[any], *FileStore) {
 		st, err := OpenFileStore(root, "v1@engine-1/results")
 		if err != nil {
 			t.Fatal(err)
 		}
 		st.SetClock(clock)
-		c := New(4, time.Minute)
+		c := newUnit(4, time.Minute)
 		c.SetClock(clock)
 		c.AttachStore(st, stringCodec())
 		return c, st
@@ -312,8 +312,8 @@ func TestCacheDiskDecodeErrorRecovers(t *testing.T) {
 	if err := st.Put(testKey, []byte("legacy-garbage"), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	c := New(4, 0)
-	c.AttachStore(st, Codec{
+	c := newUnit(4, 0)
+	c.AttachStore(st, Codec[any]{
 		Encode: func(v any) ([]byte, error) { return []byte(v.(string)), nil },
 		Decode: func(d []byte) (any, error) { return nil, errors.New("schema mismatch") },
 	})
@@ -334,7 +334,7 @@ func TestCacheDiskDecodeErrorRecovers(t *testing.T) {
 // in for a failed write-through), so shutdown leaves a complete snapshot.
 func TestCacheFlush(t *testing.T) {
 	root := t.TempDir()
-	c := New(4, 0)
+	c := newUnit(4, 0)
 	mustDo(t, c, testKey, "early") // stored in memory before any store exists
 	st, err := OpenFileStore(root, "v1@engine-1/results")
 	if err != nil {
@@ -356,7 +356,7 @@ func TestCacheFlush(t *testing.T) {
 // followers with the dedicated sentinel, not context.Canceled, and the panic
 // still reaches the leader's caller.
 func TestCachePanicSentinel(t *testing.T) {
-	c := New(4, 0)
+	c := newUnit(4, 0)
 	gate := make(chan struct{})
 	followerJoined := make(chan struct{})
 	leaderPanicked := make(chan any, 1)
@@ -408,7 +408,7 @@ func TestCachePanicSentinel(t *testing.T) {
 // re-requests are collected by Sweep — the reaper's entry point — and
 // counted under Expirations.
 func TestSweepDrivenExpiry(t *testing.T) {
-	c := New(8, time.Minute)
+	c := newUnit(8, time.Minute)
 	now := time.Unix(1000, 0)
 	c.SetClock(func() time.Time { return now })
 	mustDo(t, c, "a", 1)
@@ -431,7 +431,7 @@ func TestSweepDrivenExpiry(t *testing.T) {
 // entries in passing (no reaper, no re-request needed), so the dead entry's
 // Policy slot is free before the insert is admitted.
 func TestOpportunisticSweepOnInsert(t *testing.T) {
-	c := New(8, time.Minute)
+	c := newUnit(8, time.Minute)
 	now := time.Unix(1000, 0)
 	c.SetClock(func() time.Time { return now })
 	mustDo(t, c, "a", 1)
@@ -443,20 +443,20 @@ func TestOpportunisticSweepOnInsert(t *testing.T) {
 	}
 }
 
-// TestMatrixFollowerHonoursContext (satellite fix): a MatrixCache follower
+// TestMatrixFollowerHonoursContext (satellite fix): a matrix-tier follower
 // whose context dies while the leader builds returns promptly with the
 // context error; the leader's build is unaffected.
 func TestMatrixFollowerHonoursContext(t *testing.T) {
-	c := NewMatrixCache(100)
+	c := newPriced(100)
 	gate := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		v, _, _, err := c.Do(context.Background(), "key", func() (any, int64, error) {
+		v, _, _, err := c.Do(context.Background(), "key", func() (priced, bool, error) {
 			<-gate
-			return 42, 10, nil
+			return priced{42, 10}, true, nil
 		})
-		if err != nil || v.(int) != 42 {
+		if err != nil || v.v.(int) != 42 {
 			t.Errorf("leader: v=%v err=%v", v, err)
 		}
 	}()
@@ -465,7 +465,7 @@ func TestMatrixFollowerHonoursContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, shared, err := c.Do(ctx, "key", func() (any, int64, error) { return 0, 0, nil })
+	_, _, shared, err := c.Do(ctx, "key", build(0, 0))
 	if !errors.Is(err, context.Canceled) || !shared {
 		t.Fatalf("follower: shared=%v err=%v, want coalesced context.Canceled", shared, err)
 	}
@@ -477,14 +477,14 @@ func TestMatrixFollowerHonoursContext(t *testing.T) {
 }
 
 // TestMatrixPanicSentinel: followers of a panicked matrix build see
-// errMatrixBuildPanic, and the key stays retryable.
+// errComputePanic, and the key stays retryable.
 func TestMatrixPanicSentinel(t *testing.T) {
-	c := NewMatrixCache(100)
+	c := newPriced(100)
 	gate := make(chan struct{})
 	recovered := make(chan any, 1)
 	go func() {
 		defer func() { recovered <- recover() }()
-		c.Do(context.Background(), "key", func() (any, int64, error) {
+		c.Do(context.Background(), "key", func() (priced, bool, error) {
 			<-gate
 			panic("build exploded")
 		})
@@ -494,7 +494,7 @@ func TestMatrixPanicSentinel(t *testing.T) {
 	}
 	followerErr := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.Do(context.Background(), "key", func() (any, int64, error) { return 0, 0, nil })
+		_, _, _, err := c.Do(context.Background(), "key", build(0, 0))
 		followerErr <- err
 	}()
 	for c.Stats().Coalesced == 0 {
@@ -504,8 +504,8 @@ func TestMatrixPanicSentinel(t *testing.T) {
 	if p := <-recovered; p == nil || p.(string) != "build exploded" {
 		t.Fatalf("leader recover = %v", p)
 	}
-	if err := <-followerErr; !errors.Is(err, errMatrixBuildPanic) {
-		t.Fatalf("follower err = %v, want errMatrixBuildPanic", err)
+	if err := <-followerErr; !errors.Is(err, errComputePanic) {
+		t.Fatalf("follower err = %v, want errComputePanic", err)
 	}
 	if v, hit := mustMatrixDo(t, c, "key", "retry", 10); hit || v.(string) != "retry" {
 		t.Fatalf("retry after panic: %v hit=%v", v, hit)
@@ -518,13 +518,13 @@ func TestMatrixPanicSentinel(t *testing.T) {
 // memory at its priced cost.
 func TestMatrixDiskWarmRestart(t *testing.T) {
 	root := t.TempDir()
-	open := func() *MatrixCache {
+	open := func() *Tier[priced] {
 		st, err := OpenFileStore(root, "v1@engine-1/matrices")
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := NewMatrixCache(100)
-		c.AttachStore(st, stringCodec(), func(any) int64 { return 10 })
+		c := newPriced(100)
+		c.AttachStore(st, pricedCodec(10))
 		return c
 	}
 	c1 := open()
@@ -535,11 +535,11 @@ func TestMatrixDiskWarmRestart(t *testing.T) {
 
 	c2 := open()
 	rebuilt := false
-	v, hit, _, err := c2.Do(context.Background(), testKey, func() (any, int64, error) {
+	v, hit, _, err := c2.Do(context.Background(), testKey, func() (priced, bool, error) {
 		rebuilt = true
-		return "rebuilt", 10, nil
+		return priced{"rebuilt", 10}, true, nil
 	})
-	if err != nil || rebuilt || !hit || v.(string) != "matrix" {
+	if err != nil || rebuilt || !hit || v.v.(string) != "matrix" {
 		t.Fatalf("restart Do = %v hit=%v rebuilt=%v err=%v, want disk-warm restore", v, hit, rebuilt, err)
 	}
 	s := c2.Stats()
@@ -559,8 +559,8 @@ func TestMatrixOversizePersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewMatrixCache(100)
-	c.AttachStore(st, stringCodec(), func(any) int64 { return 101 })
+	c := newPriced(100)
+	c.AttachStore(st, pricedCodec(101))
 	mustMatrixDo(t, c, testKey, "huge", 101)
 	if s := c.Stats(); s.Rejected != 1 || s.DiskPuts != 1 {
 		t.Fatalf("stats = %+v, want rejected in memory but persisted", s)
@@ -572,13 +572,13 @@ func TestMatrixOversizePersists(t *testing.T) {
 
 // TestMatrixFlush mirrors TestCacheFlush at the matrix tier.
 func TestMatrixFlush(t *testing.T) {
-	c := NewMatrixCache(100)
+	c := newPriced(100)
 	mustMatrixDo(t, c, testKey, "m", 10)
 	st, err := OpenFileStore(t.TempDir(), "v1@engine-1/matrices")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.AttachStore(st, stringCodec(), func(any) int64 { return 10 })
+	c.AttachStore(st, pricedCodec(10))
 	if n := c.Flush(); n != 1 {
 		t.Fatalf("Flush = %d, want 1", n)
 	}

@@ -2,66 +2,52 @@ package cache
 
 import (
 	"context"
-	"sync/atomic"
 	"testing"
 )
 
-// resultTrace adapts the result tier onto traceTier. The result tier has no
-// build or rejection counters of its own, so the adapter counts successful
-// computes as Builds; it never rejects (every entry costs one slot).
-type resultTrace struct {
-	c      *Cache
-	builds atomic.Uint64
+// tierTrace adapts a Tier onto traceTier.
+type tierTrace[V any] struct {
+	t    *Tier[V]
+	wrap func(s string, cost int64) V
+	str  func(V) string
 }
 
-func newTraceResultTier(t *testing.T, policy string, capacity int) traceTier {
-	t.Helper()
-	c, err := NewWithPolicy(capacity, 0, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &resultTrace{c: c}
-}
-
-func (r *resultTrace) do(ctx context.Context, key string, build func() (string, int64)) (string, bool, error) {
-	v, hit, _, err := r.c.Do(ctx, key, func() (any, bool, error) {
-		s, _ := build()
-		r.builds.Add(1)
-		return s, true, nil
+func (tr tierTrace[V]) do(ctx context.Context, key string, build func() (string, int64)) (string, bool, error) {
+	v, hit, _, err := tr.t.Do(ctx, key, func() (V, bool, error) {
+		return tr.wrap(build()), true, nil
 	})
-	s, _ := v.(string)
-	return s, hit, err
+	return tr.str(v), hit, err
 }
 
-func (r *resultTrace) counts() traceCounts {
-	s := r.c.Stats()
-	return traceCounts{Hits: s.Hits, Misses: s.Misses, Coalesced: s.Coalesced,
-		Evictions: s.Evictions, Builds: r.builds.Load()}
-}
-
-func (r *resultTrace) keys() []string { return r.c.Keys() }
-
-// matrixTrace adapts the matrix tier onto traceTier.
-type matrixTrace struct{ c *MatrixCache }
-
-func newTraceMatrixTier(t *testing.T, budget int64) traceTier {
-	t.Helper()
-	return matrixTrace{NewMatrixCache(budget)}
-}
-
-func (m matrixTrace) do(ctx context.Context, key string, build func() (string, int64)) (string, bool, error) {
-	v, hit, _, err := m.c.Do(ctx, key, func() (any, int64, error) {
-		s, cost := build()
-		return s, cost, nil
-	})
-	s, _ := v.(string)
-	return s, hit, err
-}
-
-func (m matrixTrace) counts() traceCounts {
-	s := m.c.Stats()
+func (tr tierTrace[V]) counts() traceCounts {
+	s := tr.t.Stats()
 	return traceCounts{Hits: s.Hits, Misses: s.Misses, Coalesced: s.Coalesced,
 		Evictions: s.Evictions, Rejected: s.Rejected, Builds: s.Builds}
 }
 
-func (m matrixTrace) keys() []string { return m.c.Keys() }
+func (tr tierTrace[V]) keys() []string { return tr.t.Keys() }
+
+// newTraceResultTier builds the result tier's shape: unit cost under the
+// named policy.
+func newTraceResultTier(t *testing.T, policy string, capacity int) traceTier {
+	t.Helper()
+	p, err := NewPolicy(policy, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tierTrace[string]{
+		t:    New(Config[string]{Name: "result", Budget: int64(capacity), Policy: p}),
+		wrap: func(s string, _ int64) string { return s },
+		str:  func(s string) string { return s },
+	}
+}
+
+// newTraceMatrixTier builds the matrix tier's shape: cost-bounded LRU.
+func newTraceMatrixTier(t *testing.T, budget int64) traceTier {
+	t.Helper()
+	return tierTrace[priced]{
+		t:    newPriced(budget),
+		wrap: func(s string, cost int64) priced { return priced{s, cost} },
+		str:  func(p priced) string { s, _ := p.v.(string); return s },
+	}
+}

@@ -57,88 +57,72 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 			http.StatusPreconditionFailed)
 		return
 	}
-	switch kind {
-	case fleet.KindResults:
-		s.handlePeerResult(w, r, digest)
-	case fleet.KindMatrices:
-		s.handlePeerMatrix(w, r, digest)
+	switch {
+	case kind == fleet.KindResults:
+		if !servePeerEntry(w, r, digest, s.cfg.MaxBodyBytes, s.cache, resultCodec(), checkPushedResult) {
+			http.Error(w, "use GET or PUT", http.StatusMethodNotAllowed)
+		}
+	case kind == fleet.KindMatrices && r.Method == http.MethodPost:
+		s.handlePeerBuild(w, r, digest)
+	case kind == fleet.KindMatrices:
+		if !servePeerEntry(w, r, digest, s.cfg.MaxBodyBytes, s.prec, matrixCodec(), nil) {
+			http.Error(w, "use GET, PUT, or POST", http.StatusMethodNotAllowed)
+		}
 	default:
 		http.NotFound(w, r)
 	}
 }
 
-func (s *Server) handlePeerResult(w http.ResponseWriter, r *http.Request, digest string) {
+// servePeerEntry answers a ring mate's GET (the entry from memory or disk,
+// 404 on an authoritative miss) or PUT (admit a pushed entry once it decodes
+// and, when check is non-nil, passes check) on tier. It reports false,
+// having written nothing, for any other method.
+func servePeerEntry[V any](w http.ResponseWriter, r *http.Request, digest string, maxBody int64,
+	tier *cache.Tier[V], codec cache.Codec[V], check func(V) error) bool {
 	switch r.Method {
 	case http.MethodGet:
-		v, ok := s.cache.Peek(r.Context(), digest)
+		v, ok := tier.Peek(r.Context(), digest)
 		if !ok {
 			http.NotFound(w, r)
-			return
+			return true
 		}
-		data, err := resultCodec().Encode(v)
+		data, err := codec.Encode(v)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+			return true
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(data)
 	case http.MethodPut:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return true
 		}
-		v, err := resultCodec().Decode(body)
+		v, err := codec.Decode(body)
+		if err == nil && check != nil {
+			err = check(v)
+		}
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return true
 		}
-		// Partial results are never cached locally; the same rule holds for
-		// pushed entries regardless of what the sender thought.
-		if res, ok := v.(*result); !ok || res.Partial {
-			http.Error(w, "partial results are not cacheable", http.StatusBadRequest)
-			return
-		}
-		s.cache.Put(r.Context(), digest, v)
+		tier.Put(r.Context(), digest, v)
 		w.WriteHeader(http.StatusNoContent)
 	default:
-		http.Error(w, "use GET or PUT", http.StatusMethodNotAllowed)
+		return false
 	}
+	return true
 }
 
-func (s *Server) handlePeerMatrix(w http.ResponseWriter, r *http.Request, digest string) {
-	switch r.Method {
-	case http.MethodGet:
-		v, ok := s.prec.Peek(r.Context(), digest)
-		if !ok {
-			http.NotFound(w, r)
-			return
-		}
-		data, err := matrixCodec().Encode(v)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(data)
-	case http.MethodPut:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		v, err := matrixCodec().Decode(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		s.prec.Put(r.Context(), digest, v, matrixCost(v))
-		w.WriteHeader(http.StatusNoContent)
-	case http.MethodPost:
-		s.handlePeerBuild(w, r, digest)
-	default:
-		http.Error(w, "use GET, PUT, or POST", http.StatusMethodNotAllowed)
+// checkPushedResult vets a result a peer pushed or is about to be pushed:
+// partial results are never cached locally, and the same rule holds for
+// pushed entries regardless of what the sender thought.
+func checkPushedResult(res *result) error {
+	if res.Partial {
+		return errors.New("partial results are not cacheable")
 	}
+	return nil
 }
 
 // handlePeerBuild builds (or serves) the precedence matrix of the posted
@@ -169,18 +153,15 @@ func (s *Server) handlePeerBuild(w http.ResponseWriter, r *http.Request, digest 
 	// The owner's tier sees its shard's demand here exactly as if the
 	// request had arrived on its own front door, popularity model included.
 	s.cheMatrix.Observe(digest)
-	v, _, _, err := s.prec.Do(r.Context(), digest, func() (any, int64, error) {
-		w, err := ranking.NewPrecedence(profile)
-		if err != nil {
-			return nil, 0, err
-		}
-		return w, w.Cells(), nil
+	m, _, _, err := s.prec.Do(r.Context(), digest, func() (*ranking.Precedence, bool, error) {
+		m, err := ranking.NewPrecedence(profile)
+		return m, true, err
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	data, err := matrixCodec().Encode(v)
+	data, err := matrixCodec().Encode(m)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -189,74 +170,59 @@ func (s *Server) handlePeerBuild(w http.ResponseWriter, r *http.Request, digest 
 	w.Write(data)
 }
 
-// resultFetch returns the result tier's fleet hook for digest, or nil
-// without a fleet. The hook asks the digest's owner (hedged to the
-// runner-up) only when this node does not own the digest itself.
-func (s *Server) resultFetch(digest string) cache.FetchFunc {
-	if s.fleet == nil {
+// peerFetch returns a tier's fleet hook for digest, or nil without a
+// fleet. The hook asks the digest's owner (hedged to the runner-up) only
+// when this node does not own the digest itself; onMiss, when non-nil,
+// turns the owner's authoritative miss into the payload it returns.
+func peerFetch[V any](f *fleet.Fleet, kind, digest string, codec cache.Codec[V],
+	onMiss func(ctx context.Context, owner string) ([]byte, error)) cache.FetchFunc[V] {
+	if f == nil {
 		return nil
 	}
-	return func(ctx context.Context) (any, bool, error) {
-		if _, self := s.fleet.Route(digest); self {
-			return nil, false, nil
+	return func(ctx context.Context) (v V, found bool, err error) {
+		owner, self := f.Route(digest)
+		if self {
+			return v, false, cache.ErrNotAsked
 		}
-		payload, found, err := s.fleet.Fetch(ctx, fleet.KindResults, digest)
-		if errors.Is(err, fleet.ErrNoPeer) {
-			return nil, false, nil
+		payload, found, err := f.Fetch(ctx, kind, digest)
+		switch {
+		case errors.Is(err, fleet.ErrNoPeer):
+			return v, false, cache.ErrNotAsked
+		case err != nil:
+			return v, false, err
+		case !found && onMiss == nil:
+			return v, false, nil
+		case !found:
+			if payload, err = onMiss(ctx, owner); err != nil {
+				return v, false, err
+			}
 		}
-		if err != nil {
-			return nil, true, err
-		}
-		if !found {
-			return nil, true, nil
-		}
-		v, err := resultCodec().Decode(payload)
-		if err != nil {
-			return nil, true, err
-		}
-		return v, true, nil
+		v, err = codec.Decode(payload)
+		return v, err == nil, err
 	}
 }
 
-// matrixFetch returns the matrix tier's fleet hook for pb, or nil without a
-// fleet. Where the result hook stops at an authoritative miss, the matrix
-// hook escalates: on a 404 from the owner it POSTs the profile so the OWNER
-// builds (under its own single-flight) and returns the serialized matrix —
-// per-node single-flight extended into per-ring single-compute. Every
-// failure degrades to a local build.
-func (s *Server) matrixFetch(pb *problem) cache.MatrixFetchFunc {
-	if s.fleet == nil {
-		return nil
-	}
-	return func(ctx context.Context) (any, int64, bool, error) {
-		owner, self := s.fleet.Route(pb.profDigest)
-		if self {
-			return nil, 0, false, nil
-		}
-		payload, found, err := s.fleet.Fetch(ctx, fleet.KindMatrices, pb.profDigest)
-		if errors.Is(err, fleet.ErrNoPeer) {
-			return nil, 0, false, nil
-		}
-		if err != nil {
-			return nil, 0, true, err
-		}
-		if !found {
-			profJSON, merr := json.Marshal(pb.profile)
-			if merr != nil {
-				return nil, 0, true, merr
-			}
-			payload, err = s.fleet.BuildMatrix(ctx, owner, pb.profDigest, profJSON)
+// resultFetch returns the result tier's fleet hook for digest: a plain
+// owner read, stopping at an authoritative miss.
+func (s *Server) resultFetch(digest string) cache.FetchFunc[*result] {
+	return peerFetch(s.fleet, fleet.KindResults, digest, resultCodec(), nil)
+}
+
+// matrixFetch returns the matrix tier's fleet hook for pb. Where the result
+// hook stops at an authoritative miss, the matrix hook escalates: on a 404
+// from the owner it POSTs the profile so the OWNER builds (under its own
+// single-flight) and returns the serialized matrix — per-node single-flight
+// extended into per-ring single-compute. Every failure degrades to a local
+// build.
+func (s *Server) matrixFetch(pb *problem) cache.FetchFunc[*ranking.Precedence] {
+	return peerFetch(s.fleet, fleet.KindMatrices, pb.profDigest, matrixCodec(),
+		func(ctx context.Context, owner string) ([]byte, error) {
+			profJSON, err := json.Marshal(pb.profile)
 			if err != nil {
-				return nil, 0, true, err
+				return nil, err
 			}
-		}
-		v, err := matrixCodec().Decode(payload)
-		if err != nil {
-			return nil, 0, true, err
-		}
-		w := v.(*ranking.Precedence)
-		return w, w.Cells(), true, nil
-	}
+			return s.fleet.BuildMatrix(ctx, owner, pb.profDigest, profJSON)
+		})
 }
 
 // pushResult homes a locally computed result with its ring owner in the
@@ -328,37 +294,30 @@ func (s *Server) warmReowned() {
 		}()
 		return true
 	}
-	ctx := context.Background()
-	for _, key := range s.prec.Keys() {
-		if !push(fleet.KindMatrices, key, func() ([]byte, bool) {
-			v, ok := s.prec.Peek(ctx, key)
-			if !ok {
-				return nil, false
-			}
-			data, err := matrixCodec().Encode(v)
-			return data, err == nil
-		}) {
-			break
-		}
-	}
-	for _, key := range s.cache.Keys() {
-		if !push(fleet.KindResults, key, func() ([]byte, bool) {
-			v, ok := s.cache.Peek(ctx, key)
-			if !ok {
-				return nil, false
-			}
-			res, isRes := v.(*result)
-			if !isRes || res.Partial {
-				return nil, false
-			}
-			data, err := resultCodec().Encode(v)
-			return data, err == nil
-		}) {
-			break
-		}
-	}
+	warmTier(s.prec, fleet.KindMatrices, matrixCodec(), nil, push)
+	warmTier(s.cache, fleet.KindResults, resultCodec(), checkPushedResult, push)
 	if warmed > 0 {
 		s.log.Info("fleet warm push", "epoch", epoch, "entries", warmed, "limit", limit)
+	}
+}
+
+// warmTier offers each of tier's resident entries to push, encoded on
+// demand and skipped when check (if non-nil) rejects it, until push stops
+// accepting entries.
+func warmTier[V any](tier *cache.Tier[V], kind string, codec cache.Codec[V], check func(V) error,
+	push func(kind, key string, encode func() ([]byte, bool)) bool) {
+	ctx := context.Background()
+	for _, key := range tier.Keys() {
+		if !push(kind, key, func() ([]byte, bool) {
+			v, ok := tier.Peek(ctx, key)
+			if !ok || (check != nil && check(v) != nil) {
+				return nil, false
+			}
+			data, err := codec.Encode(v)
+			return data, err == nil
+		}) {
+			return
+		}
 	}
 }
 

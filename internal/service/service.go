@@ -239,8 +239,8 @@ func (j *job) abandon() bool { return j.state.CompareAndSwap(0, 2) }
 // Handler, stop with Close.
 type Server struct {
 	cfg     Config
-	cache   *cache.Cache
-	prec    *cache.MatrixCache
+	cache   *cache.Tier[*result]
+	prec    *cache.Tier[*ranking.Precedence]
 	stores  []cache.Store // persistent tiers to close after the final flush
 	jobs    chan *job
 	quit    chan struct{}
@@ -288,14 +288,20 @@ type Server struct {
 // Config.CachePolicy or an unusable Config.CacheDir.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	results, err := cache.NewWithPolicy(cfg.CacheSize, cfg.CacheTTL, cfg.CachePolicy)
+	policy, err := cache.NewPolicy(cfg.CachePolicy, cfg.CacheSize)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		cfg:       cfg,
-		cache:     results,
-		prec:      cache.NewMatrixCache(cfg.PrecCacheCells),
+		cfg: cfg,
+		cache: cache.New(cache.Config[*result]{
+			Name: "result", Budget: int64(cfg.CacheSize), TTL: cfg.CacheTTL,
+			Policy: policy, Size: resultSizer,
+		}),
+		prec: cache.New(cache.Config[*ranking.Precedence]{
+			Name: "matrix", Budget: cfg.PrecCacheCells,
+			Cost: (*ranking.Precedence).Cells, Size: matrixSizer,
+		}),
 		jobs:      make(chan *job, cfg.QueueDepth),
 		quit:      make(chan struct{}),
 		log:       cfg.Logger,
@@ -335,7 +341,7 @@ func New(cfg Config) (*Server, error) {
 				"bytes reclaimed by disk eviction", budget.BytesEvicted())
 		}
 		s.cache.AttachStore(rs, resultCodec())
-		s.prec.AttachStore(ms, matrixCodec(), matrixCost)
+		s.prec.AttachStore(ms, matrixCodec())
 		s.stores = append(s.stores, rs, ms)
 		s.log.Info("persistent cache tier attached", "dir", cfg.CacheDir, "namespace", ns)
 		if cfg.SnapshotInterval > 0 {
@@ -392,11 +398,7 @@ var sessionOpNames = []string{"create", "add", "remove", "update", "solve", "del
 // per-tier bytes gauge — slice header plus elements, strings, and audit
 // map. An estimate is enough: the gauge exists to show relative tier
 // pressure, not to account allocations.
-func resultSizer(v any) int64 {
-	r, ok := v.(*result)
-	if !ok {
-		return 0
-	}
+func resultSizer(r *result) int64 {
 	b := int64(96) + 8*int64(len(r.Ranking)) + int64(len(r.Method))
 	if r.Audit != nil {
 		b += 48
@@ -407,8 +409,8 @@ func resultSizer(v any) int64 {
 	return b
 }
 
-// matrixResidentBytes prices the matrix tier's residency: cells are int32.
-func matrixResidentBytes(ms cache.MatrixStats) float64 { return float64(ms.CostUsed) * 4 }
+// matrixSizer prices a resident precedence matrix: its cells are int32.
+func matrixSizer(w *ranking.Precedence) int64 { return 4 * w.Cells() }
 
 // initObs builds the metric registry: every former /statz counter plus the
 // new histogram and model families. Counters owned by the cache tiers are
@@ -450,64 +452,48 @@ func (s *Server) initObs() {
 			"session operations by op", obs.L("op", op))
 	}
 
-	// Result tier: adopt the cache-owned counters under tier="result".
-	rc := s.cache.Counters()
-	res := obs.L("tier", "result")
-	r.RegisterCounter("manirank_cache_hits_total", "cache lookups served from memory per tier", rc.Hits, res)
-	r.RegisterCounter("manirank_cache_misses_total", "cache lookups that missed memory per tier", rc.Misses, res)
-	r.RegisterCounter("manirank_cache_coalesced_total", "lookups that joined an in-flight computation per tier", rc.Coalesced, res)
-	r.RegisterCounter("manirank_cache_evictions_total", "entries dropped by capacity pressure per tier", rc.Evictions, res)
-	r.RegisterCounter("manirank_cache_expirations_total", "entries dropped by TTL expiry", rc.Expirations, res)
-	r.RegisterCounter("manirank_cache_disk_hits_total", "lookups served by the persistent tier per tier", rc.DiskHits, res)
-	r.RegisterCounter("manirank_cache_disk_puts_total", "successful persistent write-throughs per tier", rc.DiskPuts, res)
-	r.RegisterCounter("manirank_cache_disk_errors_total", "persistent-tier failures absorbed per tier", rc.DiskErrors, res)
-	r.RegisterCounter("manirank_cache_peer_hits_total", "lookups served by a fleet peer per tier", rc.PeerHits, res)
-	r.RegisterCounter("manirank_cache_peer_misses_total", "peer fetches answered with an authoritative miss per tier", rc.PeerMisses, res)
-	r.RegisterCounter("manirank_cache_peer_errors_total", "peer fetches that failed and fell back to compute per tier", rc.PeerErrors, res)
-	s.cache.SetSizer(resultSizer)
-
-	// Matrix tier: same families under tier="matrix", plus its build axis.
-	mc := s.prec.Counters()
-	mat := obs.L("tier", "matrix")
-	r.RegisterCounter("manirank_cache_hits_total", "cache lookups served from memory per tier", mc.Hits, mat)
-	r.RegisterCounter("manirank_cache_misses_total", "cache lookups that missed memory per tier", mc.Misses, mat)
-	r.RegisterCounter("manirank_cache_coalesced_total", "lookups that joined an in-flight computation per tier", mc.Coalesced, mat)
-	r.RegisterCounter("manirank_cache_evictions_total", "entries dropped by capacity pressure per tier", mc.Evictions, mat)
-	r.RegisterCounter("manirank_cache_disk_hits_total", "lookups served by the persistent tier per tier", mc.DiskHits, mat)
-	r.RegisterCounter("manirank_cache_disk_puts_total", "successful persistent write-throughs per tier", mc.DiskPuts, mat)
-	r.RegisterCounter("manirank_cache_disk_errors_total", "persistent-tier failures absorbed per tier", mc.DiskErrors, mat)
-	r.RegisterCounter("manirank_cache_peer_hits_total", "lookups served by a fleet peer per tier", mc.PeerHits, mat)
-	r.RegisterCounter("manirank_cache_peer_misses_total", "peer fetches answered with an authoritative miss per tier", mc.PeerMisses, mat)
-	r.RegisterCounter("manirank_cache_peer_errors_total", "peer fetches that failed and fell back to compute per tier", mc.PeerErrors, mat)
+	// Cache tiers: adopt each tier's counters under its tier label, with
+	// measured vs Che-predicted hit rate and their drift — sustained drift
+	// means the popularity model (or the capacity assumption) is wrong. The
+	// result tier alone expires entries; the matrix tier alone reports its
+	// build axis.
+	rc, mc := s.cache.Counters(), s.prec.Counters()
+	for _, t := range []struct {
+		label   string
+		c       cache.Counters
+		stats   func() cache.Stats
+		bytes   func() int64
+		predict func() float64
+	}{
+		{"result", rc, s.cache.Stats, s.cache.Bytes, func() float64 { return s.cheResult.Predict(s.cfg.CacheSize) }},
+		{"matrix", mc, s.prec.Stats, s.prec.Bytes, s.predictMatrixHitRate},
+	} {
+		l := obs.L("tier", t.label)
+		r.RegisterCounter("manirank_cache_hits_total", "cache lookups served from memory per tier", t.c.Hits, l)
+		r.RegisterCounter("manirank_cache_misses_total", "cache lookups that missed memory per tier", t.c.Misses, l)
+		r.RegisterCounter("manirank_cache_coalesced_total", "lookups that joined an in-flight computation per tier", t.c.Coalesced, l)
+		r.RegisterCounter("manirank_cache_evictions_total", "entries dropped by capacity pressure per tier", t.c.Evictions, l)
+		r.RegisterCounter("manirank_cache_disk_hits_total", "lookups served by the persistent tier per tier", t.c.DiskHits, l)
+		r.RegisterCounter("manirank_cache_disk_puts_total", "successful persistent write-throughs per tier", t.c.DiskPuts, l)
+		r.RegisterCounter("manirank_cache_disk_errors_total", "persistent-tier failures absorbed per tier", t.c.DiskErrors, l)
+		r.RegisterCounter("manirank_cache_peer_hits_total", "lookups served by a fleet peer per tier", t.c.PeerHits, l)
+		r.RegisterCounter("manirank_cache_peer_misses_total", "peer fetches answered with an authoritative miss per tier", t.c.PeerMisses, l)
+		r.RegisterCounter("manirank_cache_peer_errors_total", "peer fetches that failed and fell back to compute per tier", t.c.PeerErrors, l)
+		r.GaugeFunc("manirank_cache_entries", "resident entries per tier",
+			func() float64 { return float64(t.stats().Entries) }, l)
+		r.GaugeFunc("manirank_cache_resident_bytes", "approximate resident bytes per tier",
+			func() float64 { return float64(t.bytes()) }, l)
+		r.GaugeFunc("manirank_cache_hit_rate", "measured memory hit rate per tier",
+			func() float64 { return t.stats().HitRate() }, l)
+		r.GaugeFunc("manirank_cache_hit_rate_predicted", "Che-approximation hit rate per tier", t.predict, l)
+		r.GaugeFunc("manirank_cache_hit_rate_drift", "measured minus predicted hit rate per tier",
+			func() float64 { return t.stats().HitRate() - t.predict() }, l)
+	}
+	r.RegisterCounter("manirank_cache_expirations_total", "entries dropped by TTL expiry", rc.Expirations, obs.L("tier", "result"))
 	r.RegisterCounter("manirank_matrix_builds_total", "precedence-matrix constructions paid", mc.Builds)
 	r.RegisterCounter("manirank_matrix_rejected_total", "built matrices too large to admit", mc.Rejected)
 	r.CounterFunc("manirank_matrix_builds_skipped_total",
 		"matrix requests answered without running the builder", mc.BuildsSkipped)
-
-	r.GaugeFunc("manirank_cache_entries", "resident entries per tier",
-		func() float64 { return float64(s.cache.Stats().Entries) }, res)
-	r.GaugeFunc("manirank_cache_entries", "resident entries per tier",
-		func() float64 { return float64(s.prec.Stats().Entries) }, mat)
-	r.GaugeFunc("manirank_cache_resident_bytes", "approximate resident bytes per tier",
-		func() float64 { return float64(s.cache.Bytes()) }, res)
-	r.GaugeFunc("manirank_cache_resident_bytes", "approximate resident bytes per tier",
-		func() float64 { return matrixResidentBytes(s.prec.Stats()) }, mat)
-
-	// Measured vs Che-predicted hit rate per tier, and their drift — the
-	// first slice of ROADMAP item 3's model-driven sizing: sustained drift
-	// means the popularity model (or the capacity assumption) is wrong.
-	r.GaugeFunc("manirank_cache_hit_rate", "measured memory hit rate per tier",
-		func() float64 { return s.cache.Stats().HitRate() }, res)
-	r.GaugeFunc("manirank_cache_hit_rate", "measured memory hit rate per tier",
-		func() float64 { return s.prec.Stats().HitRate() }, mat)
-	r.GaugeFunc("manirank_cache_hit_rate_predicted", "Che-approximation hit rate per tier",
-		func() float64 { return s.cheResult.Predict(s.cfg.CacheSize) }, res)
-	r.GaugeFunc("manirank_cache_hit_rate_predicted", "Che-approximation hit rate per tier",
-		s.predictMatrixHitRate, mat)
-	r.GaugeFunc("manirank_cache_hit_rate_drift", "measured minus predicted hit rate per tier",
-		func() float64 { return s.cache.Stats().HitRate() - s.cheResult.Predict(s.cfg.CacheSize) }, res)
-	r.GaugeFunc("manirank_cache_hit_rate_drift", "measured minus predicted hit rate per tier",
-		func() float64 { return s.prec.Stats().HitRate() - s.predictMatrixHitRate() }, mat)
 
 	buckets := obs.LatencyBuckets()
 	s.histSolve = r.Histogram("manirank_request_seconds",
@@ -693,17 +679,12 @@ func (s *Server) precedence(ctx context.Context, pb *problem) (*ranking.Preceden
 	// Feed the popularity model the stream this tier actually sees: profile
 	// sub-digests of requests that missed the result tier.
 	s.cheMatrix.Observe(pb.profDigest)
-	v, _, _, err := s.prec.DoFetch(ctx, pb.profDigest, s.matrixFetch(pb), func() (any, int64, error) {
+	w, _, _, err := s.prec.DoFetch(ctx, pb.profDigest, s.matrixFetch(pb), func() (*ranking.Precedence, bool, error) {
+		defer obs.StartSpan(ctx, "matrix_build")()
 		w, err := ranking.NewPrecedence(pb.profile)
-		if err != nil {
-			return nil, 0, err
-		}
-		return w, w.Cells(), nil
+		return w, true, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*ranking.Precedence), nil
+	return w, err
 }
 
 // solve runs one problem on the engine registry. ctx carries the request
@@ -870,7 +851,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	waitCtx, cancelWait := context.WithTimeout(r.Context(), budget)
 	defer cancelWait()
 	waitCtx = obs.WithTrace(waitCtx, tr)
-	v, hit, shared, err := s.cache.DoFetch(waitCtx, digest, s.resultFetch(digest), func() (any, bool, error) {
+	res, hit, shared, err := s.cache.DoFetch(waitCtx, digest, s.resultFetch(digest), func() (*result, bool, error) {
 		res, err := s.admit(tr, pb, budget, nil)
 		if err != nil {
 			return nil, false, err
@@ -893,7 +874,6 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		s.finishTrace(tr)
 		return
 	}
-	res := v.(*result)
 	elapsed := time.Since(start)
 	if hit {
 		observeSeconds(s.histHit, elapsed)
@@ -978,9 +958,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 type Statz struct {
 	UptimeSeconds float64           `json:"uptime_s"`
 	Queue         QueueStatz        `json:"queue"`
-	Cache         cache.Stats       `json:"cache"`
+	Cache         TierStatz         `json:"cache"`
 	CacheHitRate  float64           `json:"cache_hit_rate"`
-	Matrix        cache.MatrixStats `json:"precedence_cache"`
+	Matrix        TierStatz         `json:"precedence_cache"`
 	MatrixHitRate float64           `json:"precedence_hit_rate"`
 	Requests      map[string]uint64 `json:"requests_by_status"`
 	LatencySolve  LatencySnapshot   `json:"latency_solve"`
@@ -1028,9 +1008,9 @@ func (s *Server) StatzSnapshot() Statz {
 			InFlight: s.inFlight.Load(),
 			Workers:  s.cfg.Workers,
 		},
-		Cache:           cs,
+		Cache:           TierStatz{cs, resultStatzOmit},
 		CacheHitRate:    cs.HitRate(),
-		Matrix:          ms,
+		Matrix:          TierStatz{ms, matrixStatzOmit},
 		MatrixHitRate:   ms.HitRate(),
 		Requests:        map[string]uint64{},
 		LatencySolve:    latencySnapshot(s.histSolve),

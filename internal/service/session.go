@@ -361,7 +361,7 @@ func (s *Server) solveSession(rctx context.Context, tr *obs.Trace, sess *session
 	waitCtx, cancelWait := context.WithTimeout(rctx, budget)
 	defer cancelWait()
 	waitCtx = obs.WithTrace(waitCtx, tr)
-	v, hit, shared, err := s.cache.Do(waitCtx, digest, func() (any, bool, error) {
+	res, hit, shared, err := s.cache.Do(waitCtx, digest, func() (*result, bool, error) {
 		res, err := s.admit(tr, pb, budget, run)
 		if err != nil {
 			return nil, false, err
@@ -384,7 +384,6 @@ func (s *Server) solveSession(rctx context.Context, tr *obs.Trace, sess *session
 		}
 		return nil, status, err
 	}
-	res := v.(*result)
 
 	if !res.Partial {
 		// Record the consensus (the NEXT state's warm seed — this state's
@@ -396,7 +395,7 @@ func (s *Server) solveSession(rctx context.Context, tr *obs.Trace, sess *session
 		sess.consensus = res.Ranking
 		if v := eng.Version(); !sess.putOnce || v != sess.putVersion {
 			w := eng.PrecedenceSnapshot()
-			s.prec.Put(context.WithoutCancel(rctx), profDigest, w, w.Cells())
+			s.prec.Put(context.WithoutCancel(rctx), profDigest, w)
 			sess.putVersion, sess.putOnce = v, true
 		}
 	}

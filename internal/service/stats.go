@@ -1,10 +1,44 @@
 package service
 
 import (
+	"encoding/json"
 	"time"
 
 	"manirank/internal/obs"
+	"manirank/internal/service/cache"
 )
+
+// TierStatz is one cache tier's /statz section: the tier's Stats under the
+// key set that section has always reported. Both tiers share one Stats
+// type, so each section names the keys it never carried — the result
+// tier's build and cost accounting, the matrix tier's policy and
+// expirations — and rendering drops them.
+type TierStatz struct {
+	cache.Stats
+	omit []string
+}
+
+// Key sets dropped from each tier's /statz section.
+var (
+	resultStatzOmit = []string{"builds", "builds_skipped", "rejected", "cost_used", "cost_budget"}
+	matrixStatzOmit = []string{"policy", "expirations"}
+)
+
+// MarshalJSON renders the Stats without the omitted keys.
+func (t TierStatz) MarshalJSON() ([]byte, error) {
+	data, err := json.Marshal(t.Stats)
+	if err != nil || len(t.omit) == 0 {
+		return data, err
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		return nil, err
+	}
+	for _, k := range t.omit {
+		delete(fields, k)
+	}
+	return json.Marshal(fields)
+}
 
 // LatencySnapshot summarises one latency histogram for /statz, in
 // milliseconds. Until PR 8 these numbers came from fixed 1024-slot rings
