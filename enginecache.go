@@ -70,7 +70,7 @@ type EngineCache struct {
 // concurrent builds; with AttachDir it still cannot persist (there is
 // nothing admitted to write through), so give persistent caches a budget.
 func NewEngineCache(cells int64) *EngineCache {
-	return &EngineCache{mc: cache.New(cache.Config[*Precedence]{Budget: cells, Cost: (*Precedence).Cells})}
+	return &EngineCache{mc: cache.New(cache.Config[*Precedence]{Name: "matrix", Budget: cells, Cost: (*Precedence).Cells})}
 }
 
 // AttachDir roots a persistent tier at dir: every built matrix is written

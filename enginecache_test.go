@@ -2,6 +2,8 @@ package manirank_test
 
 import (
 	"context"
+	"io/fs"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -130,6 +132,54 @@ func TestEngineCachePersistsAcrossInstances(t *testing.T) {
 	}
 	if s := ec3.Stats(); s.Builds != 1 || s.DiskHits != 0 {
 		t.Fatalf("post-bump stats = %+v, want a fresh build", s)
+	}
+}
+
+// countFiles counts the regular files under dir.
+func countFiles(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	err := filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			n++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestEngineCacheCloseDetachesDir: Close leaves the cache memory-only, as
+// documented — a later build writes no file and moves no disk counter.
+func TestEngineCacheCloseDetachesDir(t *testing.T) {
+	dir := t.TempDir()
+	ec := manirank.NewEngineCache(1 << 20)
+	if err := ec.AttachDir(dir, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := ec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := countFiles(t, dir)
+	e, err := ec.Engine(context.Background(), cacheTestProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec.Put(context.Background(), e)
+	if got := countFiles(t, dir); got != files {
+		t.Fatalf("files under the detached dir: %d -> %d", files, got)
+	}
+	s := ec.Stats()
+	if s.DiskPuts != 0 || s.DiskHits != 0 || s.DiskErrors != 0 {
+		t.Fatalf("stats after Close = %+v, want no disk traffic", s)
+	}
+	if s.Builds != 1 || s.Entries != 1 {
+		t.Fatalf("stats after Close = %+v, want the build served from memory", s)
+	}
+	if err := ec.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }
 

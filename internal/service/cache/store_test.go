@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -601,4 +602,29 @@ func TestFileStoreKeyFanout(t *testing.T) {
 	if !strings.HasSuffix(p, testKey) {
 		t.Fatalf("entry path %q does not end in the key", p)
 	}
+}
+
+// FuzzDecodeEntry fuzzes the FileStore frame, the on-disk trust boundary:
+// decodeEntry must never panic, every frame it accepts must re-encode to
+// exactly its input bytes (the frame has no slack a corrupt file could hide
+// in), and encodeEntry → decodeEntry must round-trip any payload and expiry.
+func FuzzDecodeEntry(f *testing.F) {
+	f.Add(encodeEntry([]byte("payload"), time.Time{}), int64(0))
+	f.Add(encodeEntry([]byte(`{"ranking":[2,0,1]}`), time.Unix(0, 1_700_000_000_000_000_000)), int64(-1))
+	f.Add([]byte("MRC1"), int64(1))
+	f.Fuzz(func(t *testing.T, data []byte, exp int64) {
+		if value, expiry, ok := decodeEntry(data); ok {
+			if again := encodeEntry(value, expiry); !bytes.Equal(again, data) {
+				t.Fatalf("accepted frame re-encodes differently:\n in  %x\n out %x", data, again)
+			}
+		}
+		var expiry time.Time
+		if exp != 0 {
+			expiry = time.Unix(0, exp)
+		}
+		value, gotExpiry, ok := decodeEntry(encodeEntry(data, expiry))
+		if !ok || !bytes.Equal(value, data) || !gotExpiry.Equal(expiry) {
+			t.Fatalf("round trip of %d-byte payload at %v: ok=%v expiry=%v", len(data), expiry, ok, gotExpiry)
+		}
+	})
 }

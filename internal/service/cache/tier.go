@@ -108,12 +108,34 @@ func (s Stats) HitRate() float64 {
 // Counters exposes a tier's live counters. The tier owns the atomics and
 // increments them; the serving layer adopts the same pointers into its
 // obs.Registry, so /statz (via Stats) and /metricsz read one source of
-// truth. Each field counts the event its Stats namesake documents.
+// truth.
 type Counters struct {
-	Hits, Misses, Coalesced, Builds  *obs.Counter
-	Evictions, Rejected, Expirations *obs.Counter
-	DiskHits, DiskPuts, DiskErrors   *obs.Counter
-	PeerHits, PeerMisses, PeerErrors *obs.Counter
+	// Hits counts Do calls served from memory.
+	Hits *obs.Counter
+	// Misses counts Do calls that had to compute, join, restore or fetch.
+	Misses *obs.Counter
+	// Coalesced counts Do calls that joined an in-flight computation.
+	Coalesced *obs.Counter
+	// Builds counts successful computations.
+	Builds *obs.Counter
+	// Evictions counts entries dropped by budget pressure.
+	Evictions *obs.Counter
+	// Rejected counts values too costly to admit at all.
+	Rejected *obs.Counter
+	// Expirations counts entries dropped because their TTL elapsed.
+	Expirations *obs.Counter
+	// DiskHits counts Do calls served by a persistent-store restore.
+	DiskHits *obs.Counter
+	// DiskPuts counts successful write-throughs to the persistent store.
+	DiskPuts *obs.Counter
+	// DiskErrors counts persistent-store failures the tier absorbed.
+	DiskErrors *obs.Counter
+	// PeerHits counts Do calls served by a fleet peer fetch.
+	PeerHits *obs.Counter
+	// PeerMisses counts peer fetches answered with an authoritative miss.
+	PeerMisses *obs.Counter
+	// PeerErrors counts peer fetches that failed and fell back to compute.
+	PeerErrors *obs.Counter
 }
 
 // BuildsSkipped derives the tier's reason to exist: Do calls that returned
@@ -217,21 +239,35 @@ func New[V any](cfg Config[V]) *Tier[V] {
 	}
 	n := cfg.Name
 	return &Tier[V]{
-		budget:  cfg.Budget,
-		ttl:     cfg.TTL,
-		cost:    cfg.Cost,
-		size:    cfg.Size,
-		spans:   spanNames{n + "_lookup", n + "_wait", n + "_disk_read", n + "_disk_write", n + "_peer_read"},
+		budget: cfg.Budget,
+		ttl:    cfg.TTL,
+		cost:   cfg.Cost,
+		size:   cfg.Size,
+		spans: spanNames{
+			lookup:    n + "_lookup",
+			wait:      n + "_wait",
+			diskRead:  n + "_disk_read",
+			diskWrite: n + "_disk_write",
+			peerRead:  n + "_peer_read",
+		},
 		policy:  policy,
 		items:   make(map[string]*entry[V]),
 		flights: make(map[string]*flight[V]),
 		now:     time.Now,
 		counters: Counters{
-			Hits: new(obs.Counter), Misses: new(obs.Counter), Coalesced: new(obs.Counter),
-			Builds: new(obs.Counter), Evictions: new(obs.Counter), Rejected: new(obs.Counter),
-			Expirations: new(obs.Counter), DiskHits: new(obs.Counter), DiskPuts: new(obs.Counter),
-			DiskErrors: new(obs.Counter), PeerHits: new(obs.Counter), PeerMisses: new(obs.Counter),
-			PeerErrors: new(obs.Counter),
+			Hits:        new(obs.Counter),
+			Misses:      new(obs.Counter),
+			Coalesced:   new(obs.Counter),
+			Builds:      new(obs.Counter),
+			Evictions:   new(obs.Counter),
+			Rejected:    new(obs.Counter),
+			Expirations: new(obs.Counter),
+			DiskHits:    new(obs.Counter),
+			DiskPuts:    new(obs.Counter),
+			DiskErrors:  new(obs.Counter),
+			PeerHits:    new(obs.Counter),
+			PeerMisses:  new(obs.Counter),
+			PeerErrors:  new(obs.Counter),
 		},
 	}
 }
@@ -260,17 +296,21 @@ func (t *Tier[V]) AttachStore(s Store, codec Codec[V]) {
 }
 
 // Bytes returns the resident footprint of the stored values per
-// Config.Size (0 without one). It walks the store under the lock — priced
+// Config.Size (0 without one). It copies out every resident value — priced
 // for scrape-time calls, not per-request ones.
 func (t *Tier[V]) Bytes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.size == nil {
 		return 0
 	}
-	var total int64
+	t.mu.Lock()
+	values := make([]V, 0, len(t.items))
 	for _, e := range t.items {
-		total += t.size(e.value)
+		values = append(values, e.value)
+	}
+	t.mu.Unlock()
+	var total int64
+	for _, v := range values {
+		total += t.size(v)
 	}
 	return total
 }
@@ -310,18 +350,17 @@ func (t *Tier[V]) lookupLocked(key string) (V, bool) {
 	return e.value, true
 }
 
-// admitLocked stores (or refreshes) key with an absolute expiry (zero =
-// never), asking the policy for victims until the value fits the budget.
-// Values costing more than the whole budget are rejected rather than
-// flushing the tier for one entry. New insertions opportunistically sweep
-// expired entries first, so TTL-dead entries release their memory and
-// policy slot without waiting to be re-requested or evicted. Callers hold
-// t.mu.
-func (t *Tier[V]) admitLocked(key string, v V, expiresAt time.Time) {
+// admitLocked stores (or refreshes) key at cost (priced by costOf before
+// the lock was taken) with an absolute expiry (zero = never), asking the
+// policy for victims until the value fits the budget. Values costing more
+// than the whole budget are rejected rather than flushing the tier for one
+// entry. New insertions opportunistically sweep expired entries first, so
+// TTL-dead entries release their memory and policy slot without waiting to
+// be re-requested or evicted. Callers hold t.mu.
+func (t *Tier[V]) admitLocked(key string, v V, cost int64, expiresAt time.Time) {
 	if t.budget <= 0 {
 		return
 	}
-	cost := t.costOf(v)
 	if cost > t.budget {
 		t.counters.Rejected.Inc()
 		return
@@ -454,8 +493,9 @@ func (t *Tier[V]) DoFetch(ctx context.Context, key string, fetch FetchFunc[V], c
 	if v, expiry, ok := t.restore(ctx, key); ok {
 		completed = true
 		t.counters.DiskHits.Inc()
+		cost := t.costOf(v)
 		t.mu.Lock()
-		t.admitLocked(key, v, expiry)
+		t.admitLocked(key, v, cost, expiry)
 		t.mu.Unlock()
 		t.release(key, f, v, nil)
 		return v, true, false, nil
@@ -553,8 +593,9 @@ func (t *Tier[V]) Peek(ctx context.Context, key string) (V, bool) {
 	t.mu.Unlock()
 	v, expiry, ok := t.restore(ctx, key)
 	if ok {
+		cost := t.costOf(v)
 		t.mu.Lock()
-		t.admitLocked(key, v, expiry)
+		t.admitLocked(key, v, cost, expiry)
 		t.mu.Unlock()
 	}
 	return v, ok
@@ -570,9 +611,10 @@ func (t *Tier[V]) Peek(ctx context.Context, key string) (V, bool) {
 // off. The caller must key by the digest of what value actually summarises
 // and must not mutate value afterwards.
 func (t *Tier[V]) Put(ctx context.Context, key string, value V) {
+	cost := t.costOf(value)
 	t.mu.Lock()
 	expiry := t.expiryLocked()
-	t.admitLocked(key, value, expiry)
+	t.admitLocked(key, value, cost, expiry)
 	var store Store
 	if t.budget > 0 {
 		store = t.store
