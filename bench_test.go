@@ -397,13 +397,25 @@ func BenchmarkConstrainedDescent5k(b *testing.B) {
 	}
 }
 
+// BenchmarkConstrainedDescent1k is BenchmarkConstrainedDescent5k at
+// n = 990, small enough (well under a second) to run without -short gating,
+// so the bench-smoke stage executes the fused scan-and-audit descent too.
+func BenchmarkConstrainedDescent1k(b *testing.B) {
+	w, cons, start := fairScaleInstance(b, 990, 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kemeny.ConstrainedLocalSearch(w, cons, start)
+	}
+}
+
 // fullAuditDescent is the pre-PR-6 constrained descent expressed through
 // exported APIs only: every trial move mutates the ranking, pays a full
 // kemeny.Feasible audit (O(n) per constraint), and undoes on infeasibility.
-// It exists as the benchmark baseline for the incremental auditor. Candidate
-// ordering uses the same stable ascending-delta sequence as the live engine
-// (sort.SliceStable here, a lazy heap there), so the benchmark pair isolates
-// the audit cost, not the sort.
+// It exists as the benchmark baseline for the incremental auditor. It tries
+// candidates in stable ascending-delta order (sort.SliceStable) and accepts
+// the first feasible one — the same move the live engine's single sweep
+// picks as the best feasible (delta, scan order) target — so the pair
+// measures the audit and candidate-selection cost together.
 func fullAuditDescent(w *ranking.Precedence, cons []kemeny.Constraint, start ranking.Ranking) ranking.Ranking {
 	r := start.Clone()
 	n := len(r)

@@ -1,6 +1,7 @@
 package fairness
 
 import (
+	"math"
 	"sort"
 
 	"manirank/internal/attribute"
@@ -28,8 +29,10 @@ import (
 // group to the lower one's and changes nothing else, so ApplySwap is O(1) on
 // the counters. An insertion move of candidate c (group v) across a window
 // of span s in which mid[u] members of group u sit changes wins[v] by
-// ±(s - mid[v]) and wins[u] by ∓mid[u], so SpreadAfterMove predicts the
-// post-move ARP from interval counts alone — without mutating the ranking.
+// ±(s - mid[v]) and wins[u] by ∓mid[u], so SpreadAfterWindow predicts the
+// post-move ARP from window counts alone — without mutating the ranking —
+// whether they come from binary searches (SpreadAfterMove) or from a
+// histogram a sweep keeps (CountWindow).
 //
 // All derived scores (FPR, Spread) divide the same integers GroupFPRs
 // divides, so every prediction and every incremental score is bitwise
@@ -48,6 +51,9 @@ type Tracker struct {
 	groupAt []int
 	// posByGroup[v] is the ascending list of positions held by group v.
 	posByGroup [][]int
+	// work is per-group scratch (2·groups ints) for Reset's size and seen
+	// counters and SpreadAfterMove's window counts, so neither allocates.
+	work []int
 
 	// Minimum-distance pair cache for EachMinDistPair: for each ordered
 	// group pair (a, b), the closest positioned pair with an a-member
@@ -79,6 +85,7 @@ func NewGroupTracker(r ranking.Ranking, of []int, groups int) *Tracker {
 		wins:       make([]int, groups),
 		groupAt:    make([]int, len(r)),
 		posByGroup: make([][]int, groups),
+		work:       make([]int, 2*groups),
 	}
 	t.Reset(r)
 	return t
@@ -89,7 +96,8 @@ func NewGroupTracker(r ranking.Ranking, of []int, groups int) *Tracker {
 // instead of allocating a fresh tracker.
 func (t *Tracker) Reset(r ranking.Ranking) {
 	n := len(r)
-	sizes := make([]int, t.groups)
+	sizes, seen := t.work[:t.groups], t.work[t.groups:]
+	clear(t.work)
 	for _, c := range r {
 		sizes[t.of[c]]++
 	}
@@ -111,7 +119,6 @@ func (t *Tracker) Reset(r ranking.Ranking) {
 	// Same top-to-bottom win derivation as GroupFPRs: the candidate at
 	// position i wins against the n-1-i candidates below it, minus those of
 	// its own group (not mixed pairs).
-	seen := make([]int, t.groups)
 	for i, c := range r {
 		v := t.of[c]
 		below := n - 1 - i
@@ -220,43 +227,96 @@ func moveWindow(from, to int) (lo, hi int, up bool) {
 
 // SpreadAfterMove returns the ARP that would result from r.MoveTo(from, to)
 // on the tracked ranking, computed from interval counts in O(groups · log n)
-// without mutating anything. It is bitwise identical to recomputing ARP on
-// the moved ranking.
+// without mutating the ranking. It is bitwise identical to recomputing ARP
+// on the moved ranking. The window counts go through the tracker's scratch,
+// so — like every other method — it is not safe for concurrent use.
 func (t *Tracker) SpreadAfterMove(from, to int) float64 {
 	if from == to {
 		return t.Spread()
 	}
 	lo, hi, up := moveWindow(from, to)
-	span := hi - lo + 1
-	v := t.groupAt[from]
-	midV := t.countIn(v, lo, hi)
-	loF, hiF := 2.0, -1.0
-	for u := 0; u < t.groups; u++ {
-		var f float64
-		if t.omegaM[u] == 0 {
-			f = 0.5
+	mid := t.work[:t.groups]
+	for u := range mid {
+		mid[u] = t.countIn(u, lo, hi)
+	}
+	spread, _ := t.SpreadAfterWindow(t.groupAt[from], hi-lo+1, up, mid, math.Inf(1))
+	return spread
+}
+
+// SpreadAfterWindow returns the ARP that would result from moving a
+// candidate of group v across a window of span positions, upward (past
+// every window member) when up and downward otherwise, where mid[u] is the
+// number of window positions group u holds. By the win-transfer identity
+// wins[v] moves by ±(span - mid[v]) and every other wins[u] by ∓mid[u]; the
+// integers and the divisions are the ones GroupFPRs uses, so the result is
+// bitwise identical to auditing the moved ranking from scratch.
+//
+// It is the one spread formula behind every move prediction:
+// SpreadAfterMove feeds it binary-search counts, and the constrained descent
+// feeds it the histograms it keeps while sweeping a candidate's insertion
+// targets. The group loop stops as soon as max - min exceeds bound (both
+// only grow, so "> bound" is already decided) and returns that partial
+// spread; pass +Inf for the exact value. O(groups).
+//
+// blocked reports that the gap between group v and one other group alone
+// exceeds bound. Growing the window in the same direction only pushes v's
+// FPR further away from every other group's (v gains wins, the rest lose
+// them, or the reverse), so every larger window is over bound too and a
+// sweep can stop there.
+func (t *Tracker) SpreadAfterWindow(v, span int, up bool, mid []int, bound float64) (spread float64, blocked bool) {
+	fv := 0.5
+	if om := t.omegaM[v]; om != 0 {
+		w := t.wins[v]
+		if up {
+			w += span - mid[v]
 		} else {
+			w -= span - mid[v]
+		}
+		fv = float64(w) / float64(om)
+	}
+	lo, hi := fv, fv
+	for u, om := range t.omegaM {
+		if u == v {
+			continue
+		}
+		f := 0.5
+		if om != 0 {
 			w := t.wins[u]
-			switch {
-			case u == v && up:
-				w += span - midV
-			case u == v:
-				w -= span - midV
-			case up:
-				w -= t.countIn(u, lo, hi)
-			default:
-				w += t.countIn(u, lo, hi)
+			if up {
+				w -= mid[u]
+			} else {
+				w += mid[u]
 			}
-			f = float64(w) / float64(t.omegaM[u])
+			f = float64(w) / float64(om)
 		}
-		if f < loF {
-			loF = f
+		if f < lo {
+			lo = f
 		}
-		if f > hiF {
-			hiF = f
+		if f > hi {
+			hi = f
+		}
+		if hi-lo > bound {
+			break
 		}
 	}
-	return hiF - loF
+	if up {
+		blocked = fv-lo > bound
+	} else {
+		blocked = hi-fv > bound
+	}
+	return hi - lo, blocked
+}
+
+// GroupAt returns the group of the candidate at position p.
+func (t *Tracker) GroupAt(p int) int { return t.groupAt[p] }
+
+// CountWindow adds, for every position p in [lo, hi], one to mid[group at
+// p] — growing a window histogram for SpreadAfterWindow by the positions a
+// sweep has newly crossed. O(hi - lo + 1).
+func (t *Tracker) CountWindow(mid []int, lo, hi int) {
+	for _, v := range t.groupAt[lo : hi+1] {
+		mid[v]++
+	}
 }
 
 // ApplyMove mirrors r.MoveTo(from, to) into the tracker in

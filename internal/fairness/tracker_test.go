@@ -1,6 +1,7 @@
 package fairness
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -58,6 +59,7 @@ func TestTrackerRandomOps(t *testing.T) {
 				if got, want := trk.SpreadAfterMove(from, to), predictMoveScratch(r, a, from, to); got != want {
 					t.Fatalf("SpreadAfterMove(%d,%d) = %v, scratch %v", from, to, got, want)
 				}
+				checkWindowSpread(t, trk, r, a, from, to, 0.5*rng.Float64())
 				trk.ApplyMove(from, to)
 				r.MoveTo(from, to)
 			} else {
@@ -66,6 +68,45 @@ func TestTrackerRandomOps(t *testing.T) {
 				r.Swap(i, j)
 			}
 			checkAgainstScratch(t, trk, r, a, "step")
+		}
+	}
+}
+
+// checkWindowSpread asserts that SpreadAfterWindow, fed a histogram of the
+// move's window counted with CountWindow, predicts r.MoveTo(from, to)
+// exactly like auditing the moved ranking from scratch; that with a finite
+// bound its early exit decides "> bound" the same way; and that a blocked
+// verdict holds — every larger window in the same direction is over bound
+// too.
+func checkWindowSpread(t *testing.T, trk *Tracker, r ranking.Ranking, a *attribute.Attribute, from, to int, bound float64) {
+	t.Helper()
+	if from == to {
+		return
+	}
+	lo, hi, up := moveWindow(from, to)
+	mid := make([]int, trk.Groups())
+	trk.CountWindow(mid, lo, hi)
+	want := predictMoveScratch(r, a, from, to)
+	if got, _ := trk.SpreadAfterWindow(trk.GroupAt(from), hi-lo+1, up, mid, math.Inf(1)); got != want {
+		t.Fatalf("SpreadAfterWindow(%d->%d) = %v, scratch %v", from, to, got, want)
+	}
+	got, blocked := trk.SpreadAfterWindow(trk.GroupAt(from), hi-lo+1, up, mid, bound)
+	if (got > bound) != (want > bound) {
+		t.Fatalf("SpreadAfterWindow(%d->%d, bound %v) = %v, scratch %v", from, to, bound, got, want)
+	}
+	if !blocked {
+		return
+	}
+	if !(want > bound) {
+		t.Fatalf("move %d->%d blocked at spread %v <= bound %v", from, to, want, bound)
+	}
+	step := 1
+	if up {
+		step = -1
+	}
+	for further := to + step; further >= 0 && further < len(r); further += step {
+		if s := predictMoveScratch(r, a, from, further); s <= bound {
+			t.Fatalf("move %d->%d blocked, but %d->%d has spread %v <= bound %v", from, to, from, further, s, bound)
 		}
 	}
 }
@@ -186,7 +227,10 @@ func TestTrackerReset(t *testing.T) {
 // FuzzTrackerParity drives a random MoveTo/Swap sequence from fuzzed bytes
 // and asserts the incremental ARP equals fairness.ARP recomputed from
 // scratch after every step — the bitwise-parity guarantee the fair solvers
-// rely on.
+// rely on. Every move op is also predicted both ways first: SpreadAfterMove
+// (binary-search counts) and SpreadAfterWindow over a CountWindow histogram
+// (the descent's sweep) must each equal the scratch audit of the moved
+// ranking.
 func FuzzTrackerParity(f *testing.F) {
 	f.Add(uint8(8), uint8(2), []byte{0x01, 0x23, 0x45, 0x67})
 	f.Add(uint8(16), uint8(3), []byte{0xff, 0x00, 0xaa, 0x55, 0x10, 0x42})
@@ -205,6 +249,9 @@ func FuzzTrackerParity(f *testing.F) {
 				if got, want := trk.SpreadAfterMove(x, y), predictMoveScratch(r, a, x, y); got != want {
 					t.Fatalf("SpreadAfterMove(%d,%d) = %v, scratch %v", x, y, got, want)
 				}
+				// The op byte's high bits pick the bound for the early-exit
+				// and blocked checks: 0 .. ~0.6, around typical spreads.
+				checkWindowSpread(t, trk, r, a, x, y, float64(ops[k]>>1)/200)
 				trk.ApplyMove(x, y)
 				r.MoveTo(x, y)
 			} else {

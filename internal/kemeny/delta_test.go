@@ -10,8 +10,8 @@ import (
 )
 
 // TestLocalSearchDeltaMatchesFullCost verifies the incremental contract
-// Heuristic relies on: the delta localSearchDelta returns equals the change
-// in the full O(n^2) Kemeny cost.
+// Heuristic relies on: the delta the unconstrained descent returns equals the
+// change in the full O(n^2) Kemeny cost.
 func TestLocalSearchDeltaMatchesFullCost(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -19,7 +19,7 @@ func TestLocalSearchDeltaMatchesFullCost(t *testing.T) {
 		w := ranking.MustPrecedence(randomProfile(n, m, rng))
 		r := ranking.Random(n, rng)
 		before := w.KemenyCost(r)
-		delta := localSearchDelta(context.Background(), w, r)
+		delta := newSearchScratch(n).descentDelta(context.Background(), w, r)
 		return before+delta == w.KemenyCost(r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {

@@ -12,12 +12,14 @@ import (
 	"testing"
 
 	"manirank/internal/attribute"
+	"manirank/internal/fairness"
 	"manirank/internal/ranking"
 )
 
-// referenceConstrainedDescent is the pre-incremental constrainedDescentDelta:
+// referenceConstrainedDescent is the pre-incremental constrained descent:
 // every trial move mutates the ranking and pays a full fairness.ARP audit.
 func referenceConstrainedDescent(w *ranking.Precedence, cons []Constraint, r ranking.Ranking) int {
+	type clsMove struct{ pos, delta int }
 	n := len(r)
 	total := 0
 	var moves []clsMove
@@ -148,24 +150,54 @@ func ternaryAttr(n int, rng *rand.Rand) *attribute.Attribute {
 
 // TestIncrementalDescentMatchesReference pins the auditor-driven descent
 // bitwise to the historical full-recompute descent: same final ranking, same
-// cost delta.
+// cost delta. The instances cover one or two small attributes, the
+// manirank.Targets shape (two attributes plus their up-to-15-group joint
+// attribute, n up to ~120), and the empty constraint set (nil and
+// zero-length alike: no auditor, every move feasible).
 func TestIncrementalDescentMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
-	for trial := 0; trial < 60; trial++ {
-		w, cons, start := feasibleStart(t, rng)
+	check := func(name string, trial int, w *ranking.Precedence, cons []Constraint, start ranking.Ranking) int {
+		t.Helper()
 		ref := start.Clone()
 		refDelta := referenceConstrainedDescent(w, cons, ref)
 
 		inc := start.Clone()
 		sc := newSearchScratch(len(inc))
 		sc.syncAuditor(cons, inc)
-		incDelta := sc.constrainedDescentDelta(context.Background(), w, cons, inc)
+		incDelta := sc.descentDelta(context.Background(), w, inc)
 
 		if !inc.Equal(ref) {
-			t.Fatalf("trial %d: descent diverged\nref %v\ninc %v", trial, ref, inc)
+			t.Fatalf("%s trial %d: descent diverged\nref %v\ninc %v", name, trial, ref, inc)
 		}
 		if incDelta != refDelta {
-			t.Fatalf("trial %d: delta %d, reference %d", trial, incDelta, refDelta)
+			t.Fatalf("%s trial %d: delta %d, reference %d", name, trial, incDelta, refDelta)
+		}
+		return refDelta
+	}
+	for trial := 0; trial < 60; trial++ {
+		w, cons, start := feasibleStart(t, rng)
+		check("small", trial, w, cons, start)
+	}
+	moved := 0
+	for trial := 0; trial < 24; trial++ {
+		w, cons, start := intersectionStart(rng)
+		if check("intersection", trial, w, cons, start) < 0 {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no intersection trial moved: the instances do not exercise the descent")
+	}
+	for trial := 0; trial < 40; trial++ {
+		n, m := 2+rng.Intn(60), 1+rng.Intn(7)
+		w := ranking.MustPrecedence(randomProfile(n, m, rng))
+		start := ranking.Random(n, rng)
+		check("unconstrained", trial, w, nil, start)
+		check("unconstrained", trial, w, []Constraint{}, start)
+		ref := start.Clone()
+		referenceConstrainedDescent(w, nil, ref)
+		if got := LocalSearch(w, start.Clone()); !got.Equal(ref) {
+			t.Fatalf("unconstrained trial %d: LocalSearch diverged\nref %v\ngot %v", trial, ref, got)
 		}
 	}
 }
@@ -193,13 +225,20 @@ func TestIncrementalPerturbMatchesReference(t *testing.T) {
 // ConstrainedSearch output is bitwise identical to the pre-incremental
 // reference for worker counts 1, 2, 4, and 8, with the scan-sharding
 // threshold lowered so the sharded path actually runs on these small
-// instances.
+// instances — small attributes first, then the manirank.Targets shape.
 func TestConstrainedSearchMatchesReferenceAllWorkerCounts(t *testing.T) {
 	defer func(old int) { shardMinScan = old }(shardMinScan)
 	shardMinScan = 4
 	rng := rand.New(rand.NewSource(90210))
-	for trial := 0; trial < 12; trial++ {
-		w, cons, start := feasibleStart(t, rng)
+	for trial := 0; trial < 16; trial++ {
+		var w *ranking.Precedence
+		var cons []Constraint
+		var start ranking.Ranking
+		if trial < 12 {
+			w, cons, start = feasibleStart(t, rng)
+		} else {
+			w, cons, start = intersectionStart(rng)
+		}
 		opts := Options{Seed: int64(trial), Perturbations: 6, Strength: 4}
 		want := referenceConstrainedSearch(w, cons, start, opts)
 		for _, workers := range []int{1, 2, 4, 8} {
@@ -211,4 +250,57 @@ func TestConstrainedSearchMatchesReferenceAllWorkerCounts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// intersectionStart builds an instance shaped like manirank.Targets: two
+// attributes (domains up to 3 and 5) plus their joint attribute (up to 15
+// groups), n up to ~120. The profile ranks candidates by group-biased scores
+// plus noise, so the consensus the descent heads for is unfair; each Delta
+// sits just above the random start's own ARP, so the start is feasible and
+// the constraints bind from the first pass.
+func intersectionStart(rng *rand.Rand) (*ranking.Precedence, []Constraint, ranking.Ranking) {
+	n, m := 20+rng.Intn(101), 3+rng.Intn(8)
+	mk := func(name string, domain int) *attribute.Attribute {
+		of := make([]int, n)
+		values := make([]string, domain)
+		for v := range values {
+			values[v] = string(rune('A' + v))
+			of[v] = v // every value occupied
+		}
+		for c := domain; c < n; c++ {
+			of[c] = rng.Intn(domain)
+		}
+		rng.Shuffle(n, func(i, j int) { of[i], of[j] = of[j], of[i] })
+		a, err := attribute.NewAttribute(name, values, of)
+		if err != nil {
+			panic(err)
+		}
+		return a
+	}
+	a, b := mk("a", 2+rng.Intn(2)), mk("b", 2+rng.Intn(4))
+	attrs := []*attribute.Attribute{a, b, attribute.MustTable(n, a, b).Intersection()}
+	base := make([]float64, n)
+	for _, at := range attrs[:2] {
+		shift := make([]float64, at.DomainSize())
+		for v := range shift {
+			shift[v] = rng.NormFloat64()
+		}
+		for c := range base {
+			base[c] += shift[at.Of[c]]
+		}
+	}
+	p := make(ranking.Profile, m)
+	points := make([]int, n)
+	for i := range p {
+		for c := range points {
+			points[c] = int(1000 * (base[c] + 0.7*rng.NormFloat64()))
+		}
+		p[i] = ranking.SortByPointsDesc(points)
+	}
+	start := ranking.Random(n, rng)
+	cons := make([]Constraint, len(attrs))
+	for k, at := range attrs {
+		cons[k] = Constraint{Attr: at, Delta: fairness.ARP(start, at) + 0.05*rng.Float64()}
+	}
+	return ranking.MustPrecedence(p), cons, start
 }

@@ -27,54 +27,8 @@ func BordaFromPrecedence(w *ranking.Precedence) ranking.Ranking {
 // O(n^2); the insertion neighbourhood is the standard Kemeny local search
 // (Ali & Meila 2012).
 func LocalSearch(w *ranking.Precedence, r ranking.Ranking) ranking.Ranking {
-	localSearchDelta(context.Background(), w, r)
+	newSearchScratch(len(r)).descentDelta(context.Background(), w, r)
 	return r
-}
-
-// localSearchDelta runs the insertion local search on r in place and returns
-// the total Kemeny-cost change — every move's gain is already known from the
-// incremental scan, so callers tracking an exact cost never pay for an
-// O(n^2) KemenyCost recomputation. Cancellation is checked between passes
-// (each pass is O(n^2)); an early exit leaves r a valid permutation and the
-// returned delta exact for the moves applied.
-func localSearchDelta(ctx context.Context, w *ranking.Precedence, r ranking.Ranking) int {
-	n := len(r)
-	total := 0
-	tr := obs.FromContext(ctx)
-	for improved := true; improved && ctx.Err() == nil; {
-		endPass := tr.StartSpan("kemeny_descent_pass")
-		improved = false
-		for i := 0; i < n; i++ {
-			c := r[i]
-			bestDelta, bestPos := 0, i
-			// Moving c upward: crossing y flips the pair from (y above c) to
-			// (c above y), changing cost by W[c][y] - W[y][c].
-			delta := 0
-			for j := i - 1; j >= 0; j-- {
-				y := r[j]
-				delta += w.At(c, y) - w.At(y, c)
-				if delta < bestDelta {
-					bestDelta, bestPos = delta, j
-				}
-			}
-			// Moving c downward: crossing y flips (c above y) to (y above c).
-			delta = 0
-			for j := i + 1; j < n; j++ {
-				y := r[j]
-				delta += w.At(y, c) - w.At(c, y)
-				if delta < bestDelta {
-					bestDelta, bestPos = delta, j
-				}
-			}
-			if bestDelta < 0 {
-				r.MoveTo(i, bestPos)
-				total += bestDelta
-				improved = true
-			}
-		}
-		endPass()
-	}
-	return total
 }
 
 // Options tunes the heuristic solvers.
@@ -147,7 +101,7 @@ func HeuristicCtx(ctx context.Context, w *ranking.Precedence, opts Options) rank
 	opts = opts.withDefaults()
 	endSeed := obs.StartSpan(ctx, "kemeny_seed_descent")
 	seed := WarmOrBordaSeed(w, opts)
-	seedCost := w.KemenyCost(seed) + localSearchDelta(ctx, w, seed)
+	seedCost := w.KemenyCost(seed) + newSearchScratch(len(seed)).descentDelta(ctx, w, seed)
 	endSeed()
 	best, _ := restartSearch(ctx, w, nil, seed, seedCost, opts)
 	return best
@@ -165,7 +119,7 @@ func WarmOrBordaSeed(w *ranking.Precedence, opts Options) ranking.Ranking {
 }
 
 // ConstrainedLocalSearch minimises Kemeny cost over rankings satisfying cons
-// using first-improvement insertion moves that preserve feasibility. start
+// using best-improvement insertion moves that preserve feasibility. start
 // must already satisfy cons (repair it with Make-MR-Fair first); the function
 // panics otherwise, because silently optimising from an infeasible point
 // would return garbage. The result is feasible and no worse than start.
@@ -179,7 +133,7 @@ func ConstrainedLocalSearch(w *ranking.Precedence, cons []Constraint, start rank
 	r := start.Clone()
 	sc := newSearchScratch(len(r))
 	sc.syncAuditor(cons, r)
-	sc.constrainedDescentDelta(context.Background(), w, cons, r)
+	sc.descentDelta(context.Background(), w, r)
 	return r
 }
 
@@ -207,36 +161,29 @@ func ConstrainedSearchCtx(ctx context.Context, w *ranking.Precedence, cons []Con
 	opts = opts.withDefaults()
 	endSeed := obs.StartSpan(ctx, "kemeny_seed_descent")
 	seed := start.Clone()
-	seedCost := w.KemenyCost(seed)
-	if len(cons) > 0 {
-		// The seed descent is the one single-threaded stretch of the search,
-		// so it alone shards its candidate scans across the restart pool's
-		// width; restart descents keep sequential scans (the pool already
-		// owns that parallelism).
-		sc := newSearchScratch(len(seed))
-		sc.scanWorkers = scanWorkers(opts.Workers)
-		sc.syncAuditor(cons, seed)
-		seedCost += sc.constrainedDescentDelta(ctx, w, cons, seed)
-	} else {
-		// No constraints: every move is feasible, so the cheaper
-		// best-improvement descent applies.
-		seedCost += localSearchDelta(ctx, w, seed)
-	}
+	// The seed descent is the one single-threaded stretch of the search, so
+	// it alone shards its candidate scans across the restart pool's width;
+	// restart descents keep sequential scans (the pool already owns that
+	// parallelism).
+	sc := newSearchScratch(len(seed))
+	sc.scanWorkers = scanWorkers(opts.Workers)
+	sc.syncAuditor(cons, seed)
+	seedCost := w.KemenyCost(seed) + sc.descentDelta(ctx, w, seed)
 	endSeed()
 	best, _ := restartSearch(ctx, w, cons, seed, seedCost, opts)
 	return best
 }
 
-// constrainedDescentDelta runs the feasibility-preserving first-improvement
-// insertion descent on r in place and returns the total Kemeny-cost change.
-// The scratch's auditor must already be synced to r (syncAuditor); every
-// candidate move is audited incrementally in O(groups · log n) instead of
-// the historical move / full-ARP-recompute / undo cycle, and accepted moves
-// update the trackers in O(span + groups · log n). The scratch's move and
-// term buffers are reused across candidates, passes, and restarts.
-// Cancellation is checked between passes; an early exit leaves r feasible
-// (every accepted move preserved feasibility) with the returned delta exact.
-func (sc *searchScratch) constrainedDescentDelta(ctx context.Context, w *ranking.Precedence, cons []Constraint, r ranking.Ranking) int {
+// descentDelta runs the insertion descent on r in place until no element
+// has an improving feasible move, and returns the total Kemeny-cost change.
+// Each element in turn moves to its best feasible insertion target
+// (bestMove) — best-improvement per element, so with no constraints it is
+// the plain Kemeny local search. The scratch's auditor must already be
+// synced to r (syncAuditor); a nil auditor means no constraints. Accepted
+// moves update the trackers in O(span + groups · log n). Cancellation is
+// checked between passes; an early exit leaves r feasible (every accepted
+// move preserved feasibility) with the returned delta exact.
+func (sc *searchScratch) descentDelta(ctx context.Context, w *ranking.Precedence, r ranking.Ranking) int {
 	n := len(r)
 	total := 0
 	tr := obs.FromContext(ctx)
@@ -244,100 +191,119 @@ func (sc *searchScratch) constrainedDescentDelta(ctx context.Context, w *ranking
 		endPass := tr.StartSpan("kemeny_descent_pass")
 		improved = false
 		for i := 0; i < n; i++ {
-			cands := sc.scanMoves(w, r, i)
-			if len(cands) == 0 {
+			to, delta := sc.bestMove(w, r, i)
+			if delta == 0 {
 				continue
 			}
-			// Consume candidates in (delta, scan order) ascending — the
-			// exact stable order the historical insertion sort produced —
-			// but lazily, through a binary min-heap: descent usually accepts
-			// one of the first few candidates, and repair-displaced elements
-			// can carry thousands, where a full sort (let alone an O(k²)
-			// insertion sort) is wasted work.
-			heapifyMoves(cands)
-			for len(cands) > 0 {
-				mv := cands[0]
-				if sc.aud == nil || sc.aud.feasibleMove(i, mv.pos) {
-					if sc.aud != nil {
-						sc.aud.applyMove(i, mv.pos)
-					}
-					r.MoveTo(i, mv.pos)
-					total += mv.delta
-					improved = true
-					break
-				}
-				cands = popMove(cands)
+			if sc.aud != nil {
+				sc.aud.applyMove(i, to)
 			}
+			r.MoveTo(i, to)
+			total += delta
+			improved = true
 		}
 		endPass()
 	}
 	return total
 }
 
-// shardMinScan is the scan length n at which scanMoves fans the per-position
-// precedence lookups out across the scratch's worker pool; below it the
-// goroutine handoff costs more than the lookups. It is a variable only so
-// determinism tests can force sharding on small instances.
-var shardMinScan = 2048
-
-// scanMoves computes, for the candidate at position i, the Kemeny-cost delta
-// of inserting it at every other position, and returns the improving
-// (delta < 0) targets in canonical order: j = i-1..0 (upward), then
-// j = i+1..n-1 (downward). The returned slice aliases the scratch's move
-// buffer and is valid until the next call.
+// bestMove returns the best feasible insertion target for the candidate at
+// position i and its Kemeny-cost delta: among the targets that strictly
+// lower the cost and keep every constraint satisfied, the one with the
+// smallest delta, ties going to the earliest in the canonical scan order
+// j = i-1..0 (upward), then j = i+1..n-1 (downward). With no such target it
+// returns (i, 0).
 //
-// The per-position precedence terms t[k] = W[c][r[k]] - W[r[k]][c] — the
-// expensive part: two lookups each in an O(n^2) matrix — are filled into the
-// scratch's term buffer, sharded across sc.scanWorkers contiguous segments
-// when n >= shardMinScan. The deltas are then the exact-integer running sums
-// of t (upward) and -t (downward), accumulated sequentially, so the
-// candidate list is bitwise identical for every worker count.
-func (sc *searchScratch) scanMoves(w *ranking.Precedence, r ranking.Ranking, i int) []clsMove {
-	n := len(r)
-	c := r[i]
-	if cap(sc.terms) < n {
-		sc.terms = make([]int, n)
+// One sweep per direction does everything. The delta of moving to j is the
+// exact-integer running sum of the precedence terms crossed (fillTerms), and
+// only a target that would beat the best feasible one so far pays a
+// feasibility probe (auditor.feasibleTo): O(groups) from per-group window
+// histograms, with no binary searches and no candidate list. A probe that
+// reports the direction blocked ends that sweep early. The ranking and
+// trackers are fixed during the sweeps, so the result is exactly the first
+// feasible candidate in (delta, scan order) — the order the historical
+// sorted candidate list was tried in.
+func (sc *searchScratch) bestMove(w *ranking.Precedence, r ranking.Ranking, i int) (to, delta int) {
+	terms := sc.fillTerms(w, r, i)
+	aud := sc.aud
+	to = i
+	d := 0
+	if aud != nil {
+		aud.startWindow(i, true)
 	}
-	terms := sc.terms[:n]
-	fill := func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			if k == i {
-				terms[k] = 0
-				continue
-			}
-			y := r[k]
-			terms[k] = w.At(c, y) - w.At(y, c)
+	for j := i - 1; j >= 0; j-- {
+		d += terms[j]
+		if d >= delta {
+			continue
+		}
+		if aud == nil {
+			to, delta = j, d
+		} else if ok, blocked := aud.feasibleTo(j); ok {
+			to, delta = j, d
+		} else if blocked {
+			break
 		}
 	}
+	d = 0
+	if aud != nil {
+		aud.startWindow(i, false)
+	}
+	for j := i + 1; j < len(r); j++ {
+		d -= terms[j]
+		if d >= delta {
+			continue
+		}
+		if aud == nil {
+			to, delta = j, d
+		} else if ok, blocked := aud.feasibleTo(j); ok {
+			to, delta = j, d
+		} else if blocked {
+			break
+		}
+	}
+	return to, delta
+}
+
+// shardMinScan is the scan length n at which fillTerms fans the
+// per-position precedence lookups out across the scratch's worker pool;
+// below it the goroutine handoff costs more than the lookups. It is a
+// variable only so determinism tests can force sharding on small instances.
+var shardMinScan = 2048
+
+// fillTerms fills the scratch's term buffer for the candidate c at position
+// i: terms[k] = W[c][r[k]] - W[r[k]][c] (Precedence.Margin), the cost change
+// of c overtaking r[k] (its negation is the change of r[k] overtaking c).
+// These lookups — scattered reads across row c of an O(n^2) matrix — are the
+// expensive part of a scan, so they shard across sc.scanWorkers contiguous
+// segments when n >= shardMinScan. Every term is an exact integer, so
+// bestMove's sweeps see the same values for every worker count. The
+// returned slice aliases the scratch and is valid until the next call.
+func (sc *searchScratch) fillTerms(w *ranking.Precedence, r ranking.Ranking, i int) []int {
+	n := len(r)
+	terms := sc.terms[:n]
+	c := r[i]
 	if workers := sc.scanWorkers; workers > 1 && n >= shardMinScan {
+		// Only this branch builds a closure, so the sequential scans of
+		// restart descents stay allocation-free.
 		var wg sync.WaitGroup
 		for s := 0; s < workers; s++ {
 			lo, hi := s*n/workers, (s+1)*n/workers
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				fill(lo, hi)
+				fillTermRange(terms[lo:hi], w, r[lo:hi], c)
 			}()
 		}
 		wg.Wait()
 	} else {
-		fill(0, n)
+		fillTermRange(terms, w, r, c)
 	}
-	cands := sc.moves[:0]
-	delta := 0
-	for j := i - 1; j >= 0; j-- {
-		delta += terms[j]
-		if delta < 0 {
-			cands = append(cands, clsMove{j, delta, len(cands)})
-		}
+	return terms
+}
+
+// fillTermRange sets terms[k] = W[c][ys[k]] - W[ys[k]][c].
+func fillTermRange(terms []int, w *ranking.Precedence, ys ranking.Ranking, c int) {
+	for k, y := range ys {
+		terms[k] = w.Margin(c, y)
 	}
-	delta = 0
-	for j := i + 1; j < n; j++ {
-		delta -= terms[j]
-		if delta < 0 {
-			cands = append(cands, clsMove{j, delta, len(cands)})
-		}
-	}
-	sc.moves = cands[:0]
-	return cands
 }

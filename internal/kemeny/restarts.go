@@ -50,24 +50,23 @@ func restartWorkers(requested, restarts int) int {
 	return w
 }
 
-// searchScratch is one worker's reusable working set: the constrained
-// descent's move and precedence-term buffers and its incremental fairness
-// auditor, plus — for restart workers — the current-ranking buffer the
-// restarts mutate and the restart RNG (re-seeded per restart; math/rand's
-// generator state is ~5KB, too big to churn per restart). The descent-only
-// callers (ConstrainedLocalSearch, the restart seed descent) never touch
-// cur/rng, so those are initialised lazily on the first restart; the auditor
-// is built on the first syncAuditor and reset — not reallocated — per
-// restart. All of it stays cache-resident across every restart the worker
-// runs, so steady-state restarts allocate only when they actually improve on
-// the seed.
+// searchScratch is one worker's reusable working set: the descent's
+// precedence-term buffer and its incremental fairness auditor, plus — for
+// restart workers — the current-ranking buffer the restarts mutate and the
+// restart RNG (re-seeded per restart; math/rand's generator state is ~5KB,
+// too big to churn per restart). The descent-only callers
+// (ConstrainedLocalSearch, the seed descents) never touch cur/rng, so those
+// are initialised lazily on the first restart; the auditor is built on the
+// first syncAuditor and reset — not reallocated — per restart. All of it
+// stays cache-resident across every restart the worker runs, so
+// steady-state restarts allocate only when they actually improve on the
+// seed (TestRestartAllocFree).
 type searchScratch struct {
 	cur   ranking.Ranking
-	moves []clsMove
 	terms []int
 	aud   *auditor
 	rng   *rand.Rand
-	// scanWorkers > 1 shards scanMoves' precedence lookups; only the seed
+	// scanWorkers > 1 shards fillTerms' precedence lookups; only the seed
 	// descent sets it (restart workers keep 1 — the pool is the parallelism).
 	scanWorkers int
 }
@@ -81,68 +80,16 @@ func scanWorkers(requested int) int {
 	return requested
 }
 
-// clsMove is one improving insertion candidate of the constrained descent.
-// ord is its index in scanMoves' canonical scan order, the tie-break that
-// keeps heap-based candidate selection identical to a stable ascending sort.
-type clsMove struct {
-	pos   int
-	delta int
-	ord   int
-}
-
-// moveLess orders candidates by (delta, scan order) ascending — exactly the
-// sequence a stable sort of scanMoves' output by delta produces, which is the
-// order the historical insertion-sorted descent tried candidates in.
-func moveLess(a, b clsMove) bool {
-	if a.delta != b.delta {
-		return a.delta < b.delta
-	}
-	return a.ord < b.ord
-}
-
-// heapifyMoves builds a binary min-heap over moveLess in place, O(k).
-func heapifyMoves(ms []clsMove) {
-	for i := len(ms)/2 - 1; i >= 0; i-- {
-		siftDownMove(ms, i)
-	}
-}
-
-func siftDownMove(ms []clsMove, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(ms) {
-			return
-		}
-		m := l
-		if r := l + 1; r < len(ms) && moveLess(ms[r], ms[l]) {
-			m = r
-		}
-		if !moveLess(ms[m], ms[i]) {
-			return
-		}
-		ms[i], ms[m] = ms[m], ms[i]
-		i = m
-	}
-}
-
-// popMove drops the heap minimum and restores the heap property, O(log k).
-func popMove(ms []clsMove) []clsMove {
-	last := len(ms) - 1
-	ms[0] = ms[last]
-	ms = ms[:last]
-	siftDownMove(ms, 0)
-	return ms
-}
-
+// newSearchScratch returns a scratch for rankings of length n.
 func newSearchScratch(n int) *searchScratch {
-	return &searchScratch{moves: make([]clsMove, 0, n)}
+	return &searchScratch{terms: make([]int, n)}
 }
 
 // runRestart executes restart idx from the shared seed ranking and returns
 // the restart's final cost plus a clone of its ranking when it strictly beats
 // the seed (nil otherwise — the common case allocates nothing). An empty
-// constraint set (nil or zero-length alike) selects the cheaper
-// unconstrained descent.
+// constraint set (nil or zero-length alike) leaves the auditor nil, so every
+// move is feasible.
 func (sc *searchScratch) runRestart(ctx context.Context, w *ranking.Precedence, cons []Constraint, seed ranking.Ranking, seedCost int, opts Options, idx int) (int, ranking.Ranking) {
 	defer obs.StartSpan(ctx, "kemeny_restart")()
 	if sc.cur == nil {
@@ -155,11 +102,7 @@ func (sc *searchScratch) runRestart(ctx context.Context, w *ranking.Precedence, 
 	copy(sc.cur, seed)
 	sc.syncAuditor(cons, sc.cur)
 	cost := seedCost + perturbFeasibleDelta(w, sc.aud, sc.cur, opts.Strength, sc.rng)
-	if len(cons) > 0 {
-		cost += sc.constrainedDescentDelta(ctx, w, cons, sc.cur)
-	} else {
-		cost += localSearchDelta(ctx, w, sc.cur)
-	}
+	cost += sc.descentDelta(ctx, w, sc.cur)
 	if cost < seedCost {
 		return cost, sc.cur.Clone()
 	}

@@ -1,6 +1,7 @@
 package kemeny
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -127,5 +128,47 @@ func TestRestartSeedsDistinct(t *testing.T) {
 	}
 	if restartSeed(1, 0, false) == restartSeed(2, 0, false) {
 		t.Fatal("restartSeed ignores the run seed")
+	}
+}
+
+// TestRestartAllocFree pins the searchScratch contract: once a worker's
+// scratch is warm, a restart that does not beat the seed allocates nothing —
+// no per-scan closure, no tracker scratch — constrained or not.
+func TestRestartAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const n = 30
+	w := ranking.MustPrecedence(randomProfile(n, 7, rng))
+	cons := []Constraint{
+		{Attr: binaryAttr(n, rng), Delta: 0.5},
+		{Attr: ternaryAttr(n, rng), Delta: 0.6},
+	}
+	start := ranking.Random(n, rng)
+	for !Feasible(start, cons) {
+		start = ranking.Random(n, rng)
+	}
+	ctx := context.Background()
+	opts := Options{Seed: 5}.withDefaults()
+	for _, tc := range []struct {
+		name string
+		cons []Constraint
+	}{{"constrained", cons}, {"unconstrained", nil}} {
+		seed := ConstrainedLocalSearch(w, tc.cons, start)
+		seedCost := w.KemenyCost(seed)
+		sc := newSearchScratch(n)
+		idx := -1
+		for i := 0; i < 64 && idx < 0; i++ {
+			if _, improved := sc.runRestart(ctx, w, tc.cons, seed, seedCost, opts, i); improved == nil {
+				idx = i
+			}
+		}
+		if idx < 0 {
+			t.Fatalf("%s: every restart improved on the seed", tc.name)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			sc.runRestart(ctx, w, tc.cons, seed, seedCost, opts, idx)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: non-improving restart made %v allocations, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -32,7 +32,11 @@ func (w *Precedence) MarshalBinary() ([]byte, error) {
 // UnmarshalPrecedence decodes a matrix written by MarshalBinary. The header
 // dimensions are validated against the actual payload length before any
 // allocation, so a truncated or corrupt entry errors out instead of
-// allocating from attacker-controlled (or bit-rotted) sizes.
+// allocating from attacker-controlled (or bit-rotted) sizes. The cells must
+// then be ones some profile of m rankings produces — a zero diagonal, no
+// negative cell, and W[a][b] + W[b][a] = m for every pair — or the entry is
+// rejected: the solvers rely on that invariant (Precedence.Margin), so a
+// peer or disk entry breaking it would silently change answers.
 func UnmarshalPrecedence(data []byte) (*Precedence, error) {
 	if len(data) < precedenceHeaderLen || string(data[:4]) != precedenceMagic {
 		return nil, fmt.Errorf("ranking: not a precedence wire entry")
@@ -51,5 +55,27 @@ func UnmarshalPrecedence(data []byte) (*Precedence, error) {
 	for i := range w.w {
 		w.w[i] = int32(binary.LittleEndian.Uint32(payload[4*i:]))
 	}
+	if err := w.checkPairs(); err != nil {
+		return nil, err
+	}
 	return w, nil
+}
+
+// checkPairs verifies the profile invariant of every cell in one O(n²)
+// pass: a zero diagonal, and for each pair a < b two non-negative cells
+// summing to m.
+func (w *Precedence) checkPairs() error {
+	for a := 0; a < w.n; a++ {
+		if d := w.At(a, a); d != 0 {
+			return fmt.Errorf("ranking: precedence wire cell W[%d][%d] = %d, want 0", a, a, d)
+		}
+		for b := a + 1; b < w.n; b++ {
+			x, y := w.At(a, b), w.At(b, a)
+			if x < 0 || y < 0 || x+y != w.m {
+				return fmt.Errorf("ranking: precedence wire pair W[%d][%d] = %d, W[%d][%d] = %d, want non-negative cells summing to m = %d",
+					a, b, x, b, a, y, w.m)
+			}
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package ranking
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -53,6 +54,18 @@ func TestUnmarshalPrecedenceRejectsCorruptForms(t *testing.T) {
 		"truncated payload": data[:len(data)-4],
 		"extra payload":     append(append([]byte{}, data...), 0, 0, 0, 0),
 	}
+	// Well-framed payloads that no profile can produce.
+	cell := func(a, b int, v uint32) []byte {
+		c := append([]byte{}, data...)
+		binary.LittleEndian.PutUint32(c[precedenceHeaderLen+4*(a*w.N()+b):], v)
+		return c
+	}
+	cases["nonzero diagonal"] = cell(2, 2, 1)
+	cases["negative cell"] = cell(0, 1, 1<<31)
+	cases["pair sum off by one"] = cell(1, 3, uint32(w.At(1, 3)+1))
+	mBumped := append([]byte{}, data...)
+	binary.LittleEndian.PutUint64(mBumped[12:], uint64(w.Rankings()+1))
+	cases["m disagrees with cells"] = mBumped
 	// A header announcing a huge n over a tiny payload must be rejected by
 	// the length check before any allocation.
 	huge := append([]byte{}, data[:precedenceHeaderLen]...)

@@ -1,6 +1,7 @@
 package ranking
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -69,6 +70,40 @@ func FuzzSwapDeltas(f *testing.F) {
 			if md := w.MoveDelta(r, i, i+1); md != d {
 				t.Fatalf("AdjacentSwapDelta(%d) = %d disagrees with MoveDelta = %d", i, d, md)
 			}
+		}
+	})
+}
+
+// FuzzUnmarshalPrecedence feeds arbitrary bytes to the precedence wire
+// decoder — the boundary every peer and disk entry crosses. It must never
+// panic, and everything it accepts must be a matrix some profile could
+// produce (zero diagonal, non-negative cells, W[a][b] + W[b][a] = m) whose
+// canonical re-encoding is exactly the input. The committed corpus in
+// testdata/fuzz/FuzzUnmarshalPrecedence holds valid entries and one of each
+// corruption the decoder rejects.
+func FuzzUnmarshalPrecedence(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, err := UnmarshalPrecedence(data)
+		if err != nil {
+			return
+		}
+		n, m := w.N(), w.Rankings()
+		for a := 0; a < n; a++ {
+			if w.At(a, a) != 0 {
+				t.Fatalf("accepted W[%d][%d] = %d", a, a, w.At(a, a))
+			}
+			for b := a + 1; b < n; b++ {
+				if x, y := w.At(a, b), w.At(b, a); x < 0 || y < 0 || x+y != m {
+					t.Fatalf("accepted pair (%d,%d): %d + %d, m = %d", a, b, x, y, m)
+				}
+				if w.Margin(a, b) != w.At(a, b)-w.At(b, a) {
+					t.Fatalf("Margin(%d,%d) = %d, cells %d - %d", a, b, w.Margin(a, b), w.At(a, b), w.At(b, a))
+				}
+			}
+		}
+		again, _ := w.MarshalBinary()
+		if !bytes.Equal(again, data) {
+			t.Fatal("accepted entry does not re-encode to its own bytes")
 		}
 	})
 }

@@ -267,6 +267,12 @@ func (w *Precedence) Rankings() int { return w.m }
 // disagreement cost of ordering a above b in the consensus.
 func (w *Precedence) At(a, b int) int { return int(w.w[a*w.n+b]) }
 
+// Margin returns W[a][b] - W[b][a]: the Kemeny-cost change of ordering a
+// above b instead of b above a. By the pair invariant W[a][b] + W[b][a] = m
+// it is 2·W[a][b] - m, one read from row a instead of a second, column-wise
+// read from row b.
+func (w *Precedence) Margin(a, b int) int { return 2*int(w.w[a*w.n+b]) - w.m }
+
 // CostAbove is a readability alias for At: the number of profile
 // disagreements incurred by ranking a above b.
 func (w *Precedence) CostAbove(a, b int) int { return int(w.w[a*w.n+b]) }
