@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"manirank"
-	"manirank/internal/aggregate"
 	"manirank/internal/core"
 	"manirank/internal/experiments"
 	"manirank/internal/kemeny"
@@ -254,9 +253,7 @@ func engineBenchInstance(b *testing.B) (manirank.Profile, []manirank.Target) {
 // canonical methods through the registry. Compare with
 // BenchmarkPerCallSolveAll — the gap is the construction work the Engine
 // amortises across a multi-method workload (BENCH_5.json records the
-// pair). No table is attached, so neither side audits; the Engine side's
-// only extra work over the legacy calls is the Result's O(n²) PD-loss
-// read-off (µs-scale at n=90, in the noise of the ms-scale solves).
+// pair). No table is attached, so neither side audits.
 func BenchmarkEngineSolveAll(b *testing.B) {
 	p, targets := engineBenchInstance(b)
 	ctx := context.Background()
@@ -278,34 +275,24 @@ func BenchmarkEngineSolveAll(b *testing.B) {
 	}
 }
 
-// BenchmarkPerCallSolveAll runs the same eight-method workload through the
-// deprecated per-call entry points, each building its own precedence
-// matrix from the profile (Borda's profile path needs none) — the pattern
-// Engine API v2 replaces.
+// BenchmarkPerCallSolveAll runs the same eight-method workload with one
+// Engine per method call, so each solve pays its own precedence matrix
+// construction — the per-call pattern the shared Engine replaces.
 func BenchmarkPerCallSolveAll(b *testing.B) {
 	p, targets := engineBenchInstance(b)
-	kopts := manirank.KemenyOptions{Heuristic: kemeny.Options{Workers: 1, Perturbations: -1}}
-	// Pin matrix construction sequential on both sides of the comparison
-	// (the Engine side pins via WithPrecedenceWorkers).
-	prev := ranking.DefaultWorkers
-	ranking.DefaultWorkers = 1
-	defer func() { ranking.DefaultWorkers = prev }()
-	calls := []func() (manirank.Ranking, error){
-		func() (manirank.Ranking, error) { return manirank.Borda(p) },
-		func() (manirank.Ranking, error) { return manirank.Copeland(p) },
-		func() (manirank.Ranking, error) { return manirank.Schulze(p) },
-		func() (manirank.Ranking, error) { return manirank.Kemeny(p, kopts) },
-		func() (manirank.Ranking, error) { return manirank.FairBorda(p, targets) },
-		func() (manirank.Ranking, error) { return manirank.FairCopeland(p, targets) },
-		func() (manirank.Ranking, error) { return manirank.FairSchulze(p, targets) },
-		func() (manirank.Ranking, error) {
-			return manirank.FairKemeny(p, targets, manirank.Options{Kemeny: kopts})
-		},
+	ctx := context.Background()
+	opts := []manirank.SolveOption{
+		manirank.WithSolverWorkers(1),
+		manirank.WithPerturbations(-1),
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, call := range calls {
-			if _, err := call(); err != nil {
+		for _, m := range manirank.Methods() {
+			eng, err := manirank.NewEngine(p, manirank.WithPrecedenceWorkers(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.Solve(ctx, m, targets, opts...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -515,10 +502,10 @@ func benchFairKemeny(b *testing.B, n int) {
 	p := mallows.MustNewPlackettLuce(unfairgen.BlockRanking(tab), 3.0).SampleProfile(8, rng)
 	w := ranking.MustPrecedence(p)
 	targets := core.Targets(tab, 0.1)
-	opts := core.Options{Kemeny: aggregate.KemenyOptions{Heuristic: kemeny.Options{Workers: 1, Perturbations: -1}}}
+	opts := kemeny.Options{Workers: 1, Perturbations: -1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.FairKemenyW(w, targets, opts); err != nil {
+		if _, err := core.FairKemenyW(context.Background(), w, targets, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

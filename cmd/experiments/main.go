@@ -75,7 +75,7 @@ func main() {
 	// The flag also governs kernel-level parallelism (precedence-matrix
 	// sharding) so -workers 1 is a fully sequential, contention-free run;
 	// solver restarts are pinned sequential inside the harness (see
-	// experiments.Config.kemenyOptions).
+	// experiments.Config.solveOptions).
 	ranking.DefaultWorkers = *workers
 	cfg := experiments.Config{Seed: *seed, Out: os.Stdout, Quick: *quick, Workers: *workers}
 	start := time.Now()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"manirank/internal/fairness"
+	"manirank/internal/kemeny"
 	"manirank/internal/obs"
 	"manirank/internal/ranking"
 )
@@ -157,42 +158,33 @@ func (e *Engine) PrecedenceSnapshot() *Precedence {
 // Table returns the candidate table the engine audits against, or nil.
 func (e *Engine) Table() *Table { return e.tab }
 
-// solveConfig collects SolveOption state. The zero value reproduces the
-// legacy entry points' defaults exactly (deterministic seed 0, package
-// default exact threshold and node budget, sequential restarts).
+// solveConfig collects SolveOption state. The zero value is the package
+// default (deterministic seed 0, default exact threshold and node budget,
+// auto-sized restart pool).
 type solveConfig struct {
-	kemeny KemenyOptions
+	kemeny kemeny.Options
 }
 
-// SolveOption tunes one Solve call. The options replace the legacy
-// Options / KemenyOptions structs: each maps onto one knob of the Kemeny
-// engines, and WithKemenyOptions imports a full legacy struct for callers
-// migrating wholesale.
+// SolveOption tunes one Solve call. Each option sets one knob of the Kemeny
+// engines; the polynomial methods ignore them all.
 type SolveOption func(*solveConfig)
-
-// WithKemenyOptions replaces the whole Kemeny engine configuration — the
-// bulk-migration path from the legacy Options/KemenyOptions structs. Later
-// per-knob options still apply on top.
-func WithKemenyOptions(o KemenyOptions) SolveOption {
-	return func(c *solveConfig) { c.kemeny = o }
-}
 
 // WithSeed pins the seed of the Kemeny heuristic's randomised restarts.
 // Results are deterministic per (input, options); two Solves with the same
 // seed are bitwise identical.
 func WithSeed(seed int64) SolveOption {
-	return func(c *solveConfig) { c.kemeny.Heuristic.Seed = seed }
+	return func(c *solveConfig) { c.kemeny.Seed = seed }
 }
 
 // WithPerturbations sets the iterated-local-search restart count of the
 // Kemeny heuristic (negative disables restarts).
 func WithPerturbations(n int) SolveOption {
-	return func(c *solveConfig) { c.kemeny.Heuristic.Perturbations = n }
+	return func(c *solveConfig) { c.kemeny.Perturbations = n }
 }
 
 // WithStrength sets the number of random moves per heuristic perturbation.
 func WithStrength(n int) SolveOption {
-	return func(c *solveConfig) { c.kemeny.Heuristic.Strength = n }
+	return func(c *solveConfig) { c.kemeny.Strength = n }
 }
 
 // WithExactThreshold bounds the exact branch-and-bound Kemeny engine: it
@@ -207,11 +199,10 @@ func WithMaxNodes(n int64) SolveOption {
 	return func(c *solveConfig) { c.kemeny.MaxNodes = n }
 }
 
-// WithSolverWorkers shards the Kemeny restart loops over a worker pool
-// (kemeny.Options.Workers; 0 auto-sizes, 1 is sequential). Output is
-// bitwise identical for every width.
+// WithSolverWorkers shards the Kemeny restart loops over a worker pool (0
+// auto-sizes, 1 is sequential). Output is bitwise identical for every width.
 func WithSolverWorkers(n int) SolveOption {
-	return func(c *solveConfig) { c.kemeny.Heuristic.Workers = n }
+	return func(c *solveConfig) { c.kemeny.Workers = n }
 }
 
 // WithWarmStart seeds the Kemeny searches from r — typically the consensus
@@ -227,7 +218,7 @@ func WithSolverWorkers(n int) SolveOption {
 // a cold solve — the searches explore from different local optima. A nil or
 // wrong-length r is ignored (cold solve).
 func WithWarmStart(r Ranking) SolveOption {
-	return func(c *solveConfig) { c.kemeny.Heuristic.Warm = r }
+	return func(c *solveConfig) { c.kemeny.Warm = r }
 }
 
 // Result is the complete outcome of one Engine.Solve: the consensus ranking
@@ -278,8 +269,7 @@ type SolveStats struct {
 // empty target set to a fair method degenerates to its unaware counterpart
 // (the repair has nothing to enforce).
 //
-// Solve is the context-first replacement for the deprecated per-method
-// entry points (FairKemeny, Borda, ...); it is safe to call concurrently.
+// Solve is safe to call concurrently.
 func (e *Engine) Solve(ctx context.Context, m Method, targets []Target, opts ...SolveOption) (*Result, error) {
 	ent, ok := entryOf(m)
 	if !ok {

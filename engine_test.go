@@ -17,6 +17,7 @@ import (
 	"manirank/internal/aggregate"
 	"manirank/internal/core"
 	"manirank/internal/kemeny"
+	"manirank/internal/ranking"
 	"manirank/internal/service"
 )
 
@@ -30,13 +31,6 @@ func discardLogger() *slog.Logger {
 // assertion rather than a flaky one.
 const pinnedSeed = 7
 
-// pinnedKemenyOptions is the legacy-struct form of the pinned solver
-// configuration; the Engine side expresses the same thing through
-// functional SolveOptions.
-func pinnedKemenyOptions() manirank.KemenyOptions {
-	return manirank.KemenyOptions{Heuristic: kemeny.Options{Seed: pinnedSeed, Workers: 1}}
-}
-
 func pinnedSolveOptions() []manirank.SolveOption {
 	return []manirank.SolveOption{
 		manirank.WithSeed(pinnedSeed),
@@ -44,42 +38,50 @@ func pinnedSolveOptions() []manirank.SolveOption {
 	}
 }
 
-// legacyCall maps every registered method to the entry point it deprecates:
-// the root wrappers for the canonical eight, the internal packages for the
-// experiment baselines (which never had root wrappers).
+// legacyCall maps every registered method to the internal entry point its
+// registry row wraps, called directly the way callers did before the
+// Engine: over a freshly built precedence matrix, or over the profile
+// itself for Borda and Fair-Borda (whose O(n·|R|) profile paths check the
+// registry's row-sum route) and for the profile-consuming baselines.
 func legacyCall(m manirank.Method, p manirank.Profile, tab *manirank.Table, targets []manirank.Target) (manirank.Ranking, error) {
-	kopts := pinnedKemenyOptions()
+	opts := kemeny.Options{Seed: pinnedSeed, Workers: 1}
 	switch m {
 	case manirank.MethodBorda:
-		return manirank.Borda(p)
-	case manirank.MethodCopeland:
-		return manirank.Copeland(p)
-	case manirank.MethodSchulze:
-		return manirank.Schulze(p)
-	case manirank.MethodKemeny:
-		return manirank.Kemeny(p, kopts)
+		return aggregate.Borda(p)
 	case manirank.MethodFairBorda:
-		return manirank.FairBorda(p, targets)
-	case manirank.MethodFairCopeland:
-		return manirank.FairCopeland(p, targets)
-	case manirank.MethodFairSchulze:
-		return manirank.FairSchulze(p, targets)
-	case manirank.MethodFairKemeny:
-		return manirank.FairKemeny(p, targets, manirank.Options{Kemeny: kopts})
+		return core.FairBorda(p, targets)
 	case manirank.MethodKemenyWeighted:
-		return aggregate.KemenyWeighted(p, tab, kopts)
+		return aggregate.KemenyWeighted(p, tab, opts)
 	case manirank.MethodPickFairestPerm:
 		return aggregate.PickFairestPerm(p, tab)
 	case manirank.MethodCorrectFairestPerm:
 		return core.CorrectFairestPerm(p, targets)
+	}
+	w, err := ranking.NewPrecedence(p)
+	if err != nil {
+		return nil, err
+	}
+	switch m {
+	case manirank.MethodCopeland:
+		return aggregate.Copeland(w), nil
+	case manirank.MethodSchulze:
+		return aggregate.Schulze(w), nil
+	case manirank.MethodKemeny:
+		return aggregate.Kemeny(w, opts), nil
+	case manirank.MethodFairCopeland:
+		return core.FairCopelandW(w, targets)
+	case manirank.MethodFairSchulze:
+		return core.FairSchulzeW(w, targets)
+	case manirank.MethodFairKemeny:
+		return core.FairKemenyW(context.Background(), w, targets, opts)
 	}
 	return nil, fmt.Errorf("no legacy mapping for %v", m)
 }
 
 // TestEngineSolveMatchesLegacy is the registry parity property: on several
 // instances, every registered method must produce a ranking bitwise
-// identical to its legacy entry point. This is what lets the legacy
-// wrappers be deprecated rather than maintained as a second code path.
+// identical to its internal entry point called directly. This is what lets
+// the Engine be the only public solve path.
 func TestEngineSolveMatchesLegacy(t *testing.T) {
 	instances := []struct {
 		n, m  int

@@ -208,43 +208,10 @@ func schulzeRankFromPaths(p [][]int) ranking.Ranking {
 	return ranking.SortByPointsDesc(wins)
 }
 
-// KemenyOptions configures the Kemeny solvers used by this package and the
-// core MFCR solvers.
-type KemenyOptions struct {
-	// ExactThreshold: use the exact branch-and-bound when n <= this value
-	// (default 12). Above it the iterated local search heuristic runs — see
-	// DESIGN.md (CPLEX substitution).
-	ExactThreshold int
-	// MaxNodes bounds the exact search (default 20e6 nodes); on exhaustion
-	// the best ranking found is returned.
-	MaxNodes int64
-	// Heuristic tunes the large-n iterated local search.
-	Heuristic kemeny.Options
-}
-
-// DefaultKemenyOptions returns the options used when a zero value is given.
-func DefaultKemenyOptions() KemenyOptions {
-	return KemenyOptions{ExactThreshold: 12, MaxNodes: 20_000_000}
-}
-
-// WithDefaults fills the zero fields of o with the package defaults, leaving
-// the Heuristic tuning (restart count, strength, Workers) untouched so
-// callers plumbing solver-layer options through keep them.
-func (o KemenyOptions) WithDefaults() KemenyOptions {
-	d := DefaultKemenyOptions()
-	if o.ExactThreshold == 0 {
-		o.ExactThreshold = d.ExactThreshold
-	}
-	if o.MaxNodes == 0 {
-		o.MaxNodes = d.MaxNodes
-	}
-	return o
-}
-
 // Kemeny returns a consensus ranking minimising total Kendall tau distance to
 // the profile summarised by w: exactly (branch-and-bound) for small n,
 // heuristically (Borda-seeded iterated local search) for large n.
-func Kemeny(w *ranking.Precedence, opts KemenyOptions) ranking.Ranking {
+func Kemeny(w *ranking.Precedence, opts kemeny.Options) ranking.Ranking {
 	return KemenyCtx(context.Background(), w, opts)
 }
 
@@ -252,19 +219,19 @@ func Kemeny(w *ranking.Precedence, opts KemenyOptions) ranking.Ranking {
 // per-request deadline): when ctx is done both engines stop early and return
 // the best ranking found so far — never nil. A never-cancelled ctx produces
 // output identical to Kemeny.
-func KemenyCtx(ctx context.Context, w *ranking.Precedence, opts KemenyOptions) ranking.Ranking {
+func KemenyCtx(ctx context.Context, w *ranking.Precedence, opts kemeny.Options) ranking.Ranking {
 	opts = opts.WithDefaults()
 	if w.N() <= opts.ExactThreshold {
-		// A warm-start ranking (Heuristic.Warm) seeds the exact search's
+		// A warm-start ranking (opts.Warm) seeds the exact search's
 		// incumbent too: the bound tightens immediately, but the optimum —
 		// unlike the heuristic's answer — is seed-independent.
-		seed := kemeny.LocalSearch(w, kemeny.WarmOrBordaSeed(w, opts.Heuristic))
+		seed := kemeny.LocalSearch(w, kemeny.WarmOrBordaSeed(w, opts))
 		res := kemeny.BranchAndBoundCtx(ctx, w, nil, seed, opts.MaxNodes)
 		if res.Ranking != nil {
 			return res.Ranking
 		}
 	}
-	return kemeny.HeuristicCtx(ctx, w, opts.Heuristic)
+	return kemeny.HeuristicCtx(ctx, w, opts)
 }
 
 // PickAPerm returns the base ranking closest to the whole profile (minimum
@@ -333,7 +300,7 @@ func FairnessOrder(p ranking.Profile, t *attribute.Table) []int {
 // rankings are ordered from least to most fair and the i-th (1-based) in
 // that order contributes weight i to the precedence matrix — the fairest
 // ranking weighs |R|, the least fair weighs 1 — before Kemeny aggregation.
-func KemenyWeighted(p ranking.Profile, t *attribute.Table, opts KemenyOptions) (ranking.Ranking, error) {
+func KemenyWeighted(p ranking.Profile, t *attribute.Table, opts kemeny.Options) (ranking.Ranking, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -55,7 +55,7 @@ func TestAllAggregatorsReturnValidPermutations(t *testing.T) {
 		if !Copeland(w).IsValid() || !Schulze(w).IsValid() {
 			return false
 		}
-		if !Kemeny(w, KemenyOptions{}).IsValid() {
+		if !Kemeny(w, kemeny.Options{}).IsValid() {
 			return false
 		}
 		pa, err := PickAPerm(p)
@@ -86,7 +86,7 @@ func TestCondorcetConsistency(t *testing.T) {
 		if got := Schulze(w); !got.Equal(cond) {
 			t.Fatalf("Schulze %v != Condorcet order %v", got, cond)
 		}
-		if got := Kemeny(w, KemenyOptions{}); !got.Equal(cond) {
+		if got := Kemeny(w, kemeny.Options{}); !got.Equal(cond) {
 			t.Fatalf("Kemeny %v != Condorcet order %v", got, cond)
 		}
 	}
@@ -133,7 +133,7 @@ func TestKemenyExactSmallProfiles(t *testing.T) {
 		n := 3 + rng.Intn(6)
 		p := randomProfile(n, 5, rng)
 		w := ranking.MustPrecedence(p)
-		got := Kemeny(w, KemenyOptions{})
+		got := Kemeny(w, kemeny.Options{})
 		res := kemeny.BranchAndBound(w, nil, nil, 0)
 		if w.KemenyCost(got) != res.Cost {
 			t.Fatalf("Kemeny cost %d, optimum %d", w.KemenyCost(got), res.Cost)
@@ -189,7 +189,7 @@ func TestKemenyWeightedValid(t *testing.T) {
 	tab := binaryTable(t, 12)
 	rng := rand.New(rand.NewSource(6))
 	p := randomProfile(12, 8, rng)
-	got, err := KemenyWeighted(p, tab, KemenyOptions{})
+	got, err := KemenyWeighted(p, tab, kemeny.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestKemenyWeightedPrefersFairestRanking(t *testing.T) {
 	unfair := ranking.Ranking{0, 2, 4, 6, 1, 3, 5, 7}
 	fair := ranking.Ranking{1, 0, 3, 2, 5, 4, 7, 6}
 	p := ranking.Profile{unfair, fair}
-	got, err := KemenyWeighted(p, tab, KemenyOptions{})
+	got, err := KemenyWeighted(p, tab, kemeny.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,13 +10,6 @@ import (
 	"manirank/internal/ranking"
 )
 
-// Options configures the MFCR solvers.
-type Options struct {
-	// Kemeny tunes the Kemeny engines used by FairKemeny and the
-	// fairness-unaware Kemeny baseline.
-	Kemeny aggregate.KemenyOptions
-}
-
 // FairBorda solves MFCR with the Borda aggregator followed by Make-MR-Fair
 // (paper Section III-B). It is the fastest MFCR method, O(n*|R| + n log n)
 // plus the repair cost.
@@ -31,96 +24,69 @@ func FairBorda(p ranking.Profile, targets []Target) (ranking.Ranking, error) {
 // FairBordaW is FairBorda on a precomputed precedence matrix: the Borda
 // totals derive from W's row sums (aggregate.BordaW), integer-identical to
 // the profile computation, so the repaired ranking matches FairBorda's
-// bitwise. It exists for callers that already hold W — the serving layer's
-// shared precedence tier in particular.
+// bitwise. It exists for callers that already hold W — the Engine registry
+// and the serving layer's shared precedence tier in particular.
 func FairBordaW(w *ranking.Precedence, targets []Target) (ranking.Ranking, error) {
 	return MakeMRFair(aggregate.BordaW(w), targets)
 }
 
-// FairCopeland solves MFCR with the Copeland pairwise-contest aggregator
-// followed by Make-MR-Fair (paper Section III-B).
-func FairCopeland(p ranking.Profile, targets []Target) (ranking.Ranking, error) {
-	w, err := ranking.NewPrecedence(p)
-	if err != nil {
-		return nil, err
-	}
-	return MakeMRFair(aggregate.Copeland(w), targets)
-}
-
-// FairCopelandW is FairCopeland on a precomputed precedence matrix.
+// FairCopelandW solves MFCR with the Copeland pairwise-contest aggregator
+// over a precomputed precedence matrix, followed by Make-MR-Fair (paper
+// Section III-B).
 func FairCopelandW(w *ranking.Precedence, targets []Target) (ranking.Ranking, error) {
 	return MakeMRFair(aggregate.Copeland(w), targets)
 }
 
-// FairSchulze solves MFCR with the Schulze strongest-path aggregator
-// followed by Make-MR-Fair (paper Section III-B).
-func FairSchulze(p ranking.Profile, targets []Target) (ranking.Ranking, error) {
-	w, err := ranking.NewPrecedence(p)
-	if err != nil {
-		return nil, err
-	}
-	return MakeMRFair(aggregate.Schulze(w), targets)
-}
-
-// FairSchulzeW is FairSchulze on a precomputed precedence matrix.
+// FairSchulzeW solves MFCR with the Schulze strongest-path aggregator over a
+// precomputed precedence matrix, followed by Make-MR-Fair (paper Section
+// III-B).
 func FairSchulzeW(w *ranking.Precedence, targets []Target) (ranking.Ranking, error) {
 	return MakeMRFair(aggregate.Schulze(w), targets)
 }
 
-// FairKemeny solves MFCR by minimising pairwise disagreement subject to the
-// MANI-Rank targets (paper Algorithm 1). For n at or below the exact
-// threshold it runs the constrained branch-and-bound (this repo's CPLEX
-// substitute) seeded with a Make-MR-Fair repaired incumbent and returns the
-// provably optimal fair consensus; for larger n it runs constrained local
-// search from the same incumbent (see DESIGN.md, Substitutions).
-func FairKemeny(p ranking.Profile, targets []Target, opts Options) (ranking.Ranking, error) {
-	w, err := ranking.NewPrecedence(p)
-	if err != nil {
-		return nil, err
-	}
-	return FairKemenyW(w, targets, opts)
-}
-
-// FairKemenyW is FairKemeny on a precomputed precedence matrix.
-func FairKemenyW(w *ranking.Precedence, targets []Target, opts Options) (ranking.Ranking, error) {
-	return FairKemenyWCtx(context.Background(), w, targets, opts)
-}
-
-// FairKemenyWCtx is FairKemenyW with cooperative cancellation threaded
-// through every search stage (unconstrained Kemeny, constrained
-// branch-and-bound, constrained local search). When ctx is done mid-solve the
-// stages return their best-so-far rankings, so the result is still a feasible
-// fair consensus — just potentially further from optimal. The Make-MR-Fair
-// repair itself is polynomial and always runs to completion.
-func FairKemenyWCtx(ctx context.Context, w *ranking.Precedence, targets []Target, opts Options) (ranking.Ranking, error) {
-	kopts := opts.Kemeny.WithDefaults()
+// FairKemenyW solves MFCR over a precomputed precedence matrix by
+// minimising pairwise disagreement subject to the MANI-Rank targets (paper
+// Algorithm 1). For n at or below opts.ExactThreshold it runs the
+// constrained branch-and-bound (this repo's CPLEX substitute) seeded with a
+// Make-MR-Fair repaired incumbent and returns the provably optimal fair
+// consensus; for larger n it runs constrained local search from the same
+// incumbent (see DESIGN.md, Substitutions).
+//
+// Cancellation is cooperative through every search stage (unconstrained
+// Kemeny, constrained branch-and-bound, constrained local search): when ctx
+// is done mid-solve the stages return their best-so-far rankings, so the
+// result is still a feasible fair consensus — just potentially further from
+// optimal. The Make-MR-Fair repair itself is polynomial and always runs to
+// completion.
+func FairKemenyW(ctx context.Context, w *ranking.Precedence, targets []Target, opts kemeny.Options) (ranking.Ranking, error) {
+	opts = opts.WithDefaults()
 	cons := constraints(targets)
-	// Warm start (Kemeny.Heuristic.Warm): when the previous consensus is
-	// still feasible under the targets — parity depends only on the ranking
-	// and the attributes, never on the profile, so a consensus solved before
-	// a profile mutation remains feasible after it — it replaces the whole
+	// Warm start (opts.Warm): when the previous consensus is still feasible
+	// under the targets — parity depends only on the ranking and the
+	// attributes, never on the profile, so a consensus solved before a
+	// profile mutation remains feasible after it — it replaces the whole
 	// unconstrained-Kemeny + Make-MR-Fair incumbent derivation. That skips
 	// one of the two full search phases a cold Fair-Kemeny pays, which is
 	// what makes session re-solves cheap. An infeasible or mis-sized warm
 	// ranking falls back to the cold path.
 	var incumbent ranking.Ranking
-	if warm := kopts.Heuristic.Warm; len(warm) == w.N() && kemeny.Feasible(warm, cons) {
+	if warm := opts.Warm; len(warm) == w.N() && kemeny.Feasible(warm, cons) {
 		incumbent = warm.Clone()
 	} else {
-		unfair := aggregate.KemenyCtx(ctx, w, kopts)
+		unfair := aggregate.KemenyCtx(ctx, w, opts)
 		var err error
 		incumbent, err = MakeMRFair(unfair, targets)
 		if err != nil {
 			return nil, fmt.Errorf("core: FairKemeny could not build a feasible incumbent: %w", err)
 		}
 	}
-	if w.N() <= kopts.ExactThreshold {
-		res := kemeny.BranchAndBoundCtx(ctx, w, cons, incumbent, kopts.MaxNodes)
+	if w.N() <= opts.ExactThreshold {
+		res := kemeny.BranchAndBoundCtx(ctx, w, cons, incumbent, opts.MaxNodes)
 		if res.Ranking != nil {
 			return res.Ranking, nil
 		}
 	}
-	return kemeny.ConstrainedSearchCtx(ctx, w, cons, incumbent, kopts.Heuristic), nil
+	return kemeny.ConstrainedSearchCtx(ctx, w, cons, incumbent, opts), nil
 }
 
 // PickFairest returns the base ranking minimising the maximum violation of

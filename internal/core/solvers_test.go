@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -25,16 +26,18 @@ func lowFairProfile(t *testing.T, n, m int, theta float64, seed int64) (ranking.
 func TestAllSolversSatisfyTargets(t *testing.T) {
 	const n = 45
 	tab := testTable(t, n)
-	p, _ := lowFairProfile(t, n, 20, 0.5, 1)
+	p, w := lowFairProfile(t, n, 20, 0.5, 1)
 	targets := Targets(tab, 0.12)
 	solvers := []struct {
 		name string
 		run  func() (ranking.Ranking, error)
 	}{
 		{"FairBorda", func() (ranking.Ranking, error) { return FairBorda(p, targets) }},
-		{"FairCopeland", func() (ranking.Ranking, error) { return FairCopeland(p, targets) }},
-		{"FairSchulze", func() (ranking.Ranking, error) { return FairSchulze(p, targets) }},
-		{"FairKemeny", func() (ranking.Ranking, error) { return FairKemeny(p, targets, Options{}) }},
+		{"FairCopeland", func() (ranking.Ranking, error) { return FairCopelandW(w, targets) }},
+		{"FairSchulze", func() (ranking.Ranking, error) { return FairSchulzeW(w, targets) }},
+		{"FairKemeny", func() (ranking.Ranking, error) {
+			return FairKemenyW(context.Background(), w, targets, kemeny.Options{})
+		}},
 		{"CorrectFairestPerm", func() (ranking.Ranking, error) { return CorrectFairestPerm(p, targets) }},
 	}
 	for _, s := range solvers {
@@ -58,12 +61,18 @@ func TestFairKemenyBeatsRepairMethodsOnPDLoss(t *testing.T) {
 	tab := testTable(t, n)
 	p, w := lowFairProfile(t, n, 20, 0.5, 2)
 	targets := Targets(tab, 0.12)
-	fk, err := FairKemeny(p, targets, Options{})
+	fk, err := FairKemenyW(context.Background(), w, targets, kemeny.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, other := range []func(ranking.Profile, []Target) (ranking.Ranking, error){FairBorda, FairCopeland, FairSchulze, CorrectFairestPerm} {
-		r, err := other(p, targets)
+	others := []func() (ranking.Ranking, error){
+		func() (ranking.Ranking, error) { return FairBorda(p, targets) },
+		func() (ranking.Ranking, error) { return FairCopelandW(w, targets) },
+		func() (ranking.Ranking, error) { return FairSchulzeW(w, targets) },
+		func() (ranking.Ranking, error) { return CorrectFairestPerm(p, targets) },
+	}
+	for _, other := range others {
+		r, err := other()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +92,7 @@ func TestFairKemenyExactMatchesConstrainedBB(t *testing.T) {
 	p := model.SampleProfile(10, rng)
 	w := ranking.MustPrecedence(p)
 	targets := AttributeTargets(tab, 0.25)
-	got, err := FairKemenyW(w, targets, Options{})
+	got, err := FairKemenyW(context.Background(), w, targets, kemeny.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +110,8 @@ func TestPriceOfFairnessNonNegative(t *testing.T) {
 	tab := testTable(t, n)
 	p, w := lowFairProfile(t, n, 15, 0.6, 4)
 	targets := Targets(tab, 0.1)
-	unfair := aggregate.Kemeny(w, aggregate.KemenyOptions{})
-	fair, err := FairKemenyW(w, targets, Options{})
+	unfair := aggregate.Kemeny(w, kemeny.Options{})
+	fair, err := FairKemenyW(context.Background(), w, targets, kemeny.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +128,10 @@ func TestPoFDecreasesWithLooserDelta(t *testing.T) {
 	const n = 45
 	tab := testTable(t, n)
 	_, w := lowFairProfile(t, n, 15, 0.6, 5)
-	unfair := aggregate.Kemeny(w, aggregate.KemenyOptions{})
+	unfair := aggregate.Kemeny(w, kemeny.Options{})
 	prev := -1.0
 	for _, delta := range []float64{0.5, 0.3, 0.1} {
-		fair, err := FairKemenyW(w, Targets(tab, delta), Options{})
+		fair, err := FairKemenyW(context.Background(), w, Targets(tab, delta), kemeny.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +171,7 @@ func TestCorrectFairestPermHigherLossThanFairKemeny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fk, err := FairKemeny(p, targets, Options{})
+	fk, err := FairKemenyW(context.Background(), w, targets, kemeny.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

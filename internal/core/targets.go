@@ -4,13 +4,13 @@
 // Fair-Schulze and Fair-Borda (paper Section III), plus the Price of
 // Fairness measure (Section III-C).
 //
-// Each Fair-* solver has a W-suffixed twin (FairBordaW, FairCopelandW,
-// FairSchulzeW, FairKemenyW) consuming a precomputed ranking.Precedence
-// instead of the raw profile, with bitwise-identical output — the entry
-// points the serving layer's shared precedence-matrix tier feeds so eight
-// methods over one profile pay one O(n²·m) construction. FairKemenyWCtx
-// additionally threads a context.Context through every search stage and
-// returns a feasible best-so-far ranking on cancellation.
+// The solvers consume a precomputed ranking.Precedence (FairBordaW,
+// FairCopelandW, FairSchulzeW, FairKemenyW) — the entry points the Engine
+// registry and the serving layer's shared precedence-matrix tier feed, so
+// eight methods over one profile pay one O(n²·m) construction. FairKemenyW
+// threads a context.Context through every search stage and returns a
+// feasible best-so-far ranking on cancellation. FairBorda alone keeps a
+// profile form: its O(n·|R|) path needs no matrix at all.
 package core
 
 import (

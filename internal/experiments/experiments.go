@@ -14,11 +14,9 @@ import (
 	"time"
 
 	"manirank"
-	"manirank/internal/aggregate"
 	"manirank/internal/attribute"
 	"manirank/internal/core"
 	"manirank/internal/fairness"
-	"manirank/internal/kemeny"
 	"manirank/internal/mallows"
 	"manirank/internal/ranking"
 	"manirank/internal/unfairgen"
@@ -60,19 +58,19 @@ func (c Config) out() io.Writer {
 // thetas is the consensus sweep used throughout the paper's figures.
 var thetas = []float64{0.2, 0.4, 0.6, 0.8}
 
-// kemenyOptions returns solver options sized to the experiment scale. Solver
+// solveOptions returns solver options sized to the experiment scale. Solver
 // restarts are pinned sequential inside the harness: the cell pool already
 // owns the machine's parallelism, and a restart pool per cell would
 // oversubscribe the CPUs multiplicatively and contend the wall-clock Runtime
 // columns the scalability artifacts report. Restart sharding
-// (kemeny.Options.Workers) is for single-solve surfaces — manirank
+// (manirank.WithSolverWorkers) is for single-solve surfaces — manirank
 // aggregate and library callers. Solver output is identical for every pool
 // width, so this pin never changes a table.
-func (c Config) kemenyOptions() aggregate.KemenyOptions {
-	return aggregate.KemenyOptions{
-		ExactThreshold: 12,
-		MaxNodes:       2_000_000,
-		Heuristic:      kemeny.Options{Workers: 1},
+func (c Config) solveOptions() []manirank.SolveOption {
+	return []manirank.SolveOption{
+		manirank.WithExactThreshold(12),
+		manirank.WithMaxNodes(2_000_000),
+		manirank.WithSolverWorkers(1),
 	}
 }
 
@@ -95,23 +93,20 @@ func newRunCtx(p ranking.Profile, tab *attribute.Table, delta float64) (*runCtx,
 }
 
 // solve routes one method through the instance's Engine with the harness's
-// pinned solver options (see Config.kemenyOptions).
+// pinned solver options (see Config.solveOptions).
 func (c *runCtx) solve(cfg Config, m manirank.Method, targets []core.Target) (*manirank.Result, error) {
-	return c.eng.Solve(context.Background(), m, targets,
-		manirank.WithKemenyOptions(cfg.kemenyOptions()))
+	return c.eng.Solve(context.Background(), m, targets, cfg.solveOptions()...)
 }
 
 // timedSolve runs one scalability cell and returns its runtime the way the
-// paper measures each method (PD loss and auditing are always off-clock,
-// as in the legacy harness):
+// paper measures each method (PD loss and auditing are always off-clock):
 //
 //   - Methods that consume the shared precedence matrix (fair-kemeny,
 //     fair-schulze, fair-copeland, kemeny) are timed cold: a fresh matrix
-//     construction per cell plus the solve, matching their legacy
-//     self-contained runs.
-//   - Fair-Borda is timed on the O(n·|R|) profile path (core.FairBorda,
-//     the same internal entry its deprecated wrapper delegates to): the
-//     paper's claim for it — Fig. 6/7 and Tables II/III — is precisely
+//     construction per cell plus the solve, as a self-contained run of the
+//     method would pay.
+//   - Fair-Borda is timed on the O(n·|R|) profile path (core.FairBorda):
+//     the paper's claim for it — Fig. 6/7 and Tables II/III — is precisely
 //     that it scales without a matrix, so routing its *timed* cells over
 //     the registry's shared W would change the measured complexity. The
 //     ranking is bitwise identical either way (BordaW property tests), so
@@ -152,8 +147,7 @@ func timedSolve(cfg Config, c *runCtx, m manirank.Method) (*manirank.Result, tim
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err := eng.Solve(context.Background(), m, c.targets,
-		manirank.WithKemenyOptions(cfg.kemenyOptions()))
+	res, err := eng.Solve(context.Background(), m, c.targets, cfg.solveOptions()...)
 	if err != nil {
 		return nil, 0, err
 	}

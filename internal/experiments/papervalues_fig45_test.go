@@ -19,7 +19,7 @@ import (
 //
 // Both tests regenerate the exact experiment cells — same cell RNG labels
 // and coordinates as the Fig4/Fig5 runners, seed 1, paper scale (150
-// rankers), solver options pinned by Config.kemenyOptions — and route
+// rankers), solver options pinned by Config.solveOptions — and route
 // through the Engine registry like the runners do.
 
 // paperFig4PDLoss transcribes Figure 4's Low-Fair PD-loss series at

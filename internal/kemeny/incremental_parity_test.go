@@ -93,7 +93,7 @@ func referencePerturb(w *ranking.Precedence, cons []Constraint, r ranking.Rankin
 // kernels: seed descent, then sequential index-order restarts with the same
 // per-restart RNG derivation and seed-first tie-breaking.
 func referenceConstrainedSearch(w *ranking.Precedence, cons []Constraint, start ranking.Ranking, opts Options) ranking.Ranking {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	seed := start.Clone()
 	seedCost := w.KemenyCost(seed) + referenceConstrainedDescent(w, cons, seed)
 	best, bestCost := seed, seedCost

@@ -31,8 +31,18 @@ func LocalSearch(w *ranking.Precedence, r ranking.Ranking) ranking.Ranking {
 	return r
 }
 
-// Options tunes the heuristic solvers.
+// Options tunes every Kemeny engine: the exact branch-and-bound's cut-over
+// and node budget, and the large-n iterated local search. It is the one
+// solver-options type behind manirank's SolveOptions; the zero value is the
+// package default (see WithDefaults).
 type Options struct {
+	// ExactThreshold: callers choosing between the engines run the exact
+	// branch-and-bound when n <= this value (default 12) and the iterated
+	// local search above it — see DESIGN.md (CPLEX substitution).
+	ExactThreshold int
+	// MaxNodes bounds the exact search (default 20e6 nodes); on exhaustion
+	// the best ranking found is returned.
+	MaxNodes int64
 	// Seed drives all randomised components; a fixed seed gives
 	// reproducible results.
 	Seed int64
@@ -64,7 +74,16 @@ type Options struct {
 	Warm ranking.Ranking
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults fills the zero fields of o with the package defaults:
+// ExactThreshold 12, MaxNodes 20e6, Perturbations 8, Strength 4. Seed,
+// Workers and Warm have meaningful zero values and are left untouched.
+func (o Options) WithDefaults() Options {
+	if o.ExactThreshold == 0 {
+		o.ExactThreshold = 12
+	}
+	if o.MaxNodes == 0 {
+		o.MaxNodes = 20_000_000
+	}
 	if o.Perturbations == 0 {
 		o.Perturbations = 8
 	}
@@ -98,7 +117,7 @@ func Heuristic(w *ranking.Precedence, opts Options) ranking.Ranking {
 // depends on how far the restarts got, so it is best-effort, not
 // deterministic.
 func HeuristicCtx(ctx context.Context, w *ranking.Precedence, opts Options) ranking.Ranking {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	endSeed := obs.StartSpan(ctx, "kemeny_seed_descent")
 	seed := WarmOrBordaSeed(w, opts)
 	seedCost := w.KemenyCost(seed) + newSearchScratch(len(seed)).descentDelta(ctx, w, seed)
@@ -158,7 +177,7 @@ func ConstrainedSearchCtx(ctx context.Context, w *ranking.Precedence, cons []Con
 	if !Feasible(start, cons) {
 		panic("kemeny: ConstrainedSearch start ranking violates constraints")
 	}
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	endSeed := obs.StartSpan(ctx, "kemeny_seed_descent")
 	seed := start.Clone()
 	// The seed descent is the one single-threaded stretch of the search, so

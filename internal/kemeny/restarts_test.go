@@ -147,7 +147,7 @@ func TestRestartAllocFree(t *testing.T) {
 		start = ranking.Random(n, rng)
 	}
 	ctx := context.Background()
-	opts := Options{Seed: 5}.withDefaults()
+	opts := Options{Seed: 5}.WithDefaults()
 	for _, tc := range []struct {
 		name string
 		cons []Constraint

@@ -1,12 +1,17 @@
 package loadgen
 
 import (
+	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"manirank/internal/service"
 )
 
 // Canned node bodies in manirankd's /statz and /metricsz formats. Node A
@@ -200,5 +205,69 @@ func TestCollectResultFailsLoudly(t *testing.T) {
 	cfg := Config{URL: ts.URL}.withDefaults()
 	if _, err := collectResult(cfg, 1, 0, 0, 0, 0, []float64{1}, time.Second); err == nil {
 		t.Fatal("collectResult succeeded against a node without /statz")
+	}
+}
+
+// TestRunAgainstServer drives Run against a real in-process manirankd: every
+// request succeeds and is accounted for, and after each distinct
+// (profile, method) body has been solved once, every repeat is a cache hit
+// or rides a concurrent flight.
+func TestRunAgainstServer(t *testing.T) {
+	srv, err := service.New(service.Config{Workers: 2, SolverWorkers: 1,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	cfg := Config{URL: ts.URL, Candidates: 12, Rankers: 6, Profiles: 4,
+		Methods: []string{"borda", "fair-borda"}, Clients: 3, Requests: 24, Seed: 3}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 || res.Rejected != 0 {
+		t.Fatalf("errors %d, rejected %d; want none", res.Errors, res.Rejected)
+	}
+	ok := int(math.Round(res.Throughput * res.DurationS))
+	if res.Requests != cfg.Requests || ok != cfg.Requests {
+		t.Fatalf("requests %d, successes %d; want %d of each", res.Requests, ok, cfg.Requests)
+	}
+	hits := int(math.Round(res.HitRate * float64(ok)))
+	if floor := cfg.Requests - cfg.Profiles*len(cfg.Methods); hits+res.Coalesced < floor {
+		t.Fatalf("hits %d + coalesced %d < %d repeats of already-seen bodies", hits, res.Coalesced, floor)
+	}
+}
+
+// TestRunSplitsRejectionsFromErrors: a node answering 429 and 500
+// alternately has every 429 counted as a rejection and every 500 as an
+// error, with no successes.
+func TestRunSplitsRejectionsFromErrors(t *testing.T) {
+	var calls atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/aggregate", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if calls.Add(1)%2 == 0 {
+			http.Error(w, "queue full", http.StatusTooManyRequests)
+			return
+		}
+		http.Error(w, "boom", http.StatusInternalServerError)
+	})
+	mux.HandleFunc("/statz", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte(statzA)) })
+	mux.HandleFunc("/metricsz", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte(metricsA)) })
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	res, err := Run(Config{URL: ts.URL, Candidates: 8, Rankers: 3, Profiles: 2, Clients: 2, Requests: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != 10 || res.Rejected != 5 || res.Errors != 5 {
+		t.Fatalf("requests %d, rejected %d, errors %d; want 10 / 5 / 5", res.Requests, res.Rejected, res.Errors)
+	}
+	if res.HitRate != 0 || res.P50LatencyMS != 0 {
+		t.Fatalf("failed requests leaked into the latency columns: hit rate %v, p50 %v", res.HitRate, res.P50LatencyMS)
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -359,5 +360,26 @@ func TestPeerHandlerGates(t *testing.T) {
 	}
 	if builds := nodes[0].srv.prec.Stats().Builds; builds != 0 {
 		t.Fatalf("poisoning attempt triggered %d builds", builds)
+	}
+
+	// PUT junk results: neither may be admitted under the digest.
+	for _, body := range []string{`{}`, `{"ranking":[0,0,7],"method":"borda"}`} {
+		preq, err := http.NewRequest(http.MethodPut, base, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		preq.Header.Set(fleet.NamespaceHeader, nodes[0].ring.Namespace())
+		resp, err := http.DefaultClient.Do(preq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("junk result %s: status %d, want 400", body, resp.StatusCode)
+		}
+		if _, ok := nodes[0].srv.cache.Peek(context.Background(), "abcd"); ok {
+			t.Fatalf("junk result %s was admitted", body)
+		}
 	}
 }

@@ -44,9 +44,7 @@ import (
 	"time"
 
 	"manirank"
-	"manirank/internal/aggregate"
 	"manirank/internal/fleet"
-	"manirank/internal/kemeny"
 	"manirank/internal/obs"
 	"manirank/internal/ranking"
 	"manirank/internal/service/cache"
@@ -61,7 +59,7 @@ type Config struct {
 	// concurrently (default GOMAXPROCS).
 	Workers int
 	// SolverWorkers shards each individual solve's restarts
-	// (kemeny.Options.Workers). Default 1: under concurrent load the request
+	// (manirank.WithSolverWorkers). Default 1: under concurrent load the request
 	// pool owns the machine's parallelism, and restart pools per solve would
 	// oversubscribe it — the same reasoning as the experiment harness.
 	SolverWorkers int
@@ -654,17 +652,15 @@ func (s *Server) worker() {
 	}
 }
 
-// kemenyOptions lowers the request's solver knobs onto the engine options.
-func (s *Server) kemenyOptions(o SolverOptions) aggregate.KemenyOptions {
-	return aggregate.KemenyOptions{
-		ExactThreshold: o.ExactThreshold,
-		MaxNodes:       o.MaxNodes,
-		Heuristic: kemeny.Options{
-			Seed:          o.Seed,
-			Perturbations: o.Perturbations,
-			Strength:      o.Strength,
-			Workers:       s.cfg.SolverWorkers,
-		},
+// solveOptions lowers the request's solver knobs onto Engine.Solve options.
+func (s *Server) solveOptions(o SolverOptions) []manirank.SolveOption {
+	return []manirank.SolveOption{
+		manirank.WithExactThreshold(o.ExactThreshold),
+		manirank.WithMaxNodes(o.MaxNodes),
+		manirank.WithSeed(o.Seed),
+		manirank.WithPerturbations(o.Perturbations),
+		manirank.WithStrength(o.Strength),
+		manirank.WithSolverWorkers(s.cfg.SolverWorkers),
 	}
 }
 
@@ -710,8 +706,7 @@ func (s *Server) solve(ctx context.Context, pb *problem) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sr, err := eng.Solve(ctx, pb.method, pb.targets,
-		manirank.WithKemenyOptions(s.kemenyOptions(pb.opts)))
+	sr, err := eng.Solve(ctx, pb.method, pb.targets, s.solveOptions(pb.opts)...)
 	if err != nil {
 		return nil, err
 	}

@@ -348,10 +348,9 @@ func (s *Server) solveSession(rctx context.Context, tr *obs.Trace, sess *session
 	s.cheResult.Observe(digest)
 
 	eng := sess.eng
-	kopts := s.kemenyOptions(pb.opts)
-	kopts.Heuristic.Warm = warm
+	opts := append(s.solveOptions(pb.opts), manirank.WithWarmStart(warm))
 	run := func(ctx context.Context) (*result, error) {
-		sr, err := eng.Solve(ctx, pb.method, pb.targets, manirank.WithKemenyOptions(kopts))
+		sr, err := eng.Solve(ctx, pb.method, pb.targets, opts...)
 		if err != nil {
 			return nil, err
 		}

@@ -6,20 +6,12 @@
 // doc comment. CI's docs job runs it over the root package and
 // internal/service/... so the public godoc stays complete.
 //
-// The -deprecated flag adds the Engine-migration check: each named
-// exported identifier must exist and carry a doc paragraph starting
-// "Deprecated:" that names its Engine replacement, so a legacy entry point
-// can never lose (or never have shipped without) its migration pointer.
-// Bare names resolve in the first linted directory (the public API
-// surface); "dir:Name" pins another directory.
-//
 // Usage:
 //
-//	go run ./internal/tools/doclint [-deprecated Name,Name...] <pkg-dir> [<pkg-dir>...]
+//	go run ./internal/tools/doclint <pkg-dir> [<pkg-dir>...]
 package main
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -28,89 +20,24 @@ import (
 	"strings"
 )
 
-// deprecatedList names exported identifiers that must carry a Deprecated:
-// doc line pointing at their Engine replacement.
-var deprecatedList = flag.String("deprecated", "",
-	"comma-separated exported identifiers that must carry a Deprecated: doc line naming their Engine replacement")
-
 func main() {
-	flag.Parse()
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: doclint [-deprecated Name,Name...] <pkg-dir> [<pkg-dir>...]")
+	if len(os.Args) < 2 {
+		fmt.Fprintln(os.Stderr, "usage: doclint <pkg-dir> [<pkg-dir>...]")
 		os.Exit(2)
 	}
 	failures := 0
-	// Doc texts are collected per directory: several linted packages may
-	// export the same identifier name (manirank.FairKemeny wraps
-	// core.FairKemeny), and only the named surface's doc must carry the
-	// deprecation.
-	docs := map[string]map[string]string{} // dir -> exported identifier -> doc text
-	for _, dir := range flag.Args() {
-		docs[dir] = map[string]string{}
-		failures += lintDir(dir, docs[dir])
+	for _, dir := range os.Args[1:] {
+		failures += lintDir(dir)
 	}
-	failures += lintDeprecated(*deprecatedList, flag.Args()[0], docs)
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "doclint: %d findings\n", failures)
 		os.Exit(1)
 	}
 }
 
-// lintDeprecated enforces the -deprecated contract against the doc texts
-// collected while linting and returns the number of findings (each already
-// printed). Entries may be qualified "dir:Name"; bare names resolve in the
-// first linted directory (the public API surface).
-func lintDeprecated(list, firstDir string, docs map[string]map[string]string) int {
-	if list == "" {
-		return 0
-	}
-	findings := 0
-	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		dir := firstDir
-		if d, n, ok := strings.Cut(name, ":"); ok {
-			dir, name = d, n
-		}
-		doc, ok := docs[dir][name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "doclint: -deprecated identifier %s not found in %s\n", name, dir)
-			findings++
-			continue
-		}
-		dep := deprecatedParagraph(doc)
-		switch {
-		case dep == "":
-			fmt.Fprintf(os.Stderr, "doclint: legacy entry point %s (%s) has no Deprecated: doc line\n", name, dir)
-			findings++
-		case !strings.Contains(dep, "Engine"):
-			fmt.Fprintf(os.Stderr, "doclint: %s's Deprecated: note does not name its Engine replacement\n", name)
-			findings++
-		}
-	}
-	return findings
-}
-
-// deprecatedParagraph returns the doc paragraph starting at the standard
-// "Deprecated:" marker (empty when the doc has none).
-func deprecatedParagraph(doc string) string {
-	i := strings.Index(doc, "Deprecated:")
-	if i < 0 {
-		return ""
-	}
-	rest := doc[i:]
-	if end := strings.Index(rest, "\n\n"); end >= 0 {
-		rest = rest[:end]
-	}
-	return rest
-}
-
 // lintDir checks every non-test package clause in dir and returns the
-// number of findings (each already printed). Exported identifiers' doc
-// texts are collected into docs for the -deprecated check.
-func lintDir(dir string, docs map[string]string) int {
+// number of findings (each already printed).
+func lintDir(dir string) int {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -133,7 +60,7 @@ func lintDir(dir string, docs map[string]string) int {
 			if f.Doc != nil {
 				hasPkgDoc = true
 			}
-			lintFile(f, report, docs)
+			lintFile(f, report)
 		}
 		if !hasPkgDoc {
 			findings++
@@ -144,9 +71,8 @@ func lintDir(dir string, docs map[string]string) int {
 }
 
 // lintFile reports every exported declaration in f that carries no doc
-// comment, collecting exported top-level doc texts for the -deprecated
-// check (methods are keyed Recv.Name).
-func lintFile(f *ast.File, report func(token.Pos, string, ...any), docs map[string]string) {
+// comment.
+func lintFile(f *ast.File, report func(token.Pos, string, ...any)) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
@@ -155,78 +81,36 @@ func lintFile(f *ast.File, report func(token.Pos, string, ...any), docs map[stri
 			}
 			if d.Doc == nil {
 				report(d.Pos(), "exported %s %s has no doc comment", funcKind(d), d.Name.Name)
-				continue
 			}
-			docs[funcKey(d)] = d.Doc.Text()
 		case *ast.GenDecl:
-			lintGenDecl(d, report, docs)
-		}
-	}
-}
-
-// funcKey names a function decl for the docs map: "Name" for functions,
-// "Recv.Name" for methods.
-func funcKey(d *ast.FuncDecl) string {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return d.Name.Name
-	}
-	t := d.Recv.List[0].Type
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.IndexExpr:
-			t = x.X
-		case *ast.IndexListExpr:
-			t = x.X
-		case *ast.Ident:
-			return x.Name + "." + d.Name.Name
-		default:
-			return d.Name.Name
+			lintGenDecl(d, report)
 		}
 	}
 }
 
 // lintGenDecl checks type/var/const declarations. A doc comment on the
 // grouped declaration covers its specs; otherwise each exported spec needs
-// its own. The most specific present doc (spec over group) is collected
-// for the -deprecated check.
-func lintGenDecl(d *ast.GenDecl, report func(token.Pos, string, ...any), docs map[string]string) {
+// its own.
+func lintGenDecl(d *ast.GenDecl, report func(token.Pos, string, ...any)) {
 	if d.Tok != token.TYPE && d.Tok != token.VAR && d.Tok != token.CONST {
 		return
 	}
-	specDoc := func(own *ast.CommentGroup) string {
-		if own != nil {
-			return own.Text()
-		}
-		if d.Doc != nil {
-			return d.Doc.Text()
-		}
-		return ""
+	if d.Doc != nil {
+		return
 	}
 	for _, spec := range d.Specs {
 		switch s := spec.(type) {
 		case *ast.TypeSpec:
-			if !s.Name.IsExported() {
-				continue
-			}
-			if d.Doc == nil && s.Doc == nil && s.Comment == nil {
+			if s.Name.IsExported() && s.Doc == nil && s.Comment == nil {
 				report(s.Pos(), "exported type %s has no doc comment", s.Name.Name)
-				continue
 			}
-			docs[s.Name.Name] = specDoc(s.Doc)
 		case *ast.ValueSpec:
-			if d.Doc == nil && s.Doc == nil && s.Comment == nil {
-				for _, name := range s.Names {
-					if name.IsExported() {
-						report(s.Pos(), "exported %s %s has no doc comment", d.Tok, name.Name)
-					}
-				}
+			if s.Doc != nil || s.Comment != nil {
 				continue
 			}
 			for _, name := range s.Names {
 				if name.IsExported() {
-					docs[name.Name] = specDoc(s.Doc)
+					report(s.Pos(), "exported %s %s has no doc comment", d.Tok, name.Name)
 				}
 			}
 		}

@@ -2,68 +2,10 @@ package main
 
 import "testing"
 
-// TestDeprecatedParagraph pins the Deprecated: extraction: the paragraph
-// runs from the marker to the next blank line.
-func TestDeprecatedParagraph(t *testing.T) {
-	doc := "Foo does things.\n\nDeprecated: use Engine.Solve with MethodFoo\ninstead.\n\nMore prose.\n"
-	got := deprecatedParagraph(doc)
-	want := "Deprecated: use Engine.Solve with MethodFoo\ninstead."
-	if got != want {
-		t.Fatalf("deprecatedParagraph = %q, want %q", got, want)
-	}
-	if deprecatedParagraph("Foo does things.\n") != "" {
-		t.Fatal("found a Deprecated paragraph in a doc without one")
-	}
-}
-
-// TestLintDeprecated covers the -deprecated contract: pass on a proper
-// Engine-pointing note, fail on a missing identifier, a missing Deprecated:
-// line, and a note that names no Engine replacement; "dir:Name" pins a
-// non-first directory.
-func TestLintDeprecated(t *testing.T) {
-	docs := map[string]map[string]string{
-		".": {
-			"Good":     "Good solves.\n\nDeprecated: use Engine.Solve with MethodGood.\n",
-			"NoMarker": "NoMarker solves.\n",
-			"NoTarget": "NoTarget solves.\n\nDeprecated: just don't.\n",
-		},
-		"internal/x": {
-			"Elsewhere": "Elsewhere.\n\nDeprecated: use Engine.Solve.\n",
-		},
-	}
-	cases := []struct {
-		list string
-		want int
-	}{
-		{"", 0},
-		{"Good", 0},
-		{"Good, Good", 0}, // whitespace + duplicates tolerated
-		{"Missing", 1},
-		{"NoMarker", 1},
-		{"NoTarget", 1},
-		{"Good,Missing,NoMarker,NoTarget", 3},
-		{"internal/x:Elsewhere", 0},
-		{"Elsewhere", 1}, // bare name resolves in the first dir only
-	}
-	for _, c := range cases {
-		if got := lintDeprecated(c.list, ".", docs); got != c.want {
-			t.Errorf("lintDeprecated(%q) = %d findings, want %d", c.list, got, c.want)
-		}
-	}
-}
-
-// TestLintDirCollectsDocs runs the real parser over this package's own
-// directory and checks the docs map keys functions, methods, types, and
-// values the way lintDeprecated expects.
-func TestLintDirCollectsDocs(t *testing.T) {
-	docs := map[string]string{}
-	if findings := lintDir(".", docs); findings != 0 {
+// TestLintDirOwnPackage runs the real parser over this package's own
+// directory: doclint must pass its own check.
+func TestLintDirOwnPackage(t *testing.T) {
+	if findings := lintDir("."); findings != 0 {
 		t.Fatalf("doclint fails on its own package: %d findings", findings)
-	}
-	for _, name := range []string{"lintDeprecated", "deprecatedParagraph"} {
-		// Unexported helpers must not pollute the map.
-		if _, ok := docs[name]; ok {
-			t.Errorf("docs map contains unexported %s", name)
-		}
 	}
 }

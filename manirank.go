@@ -28,16 +28,14 @@
 // search at scale; fair-copeland, fair-schulze and fair-borda run in
 // polynomial time using the Make-MR-Fair repair algorithm. Fairness-unaware
 // aggregators and the paper's baselines are also registered for comparison.
-// The per-method functions below (FairKemeny, Borda, ...) predate the
-// Engine and remain as deprecated wrappers with identical output.
+// Each Solve call is tuned by functional SolveOptions (WithSeed,
+// WithExactThreshold, WithWarmStart, ...).
 //
-// See DESIGN.md (§8 for the Engine architecture and the old→new migration
-// table) and EXPERIMENTS.md for the full reproduction of the paper's
-// evaluation.
+// See DESIGN.md (§8 for the Engine architecture and the SolveOption list)
+// and EXPERIMENTS.md for the full reproduction of the paper's evaluation.
 package manirank
 
 import (
-	"manirank/internal/aggregate"
 	"manirank/internal/attribute"
 	"manirank/internal/core"
 	"manirank/internal/fairness"
@@ -73,22 +71,6 @@ type Report = fairness.Report
 // Thresholds carries per-attribute fairness targets for customized
 // MANI-Rank (paper Section II-B).
 type Thresholds = fairness.Thresholds
-
-// Options tunes the MFCR solvers (exact-search thresholds, node budgets,
-// heuristic seeds).
-//
-// Deprecated: configure Engine.Solve with functional SolveOptions instead
-// (WithSeed, WithExactThreshold, ...); WithKemenyOptions imports an
-// existing configuration wholesale.
-type Options = core.Options
-
-// KemenyOptions tunes the Kemeny engines used by the fairness-unaware
-// baseline and inside FairKemeny.
-//
-// Deprecated: configure Engine.Solve with functional SolveOptions instead
-// (WithSeed, WithExactThreshold, ...); WithKemenyOptions imports an
-// existing configuration wholesale.
-type KemenyOptions = aggregate.KemenyOptions
 
 // MallowsModel is the exponential location-spread distribution over rankings
 // used to generate synthetic preference data (paper Section IV-A).
@@ -190,88 +172,6 @@ func TargetsWithSubsets(t *Table, delta float64, subsets ...[]string) ([]Target,
 // every target holds (paper Algorithm 2). The input is not modified.
 func MakeMRFair(r Ranking, targets []Target) (Ranking, error) {
 	return core.MakeMRFair(r, targets)
-}
-
-// FairKemeny solves MFCR optimally for small candidate sets (constrained
-// branch and bound) and with constrained local search at scale (paper
-// Algorithm 1).
-//
-// Deprecated: use Engine.Solve with MethodFairKemeny — same output
-// bitwise, with context cancellation, a shared precedence matrix across
-// methods, and the audit/PD-loss bundled in the Result.
-func FairKemeny(p Profile, targets []Target, opts Options) (Ranking, error) {
-	return core.FairKemeny(p, targets, opts)
-}
-
-// FairCopeland solves MFCR with the Copeland aggregator + Make-MR-Fair.
-//
-// Deprecated: use Engine.Solve with MethodFairCopeland — same output
-// bitwise over the Engine's shared precedence matrix.
-func FairCopeland(p Profile, targets []Target) (Ranking, error) {
-	return core.FairCopeland(p, targets)
-}
-
-// FairSchulze solves MFCR with the Schulze aggregator + Make-MR-Fair.
-//
-// Deprecated: use Engine.Solve with MethodFairSchulze — same output
-// bitwise over the Engine's shared precedence matrix.
-func FairSchulze(p Profile, targets []Target) (Ranking, error) {
-	return core.FairSchulze(p, targets)
-}
-
-// FairBorda solves MFCR with the Borda aggregator + Make-MR-Fair — the
-// fastest method, suitable for very large candidate databases.
-//
-// Deprecated: use Engine.Solve with MethodFairBorda — same output bitwise.
-// (For Borda-only workloads over very large candidate sets where an O(n²)
-// matrix is unaffordable, this wrapper's O(n·|R|) profile path remains the
-// right tool; the Engine targets multi-method workloads.)
-func FairBorda(p Profile, targets []Target) (Ranking, error) {
-	return core.FairBorda(p, targets)
-}
-
-// Kemeny returns the fairness-unaware Kemeny consensus of a profile: exact
-// for small n, Borda-seeded iterated local search at scale.
-//
-// Deprecated: use Engine.Solve with MethodKemeny — same output bitwise,
-// with context cancellation and best-so-far results on expiry.
-func Kemeny(p Profile, opts KemenyOptions) (Ranking, error) {
-	w, err := ranking.NewPrecedence(p)
-	if err != nil {
-		return nil, err
-	}
-	return aggregate.Kemeny(w, opts), nil
-}
-
-// Borda returns the fairness-unaware Borda consensus.
-//
-// Deprecated: use Engine.Solve with MethodBorda — same output bitwise
-// (integer-identical point totals from the matrix's row sums). The O(n·|R|)
-// escape hatch note on FairBorda applies here too.
-func Borda(p Profile) (Ranking, error) { return aggregate.Borda(p) }
-
-// Copeland returns the fairness-unaware Copeland consensus.
-//
-// Deprecated: use Engine.Solve with MethodCopeland — same output bitwise
-// over the Engine's shared precedence matrix.
-func Copeland(p Profile) (Ranking, error) {
-	w, err := ranking.NewPrecedence(p)
-	if err != nil {
-		return nil, err
-	}
-	return aggregate.Copeland(w), nil
-}
-
-// Schulze returns the fairness-unaware Schulze consensus.
-//
-// Deprecated: use Engine.Solve with MethodSchulze — same output bitwise
-// over the Engine's shared precedence matrix.
-func Schulze(p Profile) (Ranking, error) {
-	w, err := ranking.NewPrecedence(p)
-	if err != nil {
-		return nil, err
-	}
-	return aggregate.Schulze(w), nil
 }
 
 // PriceOfFairness returns PDLoss(p, fair) - PDLoss(p, unfair), the

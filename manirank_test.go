@@ -1,6 +1,7 @@
 package manirank_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -44,42 +45,27 @@ func demoProfile(t *testing.T, tab *manirank.Table, m int, theta float64, seed i
 	return model.SampleProfile(m, rand.New(rand.NewSource(seed)))
 }
 
+// TestPublicAPISolveAndAudit solves every served method through the Engine:
+// each returns a valid permutation, and each fair method's output satisfies
+// MANI-Rank at the requested threshold.
 func TestPublicAPISolveAndAudit(t *testing.T) {
 	tab := demoTable(t, 24)
 	p := demoProfile(t, tab, 12, 0.5, 1)
 	targets := manirank.Targets(tab, 0.15)
-
-	for name, solve := range map[string]func() (manirank.Ranking, error){
-		"FairKemeny":   func() (manirank.Ranking, error) { return manirank.FairKemeny(p, targets, manirank.Options{}) },
-		"FairCopeland": func() (manirank.Ranking, error) { return manirank.FairCopeland(p, targets) },
-		"FairSchulze":  func() (manirank.Ranking, error) { return manirank.FairSchulze(p, targets) },
-		"FairBorda":    func() (manirank.Ranking, error) { return manirank.FairBorda(p, targets) },
-	} {
-		r, err := solve()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !manirank.SatisfiesMANIRank(r, tab, 0.15) {
-			t.Fatalf("%s output violates MANI-Rank: %v", name, manirank.Audit(r, tab))
-		}
+	eng, err := manirank.NewEngine(p, manirank.WithTable(tab))
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestPublicAPIUnawareAggregators(t *testing.T) {
-	tab := demoTable(t, 16)
-	p := demoProfile(t, tab, 8, 0.4, 2)
-	for name, solve := range map[string]func() (manirank.Ranking, error){
-		"Kemeny":   func() (manirank.Ranking, error) { return manirank.Kemeny(p, manirank.KemenyOptions{}) },
-		"Borda":    func() (manirank.Ranking, error) { return manirank.Borda(p) },
-		"Copeland": func() (manirank.Ranking, error) { return manirank.Copeland(p) },
-		"Schulze":  func() (manirank.Ranking, error) { return manirank.Schulze(p) },
-	} {
-		r, err := solve()
+	for _, m := range manirank.Methods() {
+		res, err := eng.Solve(context.Background(), m, targets)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", m, err)
 		}
-		if !r.IsValid() {
-			t.Fatalf("%s returned invalid ranking", name)
+		if !res.Ranking.IsValid() {
+			t.Fatalf("%s returned invalid ranking", m)
+		}
+		if m.IsFair() && !manirank.SatisfiesMANIRank(res.Ranking, tab, 0.15) {
+			t.Fatalf("%s output violates MANI-Rank: %v", m, manirank.Audit(res.Ranking, tab))
 		}
 	}
 }
@@ -114,10 +100,15 @@ func TestPublicAPIMakeMRFairAndPoF(t *testing.T) {
 	tab := demoTable(t, 24)
 	p := demoProfile(t, tab, 10, 0.7, 3)
 	targets := manirank.Targets(tab, 0.1)
-	unfair, err := manirank.Kemeny(p, manirank.KemenyOptions{})
+	eng, err := manirank.NewEngine(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := eng.Solve(context.Background(), manirank.MethodKemeny, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unfair := res.Ranking
 	fair, err := manirank.MakeMRFair(unfair, targets)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"manirank/internal/aggregate"
 	"manirank/internal/core"
+	"manirank/internal/kemeny"
 )
 
 // Method identifies one consensus method in the Engine's solver registry.
@@ -68,7 +69,7 @@ type methodEntry struct {
 	baseline bool // Section IV-B comparison baseline, absent from Methods()
 	profile  bool // consumes the base rankings themselves, not just W
 	table    bool // consumes the candidate table beyond the audit
-	solve    func(ctx context.Context, e *Engine, targets []Target, kopts KemenyOptions) (Ranking, bool, error)
+	solve    func(ctx context.Context, e *Engine, targets []Target, opts kemeny.Options) (Ranking, bool, error)
 }
 
 // registry is the single dispatch table behind every surface: Engine.Solve
@@ -77,54 +78,54 @@ type methodEntry struct {
 // Order is the documented presentation order.
 var registry = []methodEntry{
 	{method: MethodBorda, name: "borda",
-		solve: func(_ context.Context, e *Engine, _ []Target, _ KemenyOptions) (Ranking, bool, error) {
+		solve: func(_ context.Context, e *Engine, _ []Target, _ kemeny.Options) (Ranking, bool, error) {
 			return aggregate.BordaW(e.w), false, nil
 		}},
 	{method: MethodCopeland, name: "copeland",
-		solve: func(_ context.Context, e *Engine, _ []Target, _ KemenyOptions) (Ranking, bool, error) {
+		solve: func(_ context.Context, e *Engine, _ []Target, _ kemeny.Options) (Ranking, bool, error) {
 			return aggregate.Copeland(e.w), false, nil
 		}},
 	{method: MethodSchulze, name: "schulze",
-		solve: func(_ context.Context, e *Engine, _ []Target, _ KemenyOptions) (Ranking, bool, error) {
+		solve: func(_ context.Context, e *Engine, _ []Target, _ kemeny.Options) (Ranking, bool, error) {
 			return aggregate.Schulze(e.w), false, nil
 		}},
 	{method: MethodKemeny, name: "kemeny",
-		solve: func(ctx context.Context, e *Engine, _ []Target, kopts KemenyOptions) (Ranking, bool, error) {
-			r := aggregate.KemenyCtx(ctx, e.w, kopts)
+		solve: func(ctx context.Context, e *Engine, _ []Target, opts kemeny.Options) (Ranking, bool, error) {
+			r := aggregate.KemenyCtx(ctx, e.w, opts)
 			return r, ctx.Err() != nil, nil
 		}},
 	{method: MethodFairBorda, name: "fair-borda", fair: true,
-		solve: func(_ context.Context, e *Engine, targets []Target, _ KemenyOptions) (Ranking, bool, error) {
+		solve: func(_ context.Context, e *Engine, targets []Target, _ kemeny.Options) (Ranking, bool, error) {
 			r, err := core.FairBordaW(e.w, targets)
 			return r, false, err
 		}},
 	{method: MethodFairCopeland, name: "fair-copeland", fair: true,
-		solve: func(_ context.Context, e *Engine, targets []Target, _ KemenyOptions) (Ranking, bool, error) {
+		solve: func(_ context.Context, e *Engine, targets []Target, _ kemeny.Options) (Ranking, bool, error) {
 			r, err := core.FairCopelandW(e.w, targets)
 			return r, false, err
 		}},
 	{method: MethodFairSchulze, name: "fair-schulze", fair: true,
-		solve: func(_ context.Context, e *Engine, targets []Target, _ KemenyOptions) (Ranking, bool, error) {
+		solve: func(_ context.Context, e *Engine, targets []Target, _ kemeny.Options) (Ranking, bool, error) {
 			r, err := core.FairSchulzeW(e.w, targets)
 			return r, false, err
 		}},
 	{method: MethodFairKemeny, name: "fair-kemeny", fair: true,
-		solve: func(ctx context.Context, e *Engine, targets []Target, kopts KemenyOptions) (Ranking, bool, error) {
-			r, err := core.FairKemenyWCtx(ctx, e.w, targets, core.Options{Kemeny: kopts})
+		solve: func(ctx context.Context, e *Engine, targets []Target, opts kemeny.Options) (Ranking, bool, error) {
+			r, err := core.FairKemenyW(ctx, e.w, targets, opts)
 			return r, err == nil && ctx.Err() != nil, err
 		}},
 	{method: MethodKemenyWeighted, name: "kemeny-weighted", baseline: true, profile: true, table: true,
-		solve: func(_ context.Context, e *Engine, _ []Target, kopts KemenyOptions) (Ranking, bool, error) {
-			r, err := aggregate.KemenyWeighted(e.p, e.tab, kopts)
+		solve: func(_ context.Context, e *Engine, _ []Target, opts kemeny.Options) (Ranking, bool, error) {
+			r, err := aggregate.KemenyWeighted(e.p, e.tab, opts)
 			return r, false, err
 		}},
 	{method: MethodPickFairestPerm, name: "pick-fairest-perm", baseline: true, profile: true, table: true,
-		solve: func(_ context.Context, e *Engine, _ []Target, _ KemenyOptions) (Ranking, bool, error) {
+		solve: func(_ context.Context, e *Engine, _ []Target, _ kemeny.Options) (Ranking, bool, error) {
 			r, err := aggregate.PickFairestPerm(e.p, e.tab)
 			return r, false, err
 		}},
 	{method: MethodCorrectFairestPerm, name: "correct-fairest-perm", fair: true, baseline: true, profile: true,
-		solve: func(_ context.Context, e *Engine, targets []Target, _ KemenyOptions) (Ranking, bool, error) {
+		solve: func(_ context.Context, e *Engine, targets []Target, _ kemeny.Options) (Ranking, bool, error) {
 			r, err := core.CorrectFairestPerm(e.p, targets)
 			return r, false, err
 		}},
