@@ -70,6 +70,31 @@ func TestPublicAPISolveAndAudit(t *testing.T) {
 	}
 }
 
+// TestPublicAPIUnawareAggregators solves the four fairness-unaware methods
+// through the Engine without targets; each returns a valid permutation.
+func TestPublicAPIUnawareAggregators(t *testing.T) {
+	tab := demoTable(t, 16)
+	p := demoProfile(t, tab, 8, 0.4, 2)
+	eng, err := manirank.NewEngine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []manirank.Method{
+		manirank.MethodKemeny, manirank.MethodBorda, manirank.MethodCopeland, manirank.MethodSchulze,
+	} {
+		if m.IsFair() {
+			t.Fatalf("%s reports itself fair", m)
+		}
+		res, err := eng.Solve(context.Background(), m, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if !res.Ranking.IsValid() {
+			t.Fatalf("%s returned invalid ranking", m)
+		}
+	}
+}
+
 func TestPublicAPIMetrics(t *testing.T) {
 	tab := demoTable(t, 8)
 	r := manirank.NewRanking(8)
