@@ -19,7 +19,7 @@ func TestLocalSearchDeltaMatchesFullCost(t *testing.T) {
 		w := ranking.MustPrecedence(randomProfile(n, m, rng))
 		r := ranking.Random(n, rng)
 		before := w.KemenyCost(r)
-		delta := newSearchScratch(n).descentDelta(context.Background(), w, r)
+		delta := new(searchScratch).descentDelta(context.Background(), w, r)
 		return before+delta == w.KemenyCost(r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {

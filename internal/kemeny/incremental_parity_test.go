@@ -162,7 +162,7 @@ func TestIncrementalDescentMatchesReference(t *testing.T) {
 		refDelta := referenceConstrainedDescent(w, cons, ref)
 
 		inc := start.Clone()
-		sc := newSearchScratch(len(inc))
+		sc := new(searchScratch)
 		sc.syncAuditor(cons, inc)
 		incDelta := sc.descentDelta(context.Background(), w, inc)
 
@@ -223,12 +223,9 @@ func TestIncrementalPerturbMatchesReference(t *testing.T) {
 
 // TestConstrainedSearchMatchesReferenceAllWorkerCounts pins the full engine:
 // ConstrainedSearch output is bitwise identical to the pre-incremental
-// reference for worker counts 1, 2, 4, and 8, with the scan-sharding
-// threshold lowered so the sharded path actually runs on these small
-// instances — small attributes first, then the manirank.Targets shape.
+// reference for worker counts 1, 2, 4, and 8 — small attributes first, then
+// the manirank.Targets shape.
 func TestConstrainedSearchMatchesReferenceAllWorkerCounts(t *testing.T) {
-	defer func(old int) { shardMinScan = old }(shardMinScan)
-	shardMinScan = 4
 	rng := rand.New(rand.NewSource(90210))
 	for trial := 0; trial < 16; trial++ {
 		var w *ranking.Precedence

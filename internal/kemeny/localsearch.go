@@ -2,7 +2,6 @@ package kemeny
 
 import (
 	"context"
-	"sync"
 
 	"manirank/internal/obs"
 	"manirank/internal/ranking"
@@ -27,7 +26,7 @@ func BordaFromPrecedence(w *ranking.Precedence) ranking.Ranking {
 // O(n^2); the insertion neighbourhood is the standard Kemeny local search
 // (Ali & Meila 2012).
 func LocalSearch(w *ranking.Precedence, r ranking.Ranking) ranking.Ranking {
-	newSearchScratch(len(r)).descentDelta(context.Background(), w, r)
+	new(searchScratch).descentDelta(context.Background(), w, r)
 	return r
 }
 
@@ -100,11 +99,12 @@ func (o Options) WithDefaults() Options {
 // exact optimum (the majority order is the unique local optimum of the
 // insertion neighbourhood there).
 //
-// The cost is tracked incrementally across the whole run — one full
-// KemenyCost evaluation of the Borda seed, then only O(move) deltas from the
-// perturbation and search moves. Restarts derive their RNGs from
-// (Options.Seed, restart index) and run on an Options.Workers pool
-// (restarts.go); the result is bitwise identical for every worker count.
+// The cost is tracked incrementally: restarts pay one full KemenyCost
+// evaluation of the seed local optimum, then only O(move) deltas from the
+// perturbation and search moves; with restarts disabled no cost is
+// computed. Restarts derive their RNGs from (Options.Seed, restart index)
+// and run on an Options.Workers pool (restarts.go); the result is bitwise
+// identical for every worker count.
 func Heuristic(w *ranking.Precedence, opts Options) ranking.Ranking {
 	return HeuristicCtx(context.Background(), w, opts)
 }
@@ -120,10 +120,9 @@ func HeuristicCtx(ctx context.Context, w *ranking.Precedence, opts Options) rank
 	opts = opts.WithDefaults()
 	endSeed := obs.StartSpan(ctx, "kemeny_seed_descent")
 	seed := WarmOrBordaSeed(w, opts)
-	seedCost := w.KemenyCost(seed) + newSearchScratch(len(seed)).descentDelta(ctx, w, seed)
+	new(searchScratch).descentDelta(ctx, w, seed)
 	endSeed()
-	best, _ := restartSearch(ctx, w, nil, seed, seedCost, opts)
-	return best
+	return restartSearch(ctx, w, nil, seed, opts)
 }
 
 // WarmOrBordaSeed resolves a search's starting ranking: a clone of
@@ -150,7 +149,7 @@ func ConstrainedLocalSearch(w *ranking.Precedence, cons []Constraint, start rank
 		panic("kemeny: ConstrainedLocalSearch start ranking violates constraints")
 	}
 	r := start.Clone()
-	sc := newSearchScratch(len(r))
+	sc := new(searchScratch)
 	sc.syncAuditor(cons, r)
 	sc.descentDelta(context.Background(), w, r)
 	return r
@@ -180,17 +179,11 @@ func ConstrainedSearchCtx(ctx context.Context, w *ranking.Precedence, cons []Con
 	opts = opts.WithDefaults()
 	endSeed := obs.StartSpan(ctx, "kemeny_seed_descent")
 	seed := start.Clone()
-	// The seed descent is the one single-threaded stretch of the search, so
-	// it alone shards its candidate scans across the restart pool's width;
-	// restart descents keep sequential scans (the pool already owns that
-	// parallelism).
-	sc := newSearchScratch(len(seed))
-	sc.scanWorkers = scanWorkers(opts.Workers)
+	sc := new(searchScratch)
 	sc.syncAuditor(cons, seed)
-	seedCost := w.KemenyCost(seed) + sc.descentDelta(ctx, w, seed)
+	sc.descentDelta(ctx, w, seed)
 	endSeed()
-	best, _ := restartSearch(ctx, w, cons, seed, seedCost, opts)
-	return best
+	return restartSearch(ctx, w, cons, seed, opts)
 }
 
 // descentDelta runs the insertion descent on r in place until no element
@@ -234,25 +227,36 @@ func (sc *searchScratch) descentDelta(ctx context.Context, w *ranking.Precedence
 // returns (i, 0).
 //
 // One sweep per direction does everything. The delta of moving to j is the
-// exact-integer running sum of the precedence terms crossed (fillTerms), and
-// only a target that would beat the best feasible one so far pays a
-// feasibility probe (auditor.feasibleTo): O(groups) from per-group window
-// histograms, with no binary searches and no candidate list. A probe that
-// reports the direction blocked ends that sweep early. The ranking and
-// trackers are fixed during the sweeps, so the result is exactly the first
-// feasible candidate in (delta, scan order) — the order the historical
-// sorted candidate list was tried in.
+// exact-integer running sum of the precedence margins crossed, read inline
+// from row c of the matrix, and only a target that would beat the best
+// feasible one so far pays a feasibility probe (auditor.feasibleTo):
+// O(groups) from per-group window histograms, with no binary searches and no
+// candidate list. A probe that reports the direction blocked ends that sweep
+// early. The ranking and trackers are fixed during the sweeps, so the result
+// is exactly the first feasible candidate in (delta, scan order) — the order
+// the historical sorted candidate list was tried in.
+//
+// A sweep also ends once no later target can win. The pair invariant keeps
+// every margin in [-m, m] (m = w.Rankings(), the total weight), so after the
+// term at j the k targets still ahead of the sweep have running deltas of at
+// least d - m·k; a target is kept only when its delta is strictly below the
+// best, so once d - m·k >= delta none of them can be, and stopping there
+// returns the same (to, delta).
 func (sc *searchScratch) bestMove(w *ranking.Precedence, r ranking.Ranking, i int) (to, delta int) {
-	terms := sc.fillTerms(w, r, i)
 	aud := sc.aud
+	c := r[i]
+	m := w.Rankings()
 	to = i
 	d := 0
 	if aud != nil {
 		aud.startWindow(i, true)
 	}
 	for j := i - 1; j >= 0; j-- {
-		d += terms[j]
+		d += w.Margin(c, r[j])
 		if d >= delta {
+			if d-m*j >= delta {
+				break
+			}
 			continue
 		}
 		if aud == nil {
@@ -267,9 +271,13 @@ func (sc *searchScratch) bestMove(w *ranking.Precedence, r ranking.Ranking, i in
 	if aud != nil {
 		aud.startWindow(i, false)
 	}
-	for j := i + 1; j < len(r); j++ {
-		d -= terms[j]
+	last := len(r) - 1
+	for j := i + 1; j <= last; j++ {
+		d -= w.Margin(c, r[j])
 		if d >= delta {
+			if d-m*(last-j) >= delta {
+				break
+			}
 			continue
 		}
 		if aud == nil {
@@ -281,48 +289,4 @@ func (sc *searchScratch) bestMove(w *ranking.Precedence, r ranking.Ranking, i in
 		}
 	}
 	return to, delta
-}
-
-// shardMinScan is the scan length n at which fillTerms fans the
-// per-position precedence lookups out across the scratch's worker pool;
-// below it the goroutine handoff costs more than the lookups. It is a
-// variable only so determinism tests can force sharding on small instances.
-var shardMinScan = 2048
-
-// fillTerms fills the scratch's term buffer for the candidate c at position
-// i: terms[k] = W[c][r[k]] - W[r[k]][c] (Precedence.Margin), the cost change
-// of c overtaking r[k] (its negation is the change of r[k] overtaking c).
-// These lookups — scattered reads across row c of an O(n^2) matrix — are the
-// expensive part of a scan, so they shard across sc.scanWorkers contiguous
-// segments when n >= shardMinScan. Every term is an exact integer, so
-// bestMove's sweeps see the same values for every worker count. The
-// returned slice aliases the scratch and is valid until the next call.
-func (sc *searchScratch) fillTerms(w *ranking.Precedence, r ranking.Ranking, i int) []int {
-	n := len(r)
-	terms := sc.terms[:n]
-	c := r[i]
-	if workers := sc.scanWorkers; workers > 1 && n >= shardMinScan {
-		// Only this branch builds a closure, so the sequential scans of
-		// restart descents stay allocation-free.
-		var wg sync.WaitGroup
-		for s := 0; s < workers; s++ {
-			lo, hi := s*n/workers, (s+1)*n/workers
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				fillTermRange(terms[lo:hi], w, r[lo:hi], c)
-			}()
-		}
-		wg.Wait()
-	} else {
-		fillTermRange(terms, w, r, c)
-	}
-	return terms
-}
-
-// fillTermRange sets terms[k] = W[c][ys[k]] - W[ys[k]][c].
-func fillTermRange(terms []int, w *ranking.Precedence, ys ranking.Ranking, c int) {
-	for k, y := range ys {
-		terms[k] = w.Margin(c, y)
-	}
 }

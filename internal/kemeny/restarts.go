@@ -51,10 +51,10 @@ func restartWorkers(requested, restarts int) int {
 }
 
 // searchScratch is one worker's reusable working set: the descent's
-// precedence-term buffer and its incremental fairness auditor, plus — for
-// restart workers — the current-ranking buffer the restarts mutate and the
-// restart RNG (re-seeded per restart; math/rand's generator state is ~5KB,
-// too big to churn per restart). The descent-only callers
+// incremental fairness auditor, plus — for restart workers — the
+// current-ranking buffer the restarts mutate and the restart RNG (re-seeded
+// per restart; math/rand's generator state is ~5KB, too big to churn per
+// restart). The descent-only callers
 // (ConstrainedLocalSearch, the seed descents) never touch cur/rng, so those
 // are initialised lazily on the first restart; the auditor is built on the
 // first syncAuditor and reset — not reallocated — per restart. All of it
@@ -62,27 +62,9 @@ func restartWorkers(requested, restarts int) int {
 // steady-state restarts allocate only when they actually improve on the
 // seed (TestRestartAllocFree).
 type searchScratch struct {
-	cur   ranking.Ranking
-	terms []int
-	aud   *auditor
-	rng   *rand.Rand
-	// scanWorkers > 1 shards fillTerms' precedence lookups; only the seed
-	// descent sets it (restart workers keep 1 — the pool is the parallelism).
-	scanWorkers int
-}
-
-// scanWorkers resolves Options.Workers for the seed descent's sharded
-// candidate scan: <= 0 auto-sizes to GOMAXPROCS, like restartWorkers.
-func scanWorkers(requested int) int {
-	if requested <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return requested
-}
-
-// newSearchScratch returns a scratch for rankings of length n.
-func newSearchScratch(n int) *searchScratch {
-	return &searchScratch{terms: make([]int, n)}
+	cur ranking.Ranking
+	aud *auditor
+	rng *rand.Rand
 }
 
 // runRestart executes restart idx from the shared seed ranking and returns
@@ -110,8 +92,9 @@ func (sc *searchScratch) runRestart(ctx context.Context, w *ranking.Precedence, 
 }
 
 // restartSearch runs opts.Perturbations independent perturbed restarts from
-// seed (already a local optimum with cost seedCost) on a pool of
-// restartWorkers goroutines, and returns the best ranking and cost seen.
+// seed (already a local optimum) on a pool of restartWorkers goroutines, and
+// returns the best ranking seen. The seed's O(n²) Kemeny cost, the baseline
+// every restart is scored against, is computed only when restarts run.
 // An empty constraint set selects the unconstrained engine. Ties — including every
 // restart that fails to improve — resolve to the seed first and then to the
 // lowest restart index, independent of schedule.
@@ -122,16 +105,17 @@ func (sc *searchScratch) runRestart(ctx context.Context, w *ranking.Precedence, 
 // at minimum the seed, never a zero value. With a never-cancelled ctx the
 // output is bitwise identical to the uncancelled engine for every worker
 // count.
-func restartSearch(ctx context.Context, w *ranking.Precedence, cons []Constraint, seed ranking.Ranking, seedCost int, opts Options) (ranking.Ranking, int) {
+func restartSearch(ctx context.Context, w *ranking.Precedence, cons []Constraint, seed ranking.Ranking, opts Options) ranking.Ranking {
 	restarts := opts.Perturbations
 	if restarts <= 0 || len(seed) < 2 || ctx.Err() != nil {
-		return seed, seedCost
+		return seed
 	}
+	seedCost := w.KemenyCost(seed)
 	costs := make([]int, restarts)
 	improved := make([]ranking.Ranking, restarts)
 	workers := restartWorkers(opts.Workers, restarts)
 	if workers == 1 {
-		sc := newSearchScratch(len(seed))
+		sc := new(searchScratch)
 		for i := 0; i < restarts && ctx.Err() == nil; i++ {
 			costs[i], improved[i] = sc.runRestart(ctx, w, cons, seed, seedCost, opts, i)
 		}
@@ -142,7 +126,7 @@ func restartSearch(ctx context.Context, w *ranking.Precedence, cons []Constraint
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sc := newSearchScratch(len(seed))
+				sc := new(searchScratch)
 				for ctx.Err() == nil {
 					i := int(atomic.AddInt64(&next, 1))
 					if i >= restarts {
@@ -160,7 +144,7 @@ func restartSearch(ctx context.Context, w *ranking.Precedence, cons []Constraint
 			best, bestCost = improved[i], costs[i]
 		}
 	}
-	return best, bestCost
+	return best
 }
 
 // perturbFeasibleDelta applies up to strength random insertion moves to r,

@@ -154,7 +154,7 @@ func TestRestartAllocFree(t *testing.T) {
 	}{{"constrained", cons}, {"unconstrained", nil}} {
 		seed := ConstrainedLocalSearch(w, tc.cons, start)
 		seedCost := w.KemenyCost(seed)
-		sc := newSearchScratch(n)
+		sc := new(searchScratch)
 		idx := -1
 		for i := 0; i < 64 && idx < 0; i++ {
 			if _, improved := sc.runRestart(ctx, w, tc.cons, seed, seedCost, opts, i); improved == nil {

@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -814,6 +815,22 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// decodeBody decodes the request body, capped at Config.MaxBodyBytes, as
+// exactly one JSON value into v. Unknown fields are errors, and so is
+// anything but whitespace after the value: a body with trailing junk or a
+// second object is malformed, not a valid request with an ignored tail.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
+}
+
 func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
@@ -821,10 +838,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AggregateRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err), start)
 		return
 	}

@@ -307,6 +307,55 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestStrictJSONBodies: every JSON-bodied endpoint accepts exactly one JSON
+// value. A clean body (trailing whitespace included) is served; trailing
+// junk or a second object after a valid request is a 400, not a request
+// whose tail is silently ignored.
+func TestStrictJSONBodies(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req, err := json.Marshal(testRequest("borda", 21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, sess := createSession(t, ts.URL, testRequest("borda", 22))
+	if status != http.StatusOK {
+		t.Fatalf("creating session: status %d", status)
+	}
+	endpoints := []struct {
+		name, path string
+		body       []byte
+	}{
+		{"aggregate", "/v1/aggregate", req},
+		{"session create", "/v1/session", req},
+		{"session op", "/v1/session/" + sess.SessionID, []byte(`{"op":"solve"}`)},
+	}
+	tails := []struct {
+		name, tail string
+		want       int
+	}{
+		{"clean body", "", http.StatusOK},
+		{"trailing whitespace", " \n\t\r\n", http.StatusOK},
+		{"trailing junk", " trailing junk", http.StatusBadRequest},
+		{"second object", "{}", http.StatusBadRequest},
+		{"second value", "\n[1]", http.StatusBadRequest},
+		{"stray delimiter", "}", http.StatusBadRequest},
+	}
+	for _, ep := range endpoints {
+		for _, tc := range tails {
+			body := append(append([]byte{}, ep.body...), tc.tail...)
+			resp, err := http.Post(ts.URL+ep.path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s, %s: status %d, want %d", ep.name, tc.name, resp.StatusCode, tc.want)
+			}
+		}
+	}
+}
+
 // TestThresholdsPerAttribute: per-attribute thresholds reach the solver —
 // the tight attribute's parity is enforced below the loose default.
 func TestThresholdsPerAttribute(t *testing.T) {

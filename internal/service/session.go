@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -126,10 +125,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AggregateRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err), start)
 		return
 	}
@@ -248,10 +244,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 // with the fresh consensus over the session's new state.
 func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request, sess *session, start time.Time) {
 	var op SessionOp
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&op); err != nil {
+	if err := s.decodeBody(w, r, &op); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding op: %w", err), start)
 		return
 	}
