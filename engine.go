@@ -215,8 +215,9 @@ func WithSolverWorkers(n int) SolveOption {
 // so mutations cannot invalidate feasibility). The ranking is cloned before
 // use. Warm results are deterministic per (input, r, options) and bitwise
 // identical for every WithSolverWorkers width, but not necessarily equal to
-// a cold solve — the searches explore from different local optima. A nil or
-// wrong-length r is ignored (cold solve).
+// a cold solve — the searches explore from different local optima. A nil r,
+// or one that is not a permutation of the engine's candidates (wrong length,
+// a duplicate, an out-of-range id), is ignored (cold solve).
 func WithWarmStart(r Ranking) SolveOption {
 	return func(c *solveConfig) { c.kemeny.Warm = r }
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"manirank"
 )
@@ -216,6 +217,64 @@ func TestEngineWarmStart(t *testing.T) {
 	}
 	if !reflect.DeepEqual(short.Ranking, coldAgain.Ranking) {
 		t.Fatal("mis-sized warm ranking changed the solve instead of being ignored")
+	}
+}
+
+// TestEngineInvalidWarmStart pins the fallback for warm rankings of the
+// right length that are not permutations — a duplicated candidate, an id
+// past n, a negative id: the Kemeny searches must ignore them and return the
+// cold solve, for the fair and the unaware methods alike, instead of
+// descending forever over the duplicate or reading cells the ranking does
+// not own. Each solve runs under a wall-clock deadline.
+func TestEngineInvalidWarmStart(t *testing.T) {
+	const n = 20
+	tab := demoTable(t, n)
+	p := demoProfile(t, tab, 10, 0.5, 31)
+	targets := manirank.Targets(tab, 0.15)
+	eng, err := manirank.NewEngine(p, manirank.WithTable(tab))
+	if err != nil {
+		t.Fatal(err)
+	}
+	duplicate := make(manirank.Ranking, n)
+	for i := range duplicate {
+		duplicate[i] = i / 2
+	}
+	outOfRange := manirank.NewRanking(n)
+	outOfRange[3] = n + 7
+	negative := manirank.NewRanking(n)
+	negative[n-1] = -1
+	solve := func(m manirank.Method, opts ...manirank.SolveOption) manirank.Ranking {
+		t.Helper()
+		type outcome struct {
+			res *manirank.Result
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := eng.Solve(context.Background(), m, targets, append(pinnedSolveOptions(), opts...)...)
+			done <- outcome{res, err}
+		}()
+		select {
+		case o := <-done:
+			if o.err != nil {
+				t.Fatalf("%v: %v", m, o.err)
+			}
+			if o.res.Partial {
+				t.Fatalf("%v: partial result", m)
+			}
+			return o.res.Ranking
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%v: Solve did not return within 30s", m)
+			return nil
+		}
+	}
+	for _, m := range []manirank.Method{manirank.MethodKemeny, manirank.MethodKemenyWeighted, manirank.MethodFairKemeny} {
+		cold := solve(m)
+		for name, warm := range map[string]manirank.Ranking{"duplicate": duplicate, "out-of-range": outOfRange, "negative": negative} {
+			if got := solve(m, manirank.WithWarmStart(warm)); !reflect.DeepEqual(got, cold) {
+				t.Fatalf("%v: %s warm ranking changed the solve instead of being ignored\ncold %v\ngot  %v", m, name, cold, got)
+			}
+		}
 	}
 }
 

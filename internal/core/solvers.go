@@ -67,10 +67,11 @@ func FairKemenyW(ctx context.Context, w *ranking.Precedence, targets []Target, o
 	// profile mutation remains feasible after it — it replaces the whole
 	// unconstrained-Kemeny + Make-MR-Fair incumbent derivation. That skips
 	// one of the two full search phases a cold Fair-Kemeny pays, which is
-	// what makes session re-solves cheap. An infeasible or mis-sized warm
-	// ranking falls back to the cold path.
+	// what makes session re-solves cheap. A warm ranking that is not a
+	// permutation of w's candidates, or is infeasible, falls back to the
+	// cold path.
 	var incumbent ranking.Ranking
-	if warm := opts.Warm; len(warm) == w.N() && kemeny.Feasible(warm, cons) {
+	if warm := opts.Warm; kemeny.UsableWarm(w, warm) && kemeny.Feasible(warm, cons) {
 		incumbent = warm.Clone()
 	} else {
 		unfair := aggregate.KemenyCtx(ctx, w, opts)

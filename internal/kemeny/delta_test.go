@@ -19,7 +19,9 @@ func TestLocalSearchDeltaMatchesFullCost(t *testing.T) {
 		w := ranking.MustPrecedence(randomProfile(n, m, rng))
 		r := ranking.Random(n, rng)
 		before := w.KemenyCost(r)
-		delta := new(searchScratch).descentDelta(context.Background(), w, r)
+		sc := new(searchScratch)
+		sc.sync(w, nil, r)
+		delta := sc.descentDelta(context.Background(), w, r)
 		return before+delta == w.KemenyCost(r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -41,11 +43,9 @@ func TestPerturbDeltaMatchesFullCost(t *testing.T) {
 		}
 		wasFeasible := Feasible(r, cons)
 		before := w.KemenyCost(r)
-		var aud *auditor
-		if len(cons) > 0 {
-			aud = newAuditor(cons, r)
-		}
-		delta := perturbFeasibleDelta(w, aud, r, 6, rng)
+		sc := new(searchScratch)
+		sc.sync(w, cons, r)
+		delta := sc.perturbFeasibleDelta(w, r, 6, rng)
 		// The delta is exact, and feasibility-preserving moves never break a
 		// feasible start.
 		return before+delta == w.KemenyCost(r) && (!wasFeasible || Feasible(r, cons))

@@ -163,7 +163,7 @@ func TestIncrementalDescentMatchesReference(t *testing.T) {
 
 		inc := start.Clone()
 		sc := new(searchScratch)
-		sc.syncAuditor(cons, inc)
+		sc.sync(w, cons, inc)
 		incDelta := sc.descentDelta(context.Background(), w, inc)
 
 		if !inc.Equal(ref) {
@@ -213,7 +213,9 @@ func TestIncrementalPerturbMatchesReference(t *testing.T) {
 		ref := start.Clone()
 		refDelta := referencePerturb(w, cons, ref, 6, rand.New(rand.NewSource(seed)))
 		inc := start.Clone()
-		incDelta := perturbFeasibleDelta(w, newAuditor(cons, inc), inc, 6, rand.New(rand.NewSource(seed)))
+		sc := new(searchScratch)
+		sc.sync(w, cons, inc)
+		incDelta := sc.perturbFeasibleDelta(w, inc, 6, rand.New(rand.NewSource(seed)))
 		if !inc.Equal(ref) || incDelta != refDelta {
 			t.Fatalf("trial %d: perturb diverged (delta %d vs %d)\nref %v\ninc %v",
 				trial, incDelta, refDelta, ref, inc)

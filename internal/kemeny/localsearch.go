@@ -26,7 +26,7 @@ func BordaFromPrecedence(w *ranking.Precedence) ranking.Ranking {
 // O(n^2); the insertion neighbourhood is the standard Kemeny local search
 // (Ali & Meila 2012).
 func LocalSearch(w *ranking.Precedence, r ranking.Ranking) ranking.Ranking {
-	new(searchScratch).descentDelta(context.Background(), w, r)
+	seedDescent(context.Background(), w, nil, r)
 	return r
 }
 
@@ -65,7 +65,7 @@ type Options struct {
 	// profile mutation the previous consensus is already near-optimal, so
 	// descending from it converges in far fewer passes than re-deriving a
 	// cold seed. The ranking must be a valid permutation over the matrix's
-	// candidates (engines ignore a length mismatch and fall back to the cold
+	// candidates (engines ignore any other ranking and fall back to the cold
 	// seed); it is cloned before any mutation. Warm-started results are
 	// deterministic per (input, Warm, options) and bitwise identical for
 	// every Workers value, but NOT guaranteed identical to a cold solve —
@@ -99,12 +99,11 @@ func (o Options) WithDefaults() Options {
 // exact optimum (the majority order is the unique local optimum of the
 // insertion neighbourhood there).
 //
-// The cost is tracked incrementally: restarts pay one full KemenyCost
-// evaluation of the seed local optimum, then only O(move) deltas from the
-// perturbation and search moves; with restarts disabled no cost is
-// computed. Restarts derive their RNGs from (Options.Seed, restart index)
-// and run on an Options.Workers pool (restarts.go); the result is bitwise
-// identical for every worker count.
+// The cost is tracked incrementally: the seed's cost comes from the pair
+// sweep that sets up the descent's bounds, then only O(move) deltas from the
+// descent, perturbation and search moves. Restarts derive their RNGs from
+// (Options.Seed, restart index) and run on an Options.Workers pool
+// (restarts.go); the result is bitwise identical for every worker count.
 func Heuristic(w *ranking.Precedence, opts Options) ranking.Ranking {
 	return HeuristicCtx(context.Background(), w, opts)
 }
@@ -119,21 +118,30 @@ func Heuristic(w *ranking.Precedence, opts Options) ranking.Ranking {
 func HeuristicCtx(ctx context.Context, w *ranking.Precedence, opts Options) ranking.Ranking {
 	opts = opts.WithDefaults()
 	endSeed := obs.StartSpan(ctx, "kemeny_seed_descent")
-	seed := WarmOrBordaSeed(w, opts)
-	new(searchScratch).descentDelta(ctx, w, seed)
+	sc, cost := seedDescent(ctx, w, nil, WarmOrBordaSeed(w, opts))
 	endSeed()
-	return restartSearch(ctx, w, nil, seed, opts)
+	return restartSearch(ctx, w, nil, sc, cost, opts)
 }
 
 // WarmOrBordaSeed resolves a search's starting ranking: a clone of
-// Options.Warm when one is usable, otherwise the Borda consensus. A warm
-// ranking of the wrong length (a stale consensus over a different candidate
-// set) silently falls back to cold rather than corrupting the search.
+// Options.Warm when it is a permutation of the matrix's candidates,
+// otherwise the Borda consensus. A warm ranking of the wrong length (a stale
+// consensus over a different candidate set), with a duplicate or with an
+// out-of-range id silently falls back to cold rather than corrupting the
+// search.
 func WarmOrBordaSeed(w *ranking.Precedence, opts Options) ranking.Ranking {
-	if len(opts.Warm) == w.N() {
+	if UsableWarm(w, opts.Warm) {
 		return opts.Warm.Clone()
 	}
 	return BordaFromPrecedence(w)
+}
+
+// UsableWarm reports whether warm can seed a search over w: it must be a
+// permutation of w's N() candidates. Anything else — a nil ranking, a stale
+// one over a different candidate set, a duplicate or an out-of-range id —
+// is ignored by the engines in favour of a cold seed.
+func UsableWarm(w *ranking.Precedence, warm ranking.Ranking) bool {
+	return len(warm) == w.N() && warm.IsValid()
 }
 
 // ConstrainedLocalSearch minimises Kemeny cost over rankings satisfying cons
@@ -149,9 +157,7 @@ func ConstrainedLocalSearch(w *ranking.Precedence, cons []Constraint, start rank
 		panic("kemeny: ConstrainedLocalSearch start ranking violates constraints")
 	}
 	r := start.Clone()
-	sc := new(searchScratch)
-	sc.syncAuditor(cons, r)
-	sc.descentDelta(context.Background(), w, r)
+	seedDescent(context.Background(), w, cons, r)
 	return r
 }
 
@@ -178,21 +184,28 @@ func ConstrainedSearchCtx(ctx context.Context, w *ranking.Precedence, cons []Con
 	}
 	opts = opts.WithDefaults()
 	endSeed := obs.StartSpan(ctx, "kemeny_seed_descent")
-	seed := start.Clone()
-	sc := new(searchScratch)
-	sc.syncAuditor(cons, seed)
-	sc.descentDelta(ctx, w, seed)
+	sc, cost := seedDescent(ctx, w, cons, start.Clone())
 	endSeed()
-	return restartSearch(ctx, w, cons, seed, opts)
+	return restartSearch(ctx, w, cons, sc, cost, opts)
+}
+
+// seedDescent runs the insertion descent on r in place from a fresh scratch
+// and returns that scratch — holding r as cur, synced to the local optimum —
+// with r's final Kemeny cost, the baseline restartSearch scores against.
+func seedDescent(ctx context.Context, w *ranking.Precedence, cons []Constraint, r ranking.Ranking) (*searchScratch, int) {
+	sc := &searchScratch{cur: r}
+	cost := sc.sync(w, cons, r)
+	return sc, cost + sc.descentDelta(ctx, w, r)
 }
 
 // descentDelta runs the insertion descent on r in place until no element
 // has an improving feasible move, and returns the total Kemeny-cost change.
 // Each element in turn moves to its best feasible insertion target
 // (bestMove) — best-improvement per element, so with no constraints it is
-// the plain Kemeny local search. The scratch's auditor must already be
-// synced to r (syncAuditor); a nil auditor means no constraints. Accepted
-// moves update the trackers in O(span + groups · log n). Cancellation is
+// the plain Kemeny local search. The scratch must already be synced to r
+// (sync); a nil auditor means no constraints. Accepted moves go through
+// move, which updates the trackers and the sweep bounds in
+// O(span + groups · log n). Cancellation is
 // checked between passes; an early exit leaves r feasible (every accepted
 // move preserved feasibility) with the returned delta exact.
 func (sc *searchScratch) descentDelta(ctx context.Context, w *ranking.Precedence, r ranking.Ranking) int {
@@ -207,10 +220,7 @@ func (sc *searchScratch) descentDelta(ctx context.Context, w *ranking.Precedence
 			if delta == 0 {
 				continue
 			}
-			if sc.aud != nil {
-				sc.aud.applyMove(i, to)
-			}
-			r.MoveTo(i, to)
+			sc.move(w, r, i, to)
 			total += delta
 			improved = true
 		}
@@ -236,27 +246,29 @@ func (sc *searchScratch) descentDelta(ctx context.Context, w *ranking.Precedence
 // is exactly the first feasible candidate in (delta, scan order) — the order
 // the historical sorted candidate list was tried in.
 //
-// A sweep also ends once no later target can win. The pair invariant keeps
-// every margin in [-m, m] (m = w.Rankings(), the total weight), so after the
-// term at j the k targets still ahead of the sweep have running deltas of at
-// least d - m·k; a target is kept only when its delta is strictly below the
-// best, so once d - m·k >= delta none of them can be, and stopping there
-// returns the same (to, delta).
+// A sweep also ends once no later target can win. rem starts as the
+// candidate's inversion mass in that direction (sc.up or sc.dn: the sum of
+// the negative terms the sweep will meet) and each negative term read is
+// taken out of it, so every target not yet read has a delta of at least
+// d + rem. A target is kept only when its delta is strictly below the best,
+// so once d + rem >= delta none of them can be, and stopping there returns
+// the same (to, delta). A candidate with no negative term in a direction
+// skips that sweep outright.
 func (sc *searchScratch) bestMove(w *ranking.Precedence, r ranking.Ranking, i int) (to, delta int) {
 	aud := sc.aud
 	c := r[i]
-	m := w.Rankings()
 	to = i
-	d := 0
+	d, rem := 0, sc.up[c]
 	if aud != nil {
 		aud.startWindow(i, true)
 	}
-	for j := i - 1; j >= 0; j-- {
-		d += w.Margin(c, r[j])
+	for j := i - 1; j >= 0 && d+rem < delta; j-- {
+		t := w.Margin(c, r[j])
+		d += t
+		if t < 0 {
+			rem -= t
+		}
 		if d >= delta {
-			if d-m*j >= delta {
-				break
-			}
 			continue
 		}
 		if aud == nil {
@@ -267,17 +279,17 @@ func (sc *searchScratch) bestMove(w *ranking.Precedence, r ranking.Ranking, i in
 			break
 		}
 	}
-	d = 0
+	d, rem = 0, sc.dn[c]
 	if aud != nil {
 		aud.startWindow(i, false)
 	}
-	last := len(r) - 1
-	for j := i + 1; j <= last; j++ {
-		d -= w.Margin(c, r[j])
+	for j := i + 1; j < len(r) && d+rem < delta; j++ {
+		t := -w.Margin(c, r[j])
+		d += t
+		if t < 0 {
+			rem -= t
+		}
 		if d >= delta {
-			if d-m*(last-j) >= delta {
-				break
-			}
 			continue
 		}
 		if aud == nil {

@@ -3,6 +3,7 @@ package kemeny
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"manirank/internal/ranking"
@@ -10,7 +11,8 @@ import (
 
 // unprunedBestMove is bestMove without the early-exit bound: each sweep
 // reads every margin and ends only at the ranking's edge or on a blocked
-// feasibility probe. It is the reference the pruned sweeps must match.
+// feasibility probe. It ignores sc.up and sc.dn. It is the reference the
+// pruned sweeps must match.
 func unprunedBestMove(sc *searchScratch, w *ranking.Precedence, r ranking.Ranking, i int) (to, delta int) {
 	aud := sc.aud
 	c := r[i]
@@ -80,13 +82,34 @@ func pruneInstance(kind string, n int, rng *rand.Rand) *ranking.Precedence {
 	return w
 }
 
+// recountMass derives every candidate's inversion mass in r from its
+// definition, one Margin read per term: up[c] sums the negative Margin(c, b)
+// over the b above c, dn[c] the negative −Margin(c, b) over the b below c.
+func recountMass(w *ranking.Precedence, r ranking.Ranking) (up, dn []int) {
+	up, dn = make([]int, len(r)), make([]int, len(r))
+	for i, c := range r {
+		for j, b := range r {
+			if j < i {
+				up[c] += min(0, w.Margin(c, b))
+			} else if j > i {
+				dn[c] += min(0, -w.Margin(c, b))
+			}
+		}
+	}
+	return up, dn
+}
+
 // TestBestMovePruningMatchesUnpruned checks that the sweeps' early exit is
-// exact: on random small instances, every bestMove of a full descent —
+// exact and that its bounds stay current: on random small instances —
 // constrained and unconstrained, over plain, weighted and unanimous
-// profiles — returns the same (to, delta) as the unpruned sweep.
+// profiles — every bestMove of full descents returns the same (to, delta)
+// as the unpruned sweep, and after every move the scratch applies, whether
+// the descent's or a perturbation's (searchScratch.move), its up and dn
+// equal a recount from the definition. Each instance descends, perturbs one
+// proposal at a time, and descends again, three times over.
 func TestBestMovePruningMatchesUnpruned(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
-	calls := 0
+	calls, perturbMoves := 0, 0
 	for _, kind := range []string{"plain", "weighted", "unanimous"} {
 		for trial := 0; trial < 40; trial++ {
 			n := 2 + rng.Intn(40)
@@ -107,30 +130,51 @@ func TestBestMovePruningMatchesUnpruned(t *testing.T) {
 			}
 			name := fmt.Sprintf("%s trial %d (n=%d, m=%d, %d constraints)", kind, trial, n, w.Rankings(), len(cons))
 			sc := new(searchScratch)
-			sc.syncAuditor(cons, r)
-			for improved := true; improved; {
-				improved = false
-				for i := 0; i < n; i++ {
-					to, delta := sc.bestMove(w, r, i)
-					wantTo, wantDelta := unprunedBestMove(sc, w, r, i)
-					calls++
-					if to != wantTo || delta != wantDelta {
-						t.Fatalf("%s: bestMove(%d) = (%d, %d), unpruned (%d, %d)\nranking %v",
-							name, i, to, delta, wantTo, wantDelta, r)
+			if cost := sc.sync(w, cons, r); cost != w.KemenyCost(r) {
+				t.Fatalf("%s: sync returned cost %d, KemenyCost %d", name, cost, w.KemenyCost(r))
+			}
+			checkMass := func(after string) {
+				t.Helper()
+				up, dn := recountMass(w, r)
+				if !slices.Equal(sc.up, up) || !slices.Equal(sc.dn, dn) {
+					t.Fatalf("%s: after %s the maintained bounds drifted\nup %v, recount %v\ndn %v, recount %v\nranking %v",
+						name, after, sc.up, up, sc.dn, dn, r)
+				}
+			}
+			checkMass("sync")
+			for round := 0; round < 3; round++ {
+				if round > 0 {
+					for s := 0; s < 6; s++ {
+						before := slices.Clone(r)
+						sc.perturbFeasibleDelta(w, r, 1, rng)
+						if !slices.Equal(before, r) {
+							perturbMoves++
+						}
+						checkMass("a perturbation")
 					}
-					if delta == 0 {
-						continue
+				}
+				for improved := true; improved; {
+					improved = false
+					for i := 0; i < n; i++ {
+						to, delta := sc.bestMove(w, r, i)
+						wantTo, wantDelta := unprunedBestMove(sc, w, r, i)
+						calls++
+						if to != wantTo || delta != wantDelta {
+							t.Fatalf("%s: bestMove(%d) = (%d, %d), unpruned (%d, %d)\nranking %v",
+								name, i, to, delta, wantTo, wantDelta, r)
+						}
+						if delta == 0 {
+							continue
+						}
+						sc.move(w, r, i, to)
+						checkMass(fmt.Sprintf("the descent move %d -> %d", i, to))
+						improved = true
 					}
-					if sc.aud != nil {
-						sc.aud.applyMove(i, to)
-					}
-					r.MoveTo(i, to)
-					improved = true
 				}
 			}
 		}
 	}
-	if calls < 1000 {
-		t.Fatalf("only %d bestMove calls compared", calls)
+	if calls < 1000 || perturbMoves < 100 {
+		t.Fatalf("only %d bestMove calls compared and %d perturbation moves checked", calls, perturbMoves)
 	}
 }

@@ -50,40 +50,70 @@ func restartWorkers(requested, restarts int) int {
 	return w
 }
 
-// searchScratch is one worker's reusable working set: the descent's
-// incremental fairness auditor, plus — for restart workers — the
-// current-ranking buffer the restarts mutate and the restart RNG (re-seeded
-// per restart; math/rand's generator state is ~5KB, too big to churn per
-// restart). The descent-only callers
-// (ConstrainedLocalSearch, the seed descents) never touch cur/rng, so those
-// are initialised lazily on the first restart; the auditor is built on the
-// first syncAuditor and reset — not reallocated — per restart. All of it
-// stays cache-resident across every restart the worker runs, so
-// steady-state restarts allocate only when they actually improve on the
-// seed (TestRestartAllocFree).
+// searchScratch is one worker's reusable working set: the ranking it
+// descends (cur), the descent's incremental fairness auditor and sweep
+// bounds, plus — for restart workers — the restart RNG (re-seeded per
+// restart; math/rand's generator state is ~5KB, too big to churn per
+// restart). A seed descent's scratch holds the ranking it was handed; a
+// restart worker allocates cur, up, dn and rng lazily on its first restart
+// and overwrites them — with the auditor reset, not reallocated — per
+// restart. All of it stays cache-resident across every restart the worker
+// runs, so steady-state restarts allocate only when they actually improve on
+// the seed (TestRestartAllocFree).
 type searchScratch struct {
 	cur ranking.Ranking
 	aud *auditor
-	rng *rand.Rand
+	// up[c] and dn[c] are candidate c's inversion mass in the synced
+	// ranking (ranking.Precedence.InversionMass): the sums of the negative
+	// terms c's upward and downward sweeps would read, bestMove's bound.
+	// move keeps them current.
+	up, dn []int
+	rng    *rand.Rand
 }
 
-// runRestart executes restart idx from the shared seed ranking and returns
-// the restart's final cost plus a clone of its ranking when it strictly beats
-// the seed (nil otherwise — the common case allocates nothing). An empty
-// constraint set (nil or zero-length alike) leaves the auditor nil, so every
-// move is feasible.
-func (sc *searchScratch) runRestart(ctx context.Context, w *ranking.Precedence, cons []Constraint, seed ranking.Ranking, seedCost int, opts Options, idx int) (int, ranking.Ranking) {
+// sync points a fresh scratch at ranking r under cons: the auditor
+// (syncAuditor) and the sweep bounds, counted in one pair sweep. It returns
+// r's Kemeny cost, which that sweep reads anyway. Restart workers do not
+// sync; they copy a synced seed scratch (runRestart).
+func (sc *searchScratch) sync(w *ranking.Precedence, cons []Constraint, r ranking.Ranking) int {
+	sc.syncAuditor(cons, r)
+	sc.up, sc.dn = make([]int, len(r)), make([]int, len(r))
+	return w.InversionMass(r, sc.up, sc.dn)
+}
+
+// move applies r.MoveTo(from, to) together with its bookkeeping: the
+// auditor's trackers and the sweep bounds, O(span + groups · log n). Every
+// accepted move — descent and perturbation alike — goes through it, so the
+// bounds can never fall out of step with r.
+func (sc *searchScratch) move(w *ranking.Precedence, r ranking.Ranking, from, to int) {
+	if sc.aud != nil {
+		sc.aud.applyMove(from, to)
+	}
+	w.MoveInversionMass(r, sc.up, sc.dn, from, to)
+	r.MoveTo(from, to)
+}
+
+// runRestart executes restart idx from the shared seed scratch — its
+// ranking and bounds, copied in O(n) — and returns the restart's final cost
+// plus a clone of its ranking when it strictly beats the seed (nil otherwise
+// — the common case allocates nothing). An empty constraint set (nil or
+// zero-length alike) leaves the auditor nil, so every move is feasible.
+func (sc *searchScratch) runRestart(ctx context.Context, w *ranking.Precedence, cons []Constraint, seed *searchScratch, seedCost int, opts Options, idx int) (int, ranking.Ranking) {
 	defer obs.StartSpan(ctx, "kemeny_restart")()
 	if sc.cur == nil {
-		sc.cur = make(ranking.Ranking, len(seed))
+		n := len(seed.cur)
+		sc.cur = make(ranking.Ranking, n)
+		sc.up, sc.dn = make([]int, n), make([]int, n)
 		sc.rng = rand.New(rand.NewSource(0))
 	}
 	// Re-seeding the scratch generator draws the identical stream a fresh
 	// rand.New(rand.NewSource(seed)) would.
 	sc.rng.Seed(restartSeed(opts.Seed, idx, len(cons) > 0))
-	copy(sc.cur, seed)
+	copy(sc.cur, seed.cur)
+	copy(sc.up, seed.up)
+	copy(sc.dn, seed.dn)
 	sc.syncAuditor(cons, sc.cur)
-	cost := seedCost + perturbFeasibleDelta(w, sc.aud, sc.cur, opts.Strength, sc.rng)
+	cost := seedCost + sc.perturbFeasibleDelta(w, sc.cur, opts.Strength, sc.rng)
 	cost += sc.descentDelta(ctx, w, sc.cur)
 	if cost < seedCost {
 		return cost, sc.cur.Clone()
@@ -92,9 +122,10 @@ func (sc *searchScratch) runRestart(ctx context.Context, w *ranking.Precedence, 
 }
 
 // restartSearch runs opts.Perturbations independent perturbed restarts from
-// seed (already a local optimum) on a pool of restartWorkers goroutines, and
-// returns the best ranking seen. The seed's O(n²) Kemeny cost, the baseline
-// every restart is scored against, is computed only when restarts run.
+// the seed descent's scratch (seed.cur, already a local optimum, with its
+// bounds; see seedDescent) on a pool of restartWorkers goroutines, and returns
+// the best ranking seen. seedCost is seed.cur's Kemeny cost, the baseline
+// every restart is scored against. The workers only read seed.
 // An empty constraint set selects the unconstrained engine. Ties — including every
 // restart that fails to improve — resolve to the seed first and then to the
 // lowest restart index, independent of schedule.
@@ -105,12 +136,11 @@ func (sc *searchScratch) runRestart(ctx context.Context, w *ranking.Precedence, 
 // at minimum the seed, never a zero value. With a never-cancelled ctx the
 // output is bitwise identical to the uncancelled engine for every worker
 // count.
-func restartSearch(ctx context.Context, w *ranking.Precedence, cons []Constraint, seed ranking.Ranking, opts Options) ranking.Ranking {
+func restartSearch(ctx context.Context, w *ranking.Precedence, cons []Constraint, seed *searchScratch, seedCost int, opts Options) ranking.Ranking {
 	restarts := opts.Perturbations
-	if restarts <= 0 || len(seed) < 2 || ctx.Err() != nil {
-		return seed
+	if restarts <= 0 || len(seed.cur) < 2 || ctx.Err() != nil {
+		return seed.cur
 	}
-	seedCost := w.KemenyCost(seed)
 	costs := make([]int, restarts)
 	improved := make([]ranking.Ranking, restarts)
 	workers := restartWorkers(opts.Workers, restarts)
@@ -138,7 +168,7 @@ func restartSearch(ctx context.Context, w *ranking.Precedence, cons []Constraint
 		}
 		wg.Wait()
 	}
-	best, bestCost := seed, seedCost
+	best, bestCost := seed.cur, seedCost
 	for i := 0; i < restarts; i++ {
 		if improved[i] != nil && costs[i] < bestCost {
 			best, bestCost = improved[i], costs[i]
@@ -150,12 +180,14 @@ func restartSearch(ctx context.Context, w *ranking.Precedence, cons []Constraint
 // perturbFeasibleDelta applies up to strength random insertion moves to r,
 // keeping only those that preserve feasibility (infeasible proposals still
 // consume their draws), and returns the total Kemeny-cost change. Proposals
-// are audited through aud without mutating r — the incremental prediction is
-// bitwise identical to the historical move / Feasible / undo cycle — and
-// accepted moves update the trackers. A nil aud means no constraints: every
-// move is feasible, so it is the plain perturbation kernel too — same draws,
-// same moves.
-func perturbFeasibleDelta(w *ranking.Precedence, aud *auditor, r ranking.Ranking, strength int, rng *rand.Rand) int {
+// are audited through the scratch's auditor without mutating r — the
+// incremental prediction is bitwise identical to the historical move /
+// Feasible / undo cycle — and accepted moves go through move. A nil auditor
+// means no constraints: every move is feasible, so it is the plain
+// perturbation kernel too — same draws, same moves. The scratch must be
+// synced to r.
+func (sc *searchScratch) perturbFeasibleDelta(w *ranking.Precedence, r ranking.Ranking, strength int, rng *rand.Rand) int {
+	aud := sc.aud
 	n := len(r)
 	if n < 2 {
 		return 0
@@ -170,12 +202,8 @@ func perturbFeasibleDelta(w *ranking.Precedence, aud *auditor, r ranking.Ranking
 		if aud != nil && !aud.feasibleMove(i, j) {
 			continue
 		}
-		d := w.MoveDelta(r, i, j)
-		if aud != nil {
-			aud.applyMove(i, j)
-		}
-		r.MoveTo(i, j)
-		delta += d
+		delta += w.MoveDelta(r, i, j)
+		sc.move(w, r, i, j)
 	}
 	return delta
 }

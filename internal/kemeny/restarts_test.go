@@ -152,8 +152,7 @@ func TestRestartAllocFree(t *testing.T) {
 		name string
 		cons []Constraint
 	}{{"constrained", cons}, {"unconstrained", nil}} {
-		seed := ConstrainedLocalSearch(w, tc.cons, start)
-		seedCost := w.KemenyCost(seed)
+		seed, seedCost := seedDescent(ctx, w, tc.cons, start.Clone())
 		sc := new(searchScratch)
 		idx := -1
 		for i := 0; i < 64 && idx < 0; i++ {

@@ -2,7 +2,9 @@ package ranking
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -104,6 +106,78 @@ func FuzzUnmarshalPrecedence(f *testing.F) {
 		again, _ := w.MarshalBinary()
 		if !bytes.Equal(again, data) {
 			t.Fatal("accepted entry does not re-encode to its own bytes")
+		}
+	})
+}
+
+// massByDefinition derives every candidate's inversion mass in r term by
+// term through Margin: up[c] sums the negative Margin(c, b) over the b above
+// c, dn[c] the negative −Margin(c, b) over the b below c.
+func massByDefinition(w *Precedence, r Ranking) (up, dn []int) {
+	up, dn = make([]int, len(r)), make([]int, len(r))
+	for i, c := range r {
+		for j, b := range r {
+			if j < i {
+				up[c] += min(0, w.Margin(c, b))
+			} else if j > i {
+				dn[c] += min(0, -w.Margin(c, b))
+			}
+		}
+	}
+	return up, dn
+}
+
+// FuzzInversionMass checks the descent's bound kernels on fuzzed weighted
+// profiles, rankings and move sequences: InversionMass fills the inversion
+// mass its definition gives and returns KemenyCost, and after every move
+// the O(span) MoveInversionMass update equals a fresh recount. Layout:
+// data[0] -> n, data[1] -> m, data[2] -> which rankings weigh MaxInt32/m
+// (bit k for ranking k; the rest weigh 1..9), data[3] -> RNG seed, then
+// (from, to) byte pairs. With every bit set the total weight is within m of
+// MaxInt32, where 2·cell no longer fits an int32.
+func FuzzInversionMass(f *testing.F) {
+	f.Add([]byte{5, 3, 0, 1, 0, 4, 4, 0})
+	f.Add([]byte{20, 5, 0xff, 2, 19, 0, 0, 19, 7, 7, 3, 12})
+	f.Add([]byte{2, 0, 0xff, 3, 0, 1, 1, 0})
+	f.Add([]byte{31, 7, 0x55, 4, 10, 30, 29, 1, 15, 15, 0, 30})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		n := 2 + int(data[0])%32
+		m := 1 + int(data[1])%6
+		rng := rand.New(rand.NewSource(int64(data[3])))
+		p := make(Profile, m)
+		weights := make([]int, m)
+		for k := range p {
+			p[k] = Random(n, rng)
+			weights[k] = 1 + rng.Intn(9)
+			if data[2]&(1<<k) != 0 {
+				weights[k] = math.MaxInt32 / m
+			}
+		}
+		w, err := NewWeightedPrecedence(p, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := Random(n, rng)
+		up, dn := make([]int, n), make([]int, n)
+		if got, want := w.InversionMass(r, up, dn), w.KemenyCost(r); got != want {
+			t.Fatalf("InversionMass cost %d, KemenyCost %d", got, want)
+		}
+		if wantUp, wantDn := massByDefinition(w, r); !slices.Equal(up, wantUp) || !slices.Equal(dn, wantDn) {
+			t.Fatalf("InversionMass filled up %v dn %v, definition gives up %v dn %v", up, dn, wantUp, wantDn)
+		}
+		freshUp, freshDn := make([]int, n), make([]int, n)
+		for k := 4; k+1 < len(data) && k < 4+2*32; k += 2 {
+			from, to := int(data[k])%n, int(data[k+1])%n
+			w.MoveInversionMass(r, up, dn, from, to)
+			r.MoveTo(from, to)
+			w.InversionMass(r, freshUp, freshDn)
+			if !slices.Equal(up, freshUp) || !slices.Equal(dn, freshDn) {
+				t.Fatalf("after MoveTo(%d, %d): maintained up %v dn %v, recount up %v dn %v",
+					from, to, up, dn, freshUp, freshDn)
+			}
 		}
 	})
 }
