@@ -74,19 +74,28 @@ func checkGolden(t *testing.T, name string, got []string) {
 
 // TestTelemetryContract pins the observable telemetry surface after traffic
 // on both cache tiers: the sorted set of /metricsz series (names plus
-// labels; perfbench and loadgen scrape them by name) and the set of /statz
-// JSON key paths (loadgen decodes them). Both goldens were recorded from the
-// two-implementation cache tiers; a refactor must leave them untouched.
+// labels; perfbench scrapes them by name) and the set of /statz JSON key
+// paths. Both goldens were recorded from the two-implementation cache
+// tiers; a refactor must leave them untouched. It also checks that request
+// traces reach the per-stage histograms: a series that exists but never
+// moves would pass the golden while perfbench's stage="queue" reads zero.
 func TestTelemetryContract(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheDir: t.TempDir(), DiskBudgetBytes: 1 << 30})
 	contractTraffic(t, ts.URL)
 
-	series := make([]string, 0, 512)
-	for s := range scrapeMetrics(t, ts.URL) {
+	samples := scrapeMetrics(t, ts.URL)
+	series := make([]string, 0, len(samples))
+	for s := range samples {
 		series = append(series, s)
 	}
 	sort.Strings(series)
 	checkGolden(t, "metricsz_series.golden", series)
+	for _, stage := range []string{"queue", "solve", "encode", "result_lookup", "matrix_lookup", "matrix_build"} {
+		name := `manirank_stage_seconds_count{stage="` + stage + `"}`
+		if samples[name] <= 0 {
+			t.Errorf("%s = %g after traffic, want > 0", name, samples[name])
+		}
+	}
 
 	resp, err := http.Get(ts.URL + "/statz")
 	if err != nil {

@@ -213,6 +213,49 @@ func TestFleetBuildRoutedToOwner(t *testing.T) {
 	}
 }
 
+// TestFleetOneBuildPerProfileUnderLoad: concurrent clients spread over the
+// ring, asking each profile several times under two methods, still cost
+// exactly one matrix build per distinct profile fleet-wide — owner routing
+// and flight coalescing hold under contention — and both tiers serve peers.
+func TestFleetOneBuildPerProfileUnderLoad(t *testing.T) {
+	const profiles, clients, repeats = 20, 4, 3
+	nodes := newFleetHarness(t, 3, -1)
+	methods := []string{"borda", "copeland"}
+
+	var failures atomic.Int64
+	var sent atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < profiles*len(methods)*repeats; i += clients {
+				req := testRequest(methods[i%len(methods)], int64(200+(i/len(methods))%profiles))
+				status, err := rawPost(nodes[int(sent.Add(1))%len(nodes)].url, req)
+				if err != nil || status != http.StatusOK {
+					failures.Add(1)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if n := failures.Load(); n != 0 {
+		t.Fatalf("%d of %d requests failed", n, sent.Load())
+	}
+	var builds, resultPeerHits, matrixPeerHits uint64
+	for _, nd := range nodes {
+		builds += nd.srv.prec.Stats().Builds
+		matrixPeerHits += nd.srv.prec.Stats().PeerHits
+		resultPeerHits += nd.srv.cache.Stats().PeerHits
+	}
+	if builds != profiles {
+		t.Fatalf("fleet-wide matrix builds = %d, want exactly %d (one per profile)", builds, profiles)
+	}
+	if resultPeerHits == 0 || matrixPeerHits == 0 {
+		t.Fatalf("peer hits: result %d, matrix %d; want both > 0", resultPeerHits, matrixPeerHits)
+	}
+}
+
 // TestFleetKillOwnerUnderLoad: with one replica killed mid-load, every
 // request sent to a survivor still answers 200 — peer reads to the corpse
 // fail fast, feed the liveness view, and degrade to local compute.

@@ -173,6 +173,40 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestSessionEditsNeverRebuildMatrix pins the streaming path's reason to
+// exist: every session edit patches the precedence matrix in O(n²) and
+// warm-starts the solve, so a stream of mixed edits pays no O(n²·m) matrix
+// build after the one at create.
+func TestSessionEditsNeverRebuildMatrix(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	req := testRequest("fair-kemeny", 9)
+	n := len(req.Profile[0])
+	status, created := createSession(t, ts.URL, req)
+	if status != http.StatusOK {
+		t.Fatalf("create: status %d", status)
+	}
+	builds := s.prec.Stats().Builds
+	for i, op := range []SessionOp{
+		{Op: "update", Index: 0, Ranking: randomRow(n, 11)},
+		{Op: "add", Ranking: randomRow(n, 12)},
+		{Op: "update", Index: 5, Ranking: randomRow(n, 13)},
+		{Op: "remove", Index: 2},
+		{Op: "add", Ranking: randomRow(n, 14)},
+		{Op: "update", Index: 3, Ranking: randomRow(n, 15)},
+	} {
+		status, resp := postOp(t, ts.URL, created.SessionID, &op)
+		if status != http.StatusOK {
+			t.Fatalf("edit %d (%s): status %d", i, op.Op, status)
+		}
+		if !resp.WarmStarted {
+			t.Fatalf("edit %d (%s) solved cold", i, op.Op)
+		}
+	}
+	if got := s.prec.Stats().Builds; got != builds {
+		t.Fatalf("session edits rebuilt the matrix: builds %d -> %d", builds, got)
+	}
+}
+
 // TestSessionMutationDigestsNeverCollide pins the staleness impossibility
 // property: walking a session through a cycle of mutations that RETURNS to
 // a previous profile state reuses that state's cache entry (same digest only

@@ -1,80 +1,86 @@
 #!/usr/bin/env bash
-# bench.sh [N] — run the core micro-benchmarks plus the serving-layer load
-# benchmark and write BENCH_<N>.json (default N=1) in the repo root, seeding
-# the per-PR perf trajectory.
+# bench.sh [N] — run the core Go micro-benchmarks and write BENCH_<N>.json
+# (default N=1) in the repo root: every sample of every benchmark (ns/op,
+# B/op, allocs/op) plus the machine it ran on. A single sample is not
+# evidence; compare the sample arrays, not one number.
+#
+# Serving performance is not measured here: the gated, CPU-timed
+# instrument is perfbench/ (BENCHMARK.json). BENCH_3..BENCH_10 also carry
+# serving, restart, churn and fleet sections; the closed-loop harness that
+# wrote them has since been retired, and those sections are records only.
+#
+# BENCHTIME (default 1s) sets -benchtime for the micro and Schulze sets.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 N="${1:-1}"
 OUT="BENCH_${N}.json"
+BENCHTIME="${BENCHTIME:-1s}"
+COUNT=5
 
 # BenchmarkEngineSolveAll vs BenchmarkPerCallSolveAll is the Engine API v2
-# pair: all eight methods over one shared precedence matrix versus the
-# deprecated per-call entry points rebuilding it per method.
-BENCHES='BenchmarkPrecedenceMatrix100x150|BenchmarkMakeMRFair90|BenchmarkMallowsSample90|BenchmarkPlackettLuce100k|BenchmarkAblationILSBordaInit|BenchmarkHeuristicRestartsW1|BenchmarkHeuristicRestartsW4|BenchmarkEngineSolveAll|BenchmarkPerCallSolveAll'
-SCHULZE='BenchmarkSchulze500|BenchmarkSchulze500Dense'
+# pair: all eight methods over one shared precedence matrix versus one
+# Engine per method call, each rebuilding the matrix.
+MICRO=(BenchmarkPrecedenceMatrix100x150 BenchmarkMakeMRFair90 BenchmarkMallowsSample90
+  BenchmarkPlackettLuce100k BenchmarkAblationILSBordaInit BenchmarkHeuristicRestartsW1
+  BenchmarkHeuristicRestartsW4 BenchmarkEngineSolveAll BenchmarkPerCallSolveAll)
+SCHULZE=(BenchmarkSchulze500 BenchmarkSchulze500Dense)
 
-# PR 6 fairness-scale benches: BenchmarkConstrainedDescent5k vs its
-# full-recompute baseline is the incremental-auditor speedup BENCH_6 tracks;
-# MakeMRFair/FairKemeny pin the fair methods at n = 5000 and 10^4. Each runs
-# a fixed single iteration (setup excluded) — these are seconds-long
-# macro-benchmarks, not 1s-loop micro-benches.
-FAIR='BenchmarkConstrainedDescent5k$|BenchmarkConstrainedDescentFullAudit5k$|BenchmarkMakeMRFair5k$|BenchmarkMakeMRFair10k$|BenchmarkFairKemeny5k$|BenchmarkFairKemeny10k$'
+# Fairness-scale macro-benchmarks: BenchmarkConstrainedDescent5k vs its
+# full-recompute baseline is the incremental-auditor speedup; MakeMRFair and
+# FairKemeny pin the fair methods at n = 5000 and 10^4. These stay at one
+# iteration and one sample: ConstrainedDescentFullAudit5k alone runs ~35
+# minutes, so -count 5 would turn a run into hours.
+FAIR=(BenchmarkConstrainedDescent5k BenchmarkConstrainedDescentFullAudit5k
+  BenchmarkMakeMRFair5k BenchmarkMakeMRFair10k BenchmarkFairKemeny5k BenchmarkFairKemeny10k)
 
-RAW="$(go test -run '^$' -bench "$BENCHES" -benchtime "${BENCHTIME:-1s}" .)
-$(go test -run '^$' -bench "$SCHULZE" -benchtime "${BENCHTIME:-1s}" ./internal/aggregate)
-$(go test -run '^$' -bench "$FAIR" -benchtime 1x -timeout 120m .)"
-echo "$RAW"
+# anchored joins names into one exact-match -bench pattern.
+anchored() { local IFS='|'; echo "^($*)\$"; }
 
-# Serving-layer benchmark: the full sweep against an in-process manirankd —
-# replacement policy {lru, clock} x Zipf skew {0, 0.5, 1.2, 2.0} x method
-# mix {1, 4 methods over the same profiles} — reporting throughput, both
-# cache tiers' hit/build counters, and latency percentiles per cell.
-SERVING="$(go run ./cmd/experiments -serve-bench -seed 1)"
+RAW="$(mktemp)"
+trap 'rm -f "$RAW"' EXIT
 
-# Warm-restart recovery (PR 7): the same workload against a cold persistent
-# tier, a restarted process over the same cache directory, and a cold-restart
-# control with no persistence — the phase deltas are what the disk tier buys.
-RESTART="$(go run ./cmd/experiments -serve-restart -seed 1)"
+# One go test per line: with pipefail, a failing run aborts the script.
+go test -run '^$' -bench "$(anchored "${MICRO[@]}")" -benchtime "$BENCHTIME" -count "$COUNT" -benchmem . | tee -a "$RAW"
+go test -run '^$' -bench "$(anchored "${SCHULZE[@]}")" -benchtime "$BENCHTIME" -count "$COUNT" -benchmem ./internal/aggregate | tee -a "$RAW"
+go test -run '^$' -bench "$(anchored "${FAIR[@]}")" -benchtime 1x -benchmem -timeout 120m . | tee -a "$RAW"
 
-# Streaming-session churn (PR 9): identically seeded per-client edit streams
-# replayed through /v1/session (incremental O(n²) matrix patches +
-# warm-started solves) versus stateless /v1/aggregate re-POSTs (full O(n²·m)
-# rebuild, cold solve) at mutation fractions {0.1, 0.5, 0.9}.
-CHURN="$(go run ./cmd/experiments -serve-churn -seed 1 -serve-requests "${CHURN_REQUESTS:-200}")"
+for name in "${MICRO[@]}" "${SCHULZE[@]}" "${FAIR[@]}"; do
+  if ! grep -qE "^${name}(-[0-9]+)?[[:space:]]" "$RAW"; then
+    echo "bench.sh: $name produced no sample" >&2
+    exit 1
+  fi
+done
 
-# Fleet sharding (PR 10): the same Zipf workload against a single-node
-# control and a 3-replica rendezvous-sharded ring at equal per-node cache
-# size, then a degraded replay that kills one replica mid-load. The request
-# count must be high enough that the run outlasts the 200ms kill timer, or
-# killed_mid_run comes back false.
-FLEET="$(go run ./cmd/experiments -serve-fleet -seed 1 \
-  -serve-requests "${FLEET_REQUESTS:-1200}" -serve-clients 8 \
-  -serve-profiles 120 -serve-cache 48)"
-
+CPU="$(sed -n 's/^cpu: //p' "$RAW" | head -n 1)"
 {
   echo '{'
   echo "  \"pr\": ${N},"
   echo "  \"goos\": \"$(go env GOOS)\","
   echo "  \"goarch\": \"$(go env GOARCH)\","
+  echo "  \"go_version\": \"$(go env GOVERSION)\","
+  echo "  \"nproc\": $(nproc),"
+  echo "  \"cpu\": \"${CPU//\"/\\\"}\","
   echo '  "benchmarks": {'
-  echo "$RAW" | awk '
+  awk '
     /^Benchmark/ {
       name = $1; sub(/-[0-9]+$/, "", name)
-      lines[++count] = sprintf("    \"%s\": {\"iterations\": %s, \"ns_per_op\": %s}", name, $2, $3)
+      if (!(name in ns)) order[++count] = name
+      for (i = 3; i <= NF; i++) {
+        if ($i == "ns/op") ns[name] = ns[name] sep(ns[name]) $(i-1)
+        if ($i == "B/op") by[name] = by[name] sep(by[name]) $(i-1)
+        if ($i == "allocs/op") al[name] = al[name] sep(al[name]) $(i-1)
+      }
     }
+    function sep(s) { return s == "" ? "" : ", " }
     END {
-      for (i = 1; i <= count; i++) printf "%s%s\n", lines[i], (i < count ? "," : "")
-    }'
-  echo '  },'
-  echo '  "serving":'
-  echo "$SERVING" | sed 's/^/  /'
-  echo '  ,"restart":'
-  echo "$RESTART" | sed 's/^/  /'
-  echo '  ,"churn":'
-  echo "$CHURN" | sed 's/^/  /'
-  echo '  ,"fleet":'
-  echo "$FLEET" | sed 's/^/  /'
+      for (i = 1; i <= count; i++) {
+        n = order[i]
+        printf "    \"%s\": {\"ns_per_op\": [%s], \"bytes_per_op\": [%s], \"allocs_per_op\": [%s]}%s\n",
+          n, ns[n], by[n], al[n], (i < count ? "," : "")
+      }
+    }' "$RAW"
+  echo '  }'
   echo '}'
 } > "$OUT"
 
