@@ -1,13 +1,13 @@
 // Command manirankd serves MANI-Rank fair rank aggregation over HTTP: the
 // full solver family behind POST /v1/aggregate, with a two-tier digest-keyed
-// cache (full-request results under a -cache-policy of lru or clock, plus a
-// profile-keyed precedence-matrix tier so different methods over the same
-// profile share the O(n²·m) construction), single-flight request
-// coalescing, a bounded admission queue with 429 backpressure, per-request
-// deadlines (best-so-far on expiry), and observability endpoints: /healthz,
-// /statz (JSON), /metricsz (Prometheus text over the same registry), and
-// /tracez (recent and slowest request traces with per-stage spans; pair
-// with -trace-slow-ms to also log slow requests' span breakdowns). With
+// LRU cache (full-request results, plus a profile-keyed precedence-matrix
+// tier so different methods over the same profile share the O(n²·m)
+// construction), single-flight request coalescing, a bounded admission
+// queue with 429 backpressure, per-request deadlines (best-so-far on
+// expiry), and observability endpoints: /healthz, /statz (JSON), /metricsz
+// (Prometheus text over the same registry), and /tracez (recent and
+// slowest request traces with per-stage spans; pair with -trace-slow-ms to
+// also log slow requests' span breakdowns). With
 // -cache-dir both tiers persist to a versioned on-disk store, so a
 // restarted daemon serves its previous working set warm; bump
 // -cache-engine-version to invalidate everything persisted.
@@ -49,7 +49,6 @@ import (
 
 	"manirank/internal/fleet"
 	"manirank/internal/service"
-	"manirank/internal/service/cache"
 )
 
 func main() {
@@ -58,7 +57,6 @@ func main() {
 	workers := flag.Int("workers", 0, "solver pool width (0 = all CPUs)")
 	solverWorkers := flag.Int("solver-workers", 1, "restart shards per individual solve (kemeny.Options.Workers); keep 1 under concurrent load")
 	cacheSize := flag.Int("cache-size", 1024, "result cache capacity in entries (negative disables)")
-	cachePolicy := flag.String("cache-policy", cache.PolicyClock, "result cache replacement policy: "+strings.Join(cache.Policies(), "|"))
 	cacheTTL := flag.Duration("cache-ttl", 0, "result cache TTL (0 = never expire)")
 	cacheDir := flag.String("cache-dir", "", "root a persistent cache tier here: results and matrices survive restarts (empty disables)")
 	cacheEngineVersion := flag.String("cache-engine-version", "", "engine-behaviour version in the persistent cache namespace; bump to invalidate persisted entries (default "+service.DefaultEngineVersion+")")
@@ -123,7 +121,6 @@ func main() {
 		Workers:          *workers,
 		SolverWorkers:    *solverWorkers,
 		CacheSize:        *cacheSize,
-		CachePolicy:      *cachePolicy,
 		CacheTTL:         *cacheTTL,
 		CacheDir:         *cacheDir,
 		EngineVersion:    *cacheEngineVersion,
@@ -184,7 +181,7 @@ func main() {
 	}()
 
 	logger.Info("manirankd listening", "addr", *addr, "queue", *queue,
-		"cache_size", *cacheSize, "cache_policy", *cachePolicy, "prec_cache_mib", *precCacheMiB,
+		"cache_size", *cacheSize, "prec_cache_mib", *precCacheMiB,
 		"cache_dir", *cacheDir, "fleet_self", *fleetSelf)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "manirankd:", err)

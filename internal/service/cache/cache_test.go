@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -78,6 +80,45 @@ func TestEvictionCounterAccuracy(t *testing.T) {
 	// residents: the counter must track every one.
 	if s = c.Stats(); s.Evictions != 2*extra {
 		t.Fatalf("evictions after reprobe = %d, want %d", s.Evictions, 2*extra)
+	}
+}
+
+// TestLRUEvictionOrderTrace pins LRU eviction on a hand-derived trace
+// through a capacity-2 unit-cost tier: the victim is always the least
+// recently touched key, and a hit refreshes recency. After every access the
+// resident set and the eviction counter must match the record.
+func TestLRUEvictionOrderTrace(t *testing.T) {
+	c := newUnit(2, 0)
+	var evictions uint64
+	for i, s := range []struct {
+		key      string
+		hit      bool
+		evicted  string // "" = none
+		resident []string
+	}{
+		{"A", false, "", []string{"A"}},
+		{"B", false, "", []string{"A", "B"}},
+		{"A", true, "", []string{"A", "B"}}, // refresh A; B is now LRU
+		{"C", false, "B", []string{"A", "C"}},
+		{"A", true, "", []string{"A", "C"}},
+		{"B", false, "C", []string{"A", "B"}}, // C never re-touched -> victim
+		{"B", true, "", []string{"A", "B"}},
+		{"D", false, "A", []string{"B", "D"}},
+	} {
+		if _, hit := mustDo(t, c, s.key, s.key); hit != s.hit {
+			t.Fatalf("step %d (%s): hit=%v, want %v", i, s.key, hit, s.hit)
+		}
+		if s.evicted != "" {
+			evictions++
+		}
+		keys := c.Keys()
+		sort.Strings(keys)
+		if !reflect.DeepEqual(keys, s.resident) {
+			t.Fatalf("step %d (%s): resident %v, want %v (victim %q)", i, s.key, keys, s.resident, s.evicted)
+		}
+		if got := c.Stats().Evictions; got != evictions {
+			t.Fatalf("step %d (%s): evictions=%d, want %d", i, s.key, got, evictions)
+		}
 	}
 }
 

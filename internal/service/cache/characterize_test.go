@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"manirank/internal/obs"
 )
 
 // traceCounts is the counter slice the characterization trace pins.
@@ -122,15 +124,9 @@ func TestTierCharacterization(t *testing.T) {
 	}{
 		{
 			name:     "result-lru",
-			tier:     func(t *testing.T) traceTier { return newTraceResultTier(t, PolicyLRU, 12) },
+			tier:     func(t *testing.T) traceTier { return newTraceResultTier(12) },
 			want:     traceCounts{Hits: 920, Misses: 1086, Coalesced: 5, Evictions: 1069, Rejected: 0, Builds: 1081},
 			resident: []string{"burst", "k00", "k01", "k02", "k11", "k20", "k23", "k27", "k32", "k36", "k42", "k45"},
-		},
-		{
-			name:     "result-clock",
-			tier:     func(t *testing.T) traceTier { return newTraceResultTier(t, PolicyClock, 12) },
-			want:     traceCounts{Hits: 959, Misses: 1047, Coalesced: 5, Evictions: 1030, Rejected: 0, Builds: 1042},
-			resident: []string{"burst", "k00", "k01", "k02", "k03", "k04", "k16", "k23", "k27", "k32", "k42", "k45"},
 		},
 		{
 			name:     "matrix",
@@ -153,5 +149,38 @@ func TestTierCharacterization(t *testing.T) {
 				t.Errorf("resident = %#v\nwant       %#v", keys, tc.resident)
 			}
 		})
+	}
+}
+
+// TestResultTierMatchesChe checks the result tier against the Che
+// approximation the serving layer exports next to its measured hit rate: on
+// seeded Zipf traces across skews and cache/working-set ratios, the
+// unit-cost tier's measured hit rate must sit within 0.015 of what
+// obs.CheEstimator predicts for its capacity. The approximation models LRU;
+// a tier that stopped refreshing recency on hits (FIFO) drifts well outside
+// the band at every skew.
+func TestResultTierMatchesChe(t *testing.T) {
+	ctx := context.Background()
+	for _, shape := range []struct{ keys, capacity, accesses int }{
+		{480, 120, 20000},
+		{200, 32, 8000},
+		{1000, 100, 20000},
+	} {
+		for _, skew := range []float64{0.6, 0.8, 1.0, 1.2} {
+			tier := New(Config[int]{Name: "result", Budget: int64(shape.capacity)})
+			che := obs.NewCheEstimator()
+			for _, k := range zipfTrace(0x5eed, shape.keys, shape.accesses, skew) {
+				key := fmt.Sprintf("k%d", k)
+				che.Observe(key)
+				if _, _, _, err := tier.Do(ctx, key, func() (int, bool, error) { return k, true, nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			measured, predicted := tier.Stats().HitRate(), che.Predict(shape.capacity)
+			if math.Abs(measured-predicted) > 0.015 {
+				t.Errorf("keys=%d capacity=%d accesses=%d skew=%.1f: measured hit rate %.4f, Che predicts %.4f",
+					shape.keys, shape.capacity, shape.accesses, skew, measured, predicted)
+			}
+		}
 	}
 }

@@ -430,7 +430,7 @@ func TestSweepDrivenExpiry(t *testing.T) {
 
 // TestOpportunisticSweepOnInsert: inserting a new key sweeps TTL-dead
 // entries in passing (no reaper, no re-request needed), so the dead entry's
-// Policy slot is free before the insert is admitted.
+// budget is free before the insert is admitted.
 func TestOpportunisticSweepOnInsert(t *testing.T) {
 	c := newUnit(8, time.Minute)
 	now := time.Unix(1000, 0)

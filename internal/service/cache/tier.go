@@ -1,19 +1,19 @@
 // Package cache implements manirankd's cache tiers.
 //
 // Both tiers are instances of one generic type, Tier[V]: a map keyed by
-// canonical digests whose admission is bounded by a cost budget, ordered by
-// a pluggable replacement Policy — classic LRU or a Compact-CAR-style clock
-// (see policy.go) — with optional TTL expiry, hit/miss/eviction counters,
-// and single-flight coalescing so any number of concurrent identical
-// lookups trigger exactly one computation.
+// canonical digests whose admission is bounded by a cost budget, evicted in
+// least-recently-used order (every resident entry sits in one recency list
+// the tier owns, so a hit is a map lookup plus a move to the front), with
+// optional TTL expiry, hit/miss/eviction counters, and single-flight
+// coalescing so any number of concurrent identical lookups trigger exactly
+// one computation.
 //
 // The serving layer runs two of them. The consensus result tier is keyed by
 // request digest, charges one unit per entry (so its budget is an entry
-// count) and uses the configured policy and TTL. The precedence-matrix tier
-// is keyed by the profile sub-digest, since profiles are shared across
-// methods, and is bounded by memory cost (n² cells per entry) under LRU —
-// ten small profiles and one n=500 matrix are priced honestly against the
-// same budget.
+// count) and takes the configured TTL. The precedence-matrix tier is keyed
+// by the profile sub-digest, since profiles are shared across methods, and
+// is bounded by memory cost (n² cells per entry) — ten small profiles and
+// one n=500 matrix are priced honestly against the same budget.
 //
 // Either tier can sit on a persistent Store (store.go, filestore.go): a
 // content-addressed byte store under the same digest keys, written through
@@ -27,14 +27,16 @@
 // reusable — the solvers are deterministic per request, so a digest hit is
 // semantically identical to recomputing. Sizing follows the classic cache
 // performance analyses (Che approximation; Martina et al., arXiv:1307.6702):
-// with a Zipf-skewed request popularity the hit ratio is governed by the
-// cache-size/working-set ratio, which the BENCH_4 load generator measures
-// empirically per tier and per policy at several skews — and the same
-// analyses predict the hit rate a persistent second-chance tier recovers
-// after a cold start, which BENCH_7's restart axis measures.
+// with a Zipf-skewed request popularity the hit ratio of an LRU tier is
+// governed by the cache-size/working-set ratio, which the serving layer's
+// per-tier Che estimator predicts live and perfbench's serve workloads
+// measure end to end — and the same analyses predict the hit rate a
+// persistent second-chance tier recovers after a cold start, which BENCH_7's
+// restart axis measures.
 package cache
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"sync"
@@ -45,7 +47,7 @@ import (
 
 // Stats is a point-in-time snapshot of a tier's counters.
 type Stats struct {
-	// Policy names the replacement policy in use (PolicyLRU, PolicyClock).
+	// Policy names the replacement policy; always "lru".
 	Policy string `json:"policy"`
 	// Hits counts Do calls served from memory.
 	Hits uint64 `json:"hits"`
@@ -172,20 +174,21 @@ type Config[V any] struct {
 	Size func(V) int64
 	// TTL bounds each entry's life; <= 0 disables expiry.
 	TTL time.Duration
-	// Policy orders eviction; nil means LRU. A Policy serves one tier.
-	Policy Policy
 }
 
 // spanNames are a tier's trace span names, built once from Config.Name.
 type spanNames struct{ lookup, wait, diskRead, diskWrite, peerRead string }
 
-// entry is one stored value. expiresAt is absolute (zero = never): entries
-// restored from the persistent tier keep the expiry they were first stored
-// with, so a restart cannot extend a value's life.
+// entry is one stored value and its place in the tier's recency list.
+// expiresAt is absolute (zero = never): entries restored from the persistent
+// tier keep the expiry they were first stored with, so a restart cannot
+// extend a value's life.
 type entry[V any] struct {
+	key       string
 	value     V
 	cost      int64
 	expiresAt time.Time
+	el        *list.Element // in Tier.lru; Value is the *entry itself
 }
 
 // expired reports whether the entry's TTL elapsed at time now.
@@ -207,9 +210,9 @@ type flight[V any] struct {
 // cancellation.
 var errComputePanic = errors.New("cache: compute panicked")
 
-// Tier is a thread-safe, cost-budgeted value store with a pluggable
-// replacement policy, optional TTL expiry, single-flight coalescing, and an
-// optional persistent second-chance tier (AttachStore). Construct with New.
+// Tier is a thread-safe, cost-budgeted value store with LRU eviction,
+// optional TTL expiry, single-flight coalescing, and an optional persistent
+// second-chance tier (AttachStore). Construct with New.
 type Tier[V any] struct {
 	budget int64
 	ttl    time.Duration
@@ -218,9 +221,9 @@ type Tier[V any] struct {
 	spans  spanNames
 
 	mu        sync.Mutex
-	policy    Policy
 	used      int64
 	items     map[string]*entry[V]
+	lru       *list.List // front = most recently used
 	flights   map[string]*flight[V]
 	now       func() time.Time
 	lastSweep time.Time
@@ -233,10 +236,6 @@ type Tier[V any] struct {
 
 // New returns an empty tier shaped by cfg.
 func New[V any](cfg Config[V]) *Tier[V] {
-	policy := cfg.Policy
-	if policy == nil {
-		policy = newLRUPolicy()
-	}
 	n := cfg.Name
 	return &Tier[V]{
 		budget: cfg.Budget,
@@ -250,8 +249,8 @@ func New[V any](cfg Config[V]) *Tier[V] {
 			diskWrite: n + "_disk_write",
 			peerRead:  n + "_peer_read",
 		},
-		policy:  policy,
 		items:   make(map[string]*entry[V]),
+		lru:     list.New(),
 		flights: make(map[string]*flight[V]),
 		now:     time.Now,
 		counters: Counters{
@@ -323,11 +322,10 @@ func (t *Tier[V]) costOf(v V) int64 {
 	return t.cost(v)
 }
 
-// removeLocked drops a resident entry the policy did not choose to evict.
-// Callers hold t.mu.
-func (t *Tier[V]) removeLocked(key string, e *entry[V]) {
-	delete(t.items, key)
-	t.policy.Forget(key)
+// removeLocked drops a resident entry. Callers hold t.mu.
+func (t *Tier[V]) removeLocked(e *entry[V]) {
+	delete(t.items, e.key)
+	t.lru.Remove(e.el)
 	t.used -= e.cost
 }
 
@@ -341,22 +339,23 @@ func (t *Tier[V]) lookupLocked(key string) (V, bool) {
 	}
 	// Entries without an expiry skip the clock read.
 	if !e.expiresAt.IsZero() && e.expired(t.now()) {
-		t.removeLocked(key, e)
+		t.removeLocked(e)
 		t.counters.Expirations.Inc()
 		var zero V
 		return zero, false
 	}
-	t.policy.Hit(key)
+	t.lru.MoveToFront(e.el)
 	return e.value, true
 }
 
 // admitLocked stores (or refreshes) key at cost (priced by costOf before
-// the lock was taken) with an absolute expiry (zero = never), asking the
-// policy for victims until the value fits the budget. Values costing more
-// than the whole budget are rejected rather than flushing the tier for one
-// entry. New insertions opportunistically sweep expired entries first, so
-// TTL-dead entries release their memory and policy slot without waiting to
-// be re-requested or evicted. Callers hold t.mu.
+// the lock was taken) with an absolute expiry (zero = never) at the front
+// of the recency list, evicting least-recently-used entries until the value
+// fits the budget. Values costing more than the whole budget are rejected
+// rather than flushing the tier for one entry. New insertions
+// opportunistically sweep expired entries first, so TTL-dead entries release
+// their memory without waiting to be re-requested or evicted. Callers hold
+// t.mu.
 func (t *Tier[V]) admitLocked(key string, v V, cost int64, expiresAt time.Time) {
 	if t.budget <= 0 {
 		return
@@ -368,8 +367,8 @@ func (t *Tier[V]) admitLocked(key string, v V, cost int64, expiresAt time.Time) 
 	if e, ok := t.items[key]; ok {
 		t.used += cost - e.cost
 		e.value, e.cost, e.expiresAt = v, cost, expiresAt
-		t.policy.Hit(key)
-		t.evictLocked(key, 0)
+		t.lru.MoveToFront(e.el)
+		t.evictLocked(0)
 		return
 	}
 	if t.ttl > 0 {
@@ -377,22 +376,22 @@ func (t *Tier[V]) admitLocked(key string, v V, cost int64, expiresAt time.Time) 
 			t.sweepLocked(now)
 		}
 	}
-	t.evictLocked(key, cost)
-	t.policy.Add(key)
-	t.items[key] = &entry[V]{value: v, cost: cost, expiresAt: expiresAt}
+	t.evictLocked(cost)
+	e := &entry[V]{key: key, value: v, cost: cost, expiresAt: expiresAt}
+	e.el = t.lru.PushFront(e)
+	t.items[key] = e
 	t.used += cost
 }
 
-// evictLocked evicts policy-chosen victims until cost more fits the budget.
-// Callers hold t.mu.
-func (t *Tier[V]) evictLocked(incoming string, cost int64) {
+// evictLocked evicts least-recently-used entries until cost more fits the
+// budget. Callers hold t.mu.
+func (t *Tier[V]) evictLocked(cost int64) {
 	for t.used+cost > t.budget {
-		victim := t.policy.Evict(incoming)
-		if victim == "" {
+		tail := t.lru.Back()
+		if tail == nil {
 			return
 		}
-		t.used -= t.items[victim].cost
-		delete(t.items, victim)
+		t.removeLocked(tail.Value.(*entry[V]))
 		t.counters.Evictions.Inc()
 	}
 }
@@ -410,9 +409,9 @@ func (t *Tier[V]) expiryLocked() time.Time {
 func (t *Tier[V]) sweepLocked(now time.Time) int {
 	t.lastSweep = now
 	removed := 0
-	for key, e := range t.items {
+	for _, e := range t.items {
 		if e.expired(now) {
-			t.removeLocked(key, e)
+			t.removeLocked(e)
 			t.counters.Expirations.Inc()
 			removed++
 		}
@@ -689,7 +688,7 @@ func (t *Tier[V]) Stats() Stats {
 	defer t.mu.Unlock()
 	c := t.counters
 	return Stats{
-		Policy:        t.policy.Name(),
+		Policy:        "lru",
 		Hits:          c.Hits.Value(),
 		Misses:        c.Misses.Value(),
 		Coalesced:     c.Coalesced.Value(),

@@ -27,16 +27,10 @@ func (tr tierTrace[V]) counts() traceCounts {
 
 func (tr tierTrace[V]) keys() []string { return tr.t.Keys() }
 
-// newTraceResultTier builds the result tier's shape: unit cost under the
-// named policy.
-func newTraceResultTier(t *testing.T, policy string, capacity int) traceTier {
-	t.Helper()
-	p, err := NewPolicy(policy, capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
+// newTraceResultTier builds the result tier's shape: unit-cost LRU.
+func newTraceResultTier(capacity int) traceTier {
 	return tierTrace[string]{
-		t:    New(Config[string]{Name: "result", Budget: int64(capacity), Policy: p}),
+		t:    New(Config[string]{Name: "result", Budget: int64(capacity)}),
 		wrap: func(s string, _ int64) string { return s },
 		str:  func(s string) string { return s },
 	}

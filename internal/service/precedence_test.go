@@ -4,8 +4,6 @@ import (
 	"net/http"
 	"sync"
 	"testing"
-
-	"manirank/internal/service/cache"
 )
 
 // TestPrecedenceTierSharedAcrossMethods is the tentpole contract: a second
@@ -135,24 +133,5 @@ func TestStatzMatrixAccounting(t *testing.T) {
 	}
 	if st.MatrixHitRate != ms.HitRate() {
 		t.Fatalf("statz hit rate %g != stats %g", st.MatrixHitRate, ms.HitRate())
-	}
-}
-
-// TestCachePolicyConfig: both policies serve correctly and /statz names the
-// one in use; an unknown policy fails construction.
-func TestCachePolicyConfig(t *testing.T) {
-	for _, policy := range cache.Policies() {
-		s, tsrv := newTestServer(t, Config{CachePolicy: policy})
-		req := testRequest("borda", 40)
-		post(t, tsrv.URL, req)
-		if _, out := post(t, tsrv.URL, req); out == nil || !out.Cached {
-			t.Fatalf("policy %s: second identical request was not a hit", policy)
-		}
-		if got := s.StatzSnapshot().Cache.Policy; got != policy {
-			t.Fatalf("statz policy = %q, want %q", got, policy)
-		}
-	}
-	if _, err := New(Config{CachePolicy: "arc4random"}); err == nil {
-		t.Fatal("unknown cache policy accepted")
 	}
 }

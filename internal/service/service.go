@@ -4,11 +4,10 @@
 // cached precedence matrix) with three server-grade layers on top of the
 // compute core —
 //
-//  1. two cache tiers (internal/service/cache), both keyed by canonical
-//     SHA-256 digests and both single-flight coalesced: a result cache over
-//     the full request digest (pluggable LRU or Compact-CAR-style clock
-//     replacement, Config.CachePolicy) so identical requests compute once,
-//     and a precedence-matrix cache over the profile sub-digest so
+//  1. two LRU cache tiers (internal/service/cache), both keyed by
+//     canonical SHA-256 digests and both single-flight coalesced: a result
+//     cache over the full request digest so identical requests compute
+//     once, and a precedence-matrix cache over the profile sub-digest so
 //     *different* methods or solver options over an already-seen profile
 //     skip the O(n²·m) matrix construction — admission is bounded by memory
 //     cost (n² cells per matrix), not entry count;
@@ -54,7 +53,7 @@ import (
 // Config tunes a Server. Zero fields take the documented defaults.
 type Config struct {
 	// QueueDepth bounds the admission queue; a full queue answers 429
-	// (default 64).
+	// (default 64; negative is an error).
 	QueueDepth int
 	// Workers is the solver pool width — at most this many requests compute
 	// concurrently (default GOMAXPROCS).
@@ -67,9 +66,6 @@ type Config struct {
 	// CacheSize is the result-cache capacity in entries (default 1024;
 	// negative disables caching).
 	CacheSize int
-	// CachePolicy selects the result cache's replacement policy:
-	// cache.PolicyClock (default) or cache.PolicyLRU.
-	CachePolicy string
 	// CacheTTL expires cached results (default 0: never). With a TTL set the
 	// server also runs a clock-driven reaper that sweeps expired entries out
 	// of memory even when nothing re-requests them.
@@ -139,14 +135,11 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
 	}
-	if c.CachePolicy == "" {
-		c.CachePolicy = cache.PolicyClock
-	}
 	if c.PrecCacheCells == 0 {
 		c.PrecCacheCells = DefaultPrecCacheCells
 	}
 	if c.PrecCacheCells < 0 {
-		c.PrecCacheCells = 0 // MatrixCache treats 0 as storage off
+		c.PrecCacheCells = 0 // the matrix tier treats 0 as storage off
 	}
 	if c.DefaultDeadline == 0 {
 		c.DefaultDeadline = 30 * time.Second
@@ -283,19 +276,18 @@ type Server struct {
 	snapshotFlushes *obs.Counter // background snapshot ticks completed
 }
 
-// New starts a Server's worker pool and returns it. It fails on an unknown
-// Config.CachePolicy or an unusable Config.CacheDir.
+// New starts a Server's worker pool and returns it. It fails on a negative
+// Config.QueueDepth or an unusable Config.CacheDir.
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
-	policy, err := cache.NewPolicy(cfg.CachePolicy, cfg.CacheSize)
-	if err != nil {
-		return nil, err
+	if cfg.QueueDepth < 0 {
+		return nil, fmt.Errorf("service: negative queue depth %d", cfg.QueueDepth)
 	}
+	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg: cfg,
 		cache: cache.New(cache.Config[*result]{
 			Name: "result", Budget: int64(cfg.CacheSize), TTL: cfg.CacheTTL,
-			Policy: policy, Size: resultSizer,
+			Size: resultSizer,
 		}),
 		prec: cache.New(cache.Config[*ranking.Precedence]{
 			Name: "matrix", Budget: cfg.PrecCacheCells,
@@ -541,8 +533,8 @@ func (s *Server) predictMatrixHitRate() float64 {
 
 // reaper periodically sweeps expired entries out of the result cache so a
 // TTL'd working set that stops being requested releases its memory and
-// Policy slots without waiting for capacity pressure (lookupLocked only
-// expires entries somebody asks for again).
+// budget without waiting for capacity pressure (lookupLocked only expires
+// entries somebody asks for again).
 func (s *Server) reaper(interval time.Duration) {
 	defer s.wg.Done()
 	t := time.NewTicker(interval)
@@ -1001,11 +993,10 @@ type QueueStatz struct {
 	Workers  int   `json:"workers"`
 }
 
-// StatzSnapshot assembles the /statz payload (exported for the load
-// generator and tests). Every number is read from the same obs structs
-// the registry exports at /metricsz; only the rendering differs. Status
-// and method entries appear once they have traffic, preserving the
-// pre-registry JSON shape.
+// StatzSnapshot assembles the /statz payload (exported for tests). Every
+// number is read from the same obs structs the registry exports at
+// /metricsz; only the rendering differs. Status and method entries appear
+// once they have traffic, preserving the pre-registry JSON shape.
 func (s *Server) StatzSnapshot() Statz {
 	cs := s.cache.Stats()
 	ms := s.prec.Stats()

@@ -229,6 +229,16 @@ func TestDeadlineReturnsBestSoFarUncached(t *testing.T) {
 	}
 }
 
+// TestNegativeQueueDepthRejected: a negative queue depth is a
+// configuration error New reports, not a panic from sizing the job channel.
+func TestNegativeQueueDepthRejected(t *testing.T) {
+	s, err := New(Config{QueueDepth: -1})
+	if err == nil {
+		s.Close()
+		t.Fatal("New accepted QueueDepth -1")
+	}
+}
+
 // TestQueueFullBackpressure: with one busy worker and a one-slot queue, the
 // third concurrent distinct request is rejected with 429, and a queued
 // request whose deadline lapses before service answers 504.
