@@ -57,7 +57,6 @@ func main() {
 	workers := flag.Int("workers", 0, "solver pool width (0 = all CPUs)")
 	solverWorkers := flag.Int("solver-workers", 1, "restart shards per individual solve (kemeny.Options.Workers); keep 1 under concurrent load")
 	cacheSize := flag.Int("cache-size", 1024, "result cache capacity in entries (negative disables)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "result cache TTL (0 = never expire)")
 	cacheDir := flag.String("cache-dir", "", "root a persistent cache tier here: results and matrices survive restarts (empty disables)")
 	cacheEngineVersion := flag.String("cache-engine-version", "", "engine-behaviour version in the persistent cache namespace; bump to invalidate persisted entries (default "+service.DefaultEngineVersion+")")
 	snapshotInterval := flag.Duration("cache-snapshot-interval", 0, "flush memory-resident cache entries to -cache-dir on this period (0 = only on graceful shutdown)")
@@ -121,7 +120,6 @@ func main() {
 		Workers:          *workers,
 		SolverWorkers:    *solverWorkers,
 		CacheSize:        *cacheSize,
-		CacheTTL:         *cacheTTL,
 		CacheDir:         *cacheDir,
 		EngineVersion:    *cacheEngineVersion,
 		SnapshotInterval: *snapshotInterval,

@@ -13,9 +13,9 @@ import (
 )
 
 // newUnit returns an LRU tier charging one unit per entry — the result
-// tier's shape — holding up to capacity values for at most ttl each.
-func newUnit(capacity int, ttl time.Duration) *Tier[any] {
-	return New(Config[any]{Name: "result", Budget: int64(capacity), TTL: ttl})
+// tier's shape — holding up to capacity values.
+func newUnit(capacity int) *Tier[any] {
+	return New(Config[any]{Name: "result", Budget: int64(capacity)})
 }
 
 // compute returns a constant-value compute func for Do.
@@ -33,7 +33,7 @@ func mustDo(t *testing.T, c *Tier[any], key string, v any) (any, bool) {
 }
 
 func TestHitMissCounters(t *testing.T) {
-	c := newUnit(4, 0)
+	c := newUnit(4)
 	if _, hit := mustDo(t, c, "a", 1); hit {
 		t.Fatal("first access was a hit")
 	}
@@ -52,7 +52,7 @@ func TestHitMissCounters(t *testing.T) {
 // used ones.
 func TestEvictionCounterAccuracy(t *testing.T) {
 	const capacity, extra = 8, 13
-	c := newUnit(capacity, 0)
+	c := newUnit(capacity)
 	for i := 0; i < capacity+extra; i++ {
 		mustDo(t, c, fmt.Sprintf("k%d", i), i)
 	}
@@ -88,7 +88,7 @@ func TestEvictionCounterAccuracy(t *testing.T) {
 // recently touched key, and a hit refreshes recency. After every access the
 // resident set and the eviction counter must match the record.
 func TestLRUEvictionOrderTrace(t *testing.T) {
-	c := newUnit(2, 0)
+	c := newUnit(2)
 	var evictions uint64
 	for i, s := range []struct {
 		key      string
@@ -123,7 +123,7 @@ func TestLRUEvictionOrderTrace(t *testing.T) {
 }
 
 func TestLRURefreshOnHit(t *testing.T) {
-	c := newUnit(2, 0)
+	c := newUnit(2)
 	mustDo(t, c, "a", 1)
 	mustDo(t, c, "b", 2)
 	mustDo(t, c, "a", 0) // refresh a; b is now LRU
@@ -136,26 +136,8 @@ func TestLRURefreshOnHit(t *testing.T) {
 	}
 }
 
-func TestTTLExpiry(t *testing.T) {
-	c := newUnit(4, time.Minute)
-	now := time.Unix(1000, 0)
-	c.SetClock(func() time.Time { return now })
-	mustDo(t, c, "a", 1)
-	now = now.Add(30 * time.Second)
-	if _, hit := mustDo(t, c, "a", -1); !hit {
-		t.Fatal("entry expired before its TTL")
-	}
-	now = now.Add(90 * time.Second) // 30s + 90s past the refreshless store... the hit did not refresh storedAt
-	if _, hit := mustDo(t, c, "a", 2); hit {
-		t.Fatal("entry survived past its TTL")
-	}
-	if s := c.Stats(); s.Expirations != 1 {
-		t.Fatalf("expirations = %d, want 1", s.Expirations)
-	}
-}
-
 func TestZeroCapacityStoresNothing(t *testing.T) {
-	c := newUnit(0, 0)
+	c := newUnit(0)
 	mustDo(t, c, "a", 1)
 	if _, hit := mustDo(t, c, "a", 2); hit {
 		t.Fatal("zero-capacity cache produced a hit")
@@ -166,7 +148,7 @@ func TestZeroCapacityStoresNothing(t *testing.T) {
 }
 
 func TestUncacheableNotStored(t *testing.T) {
-	c := newUnit(4, 0)
+	c := newUnit(4)
 	if _, _, _, err := c.Do(context.Background(), "a", func() (any, bool, error) { return 1, false, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +158,7 @@ func TestUncacheableNotStored(t *testing.T) {
 }
 
 func TestErrorNotStored(t *testing.T) {
-	c := newUnit(4, 0)
+	c := newUnit(4)
 	boom := errors.New("boom")
 	if _, _, _, err := c.Do(context.Background(), "a", func() (any, bool, error) { return nil, true, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -192,7 +174,7 @@ func TestErrorNotStored(t *testing.T) {
 // synchronisation.
 func TestSingleFlightCoalescing(t *testing.T) {
 	const callers = 32
-	c := newUnit(4, 0)
+	c := newUnit(4)
 	var computes atomic.Int64
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
@@ -251,7 +233,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 // the leader is still computing returns promptly with the context error and
 // leaks nothing; the leader's result is unaffected.
 func TestCoalescedFollowerHonoursContext(t *testing.T) {
-	c := newUnit(4, 0)
+	c := newUnit(4)
 	gate := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {

@@ -10,16 +10,16 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 )
 
 // fileMagic brands every entry file; anything without it is not ours (or is
-// the torn prefix of a crashed write) and reads as a miss.
-const fileMagic = "MRC1"
+// the torn prefix of a crashed write, or an entry in an older frame) and
+// reads as a miss.
+const fileMagic = "MRC2"
 
-// fileHeaderLen is the fixed entry header: magic (4) + expiry unixnano (8) +
-// payload length (8) + payload CRC-32 (4).
-const fileHeaderLen = 4 + 8 + 8 + 4
+// fileHeaderLen is the fixed entry header: magic (4) + payload length (8) +
+// payload CRC-32 (4).
+const fileHeaderLen = 4 + 8 + 4
 
 // FileStore is the file-backed Store: one file per entry under
 //
@@ -35,14 +35,12 @@ const fileHeaderLen = 4 + 8 + 8 + 4
 // Writes are atomic: the entry is written to a temp file in the destination
 // directory and renamed into place, so a crash mid-write leaves at worst a
 // stale temp file, never a torn entry. Each entry carries a header with a
-// magic, an absolute expiry, the payload length, and a payload CRC; Get
-// treats any mismatch — truncation, corruption, expiry — as a miss and
-// deletes the file.
+// magic, the payload length, and a payload CRC; Get treats any mismatch —
+// truncation, corruption, a foreign magic — as a miss and deletes the file.
 type FileStore struct {
 	dir string // the namespace directory all entries live under
 
 	mu     sync.Mutex
-	now    func() time.Time
 	budget *DiskBudget // nil: unbounded
 }
 
@@ -71,7 +69,7 @@ func OpenFileStore(root, namespace string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: creating store namespace: %w", err)
 	}
-	return &FileStore{dir: dir, now: time.Now}, nil
+	return &FileStore{dir: dir}, nil
 }
 
 // pruneStaleVersions removes version trees under root other than keep: their
@@ -102,20 +100,6 @@ func sanitizeSegment(s string) string {
 		}
 		return '_'
 	}, s)
-}
-
-// SetClock replaces the store's time source; tests use it to drive expiry
-// deterministically.
-func (s *FileStore) SetClock(now func() time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.now = now
-}
-
-func (s *FileStore) clock() func() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.now
 }
 
 // SetBudget attaches a disk-usage budget: the store reports every write
@@ -152,33 +136,29 @@ func (s *FileStore) path(key string) (string, error) {
 	return filepath.Join(s.dir, prefix, key), nil
 }
 
-// Get implements Store: corrupt, truncated, and expired entries read as
-// misses and are deleted in passing.
-func (s *FileStore) Get(key string) ([]byte, time.Time, bool, error) {
+// Get implements Store: corrupt and truncated entries read as misses and are
+// deleted in passing.
+func (s *FileStore) Get(key string) ([]byte, bool, error) {
 	p, err := s.path(key)
 	if err != nil {
-		return nil, time.Time{}, false, err
+		return nil, false, err
 	}
 	data, err := os.ReadFile(p)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, time.Time{}, false, nil
+		return nil, false, nil
 	}
 	if err != nil {
-		return nil, time.Time{}, false, err
+		return nil, false, err
 	}
-	value, expiry, ok := decodeEntry(data)
+	value, ok := decodeEntry(data)
 	if !ok {
 		s.removeCharged(p, int64(len(data)))
-		return nil, time.Time{}, false, nil
-	}
-	if !expiry.IsZero() && !s.clock()().Before(expiry) {
-		s.removeCharged(p, int64(len(data)))
-		return nil, time.Time{}, false, nil
+		return nil, false, nil
 	}
 	if b := s.budgetRef(); b != nil {
 		b.touch(p)
 	}
-	return value, expiry, true, nil
+	return value, true, nil
 }
 
 // removeCharged deletes an entry file and refunds its bytes to the budget.
@@ -192,7 +172,7 @@ func (s *FileStore) removeCharged(p string, size int64) {
 
 // Put implements Store with a temp-file + rename write, atomic on POSIX
 // filesystems.
-func (s *FileStore) Put(key string, value []byte, expiry time.Time) error {
+func (s *FileStore) Put(key string, value []byte) error {
 	p, err := s.path(key)
 	if err != nil {
 		return err
@@ -205,7 +185,7 @@ func (s *FileStore) Put(key string, value []byte, expiry time.Time) error {
 	if err != nil {
 		return err
 	}
-	buf := encodeEntry(value, expiry)
+	buf := encodeEntry(value)
 	_, werr := tmp.Write(buf)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
@@ -256,70 +236,32 @@ func (s *FileStore) Delete(key string) error {
 	return nil
 }
 
-// Scan implements Store: it walks the namespace, silently skipping temp
-// files, corrupt entries, and entries that expired (deleting the latter two).
-func (s *FileStore) Scan(fn func(key string, value []byte, expiry time.Time) error) error {
-	now := s.clock()()
-	return filepath.WalkDir(s.dir, func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || strings.HasPrefix(d.Name(), ".") {
-			return err
-		}
-		data, rerr := os.ReadFile(p)
-		if rerr != nil {
-			return nil // raced with a concurrent delete; not fatal
-		}
-		value, expiry, ok := decodeEntry(data)
-		if !ok || (!expiry.IsZero() && !now.Before(expiry)) {
-			s.removeCharged(p, int64(len(data)))
-			return nil
-		}
-		return fn(d.Name(), value, expiry)
-	})
-}
-
-// Len returns the number of live entries (a Scan pass; intended for tests
-// and diagnostics, not hot paths).
-func (s *FileStore) Len() int {
-	n := 0
-	s.Scan(func(string, []byte, time.Time) error { n++; return nil })
-	return n
-}
-
 // Close implements Store; the file store holds no open handles between
 // calls, so there is nothing to release.
 func (s *FileStore) Close() error { return nil }
 
-// encodeEntry frames value with the store's header: magic, absolute expiry,
-// payload length, payload CRC-32.
-func encodeEntry(value []byte, expiry time.Time) []byte {
+// encodeEntry frames value with the store's header: magic, payload length,
+// payload CRC-32.
+func encodeEntry(value []byte) []byte {
 	buf := make([]byte, fileHeaderLen+len(value))
 	copy(buf, fileMagic)
-	var exp int64
-	if !expiry.IsZero() {
-		exp = expiry.UnixNano()
-	}
-	binary.LittleEndian.PutUint64(buf[4:], uint64(exp))
-	binary.LittleEndian.PutUint64(buf[12:], uint64(len(value)))
-	binary.LittleEndian.PutUint32(buf[20:], crc32.ChecksumIEEE(value))
+	binary.LittleEndian.PutUint64(buf[4:], uint64(len(value)))
+	binary.LittleEndian.PutUint32(buf[12:], crc32.ChecksumIEEE(value))
 	copy(buf[fileHeaderLen:], value)
 	return buf
 }
 
 // decodeEntry validates an entry file's frame; ok is false for any torn,
-// truncated, or corrupt form.
-func decodeEntry(data []byte) (value []byte, expiry time.Time, ok bool) {
+// truncated, corrupt, or foreign-magic form.
+func decodeEntry(data []byte) (value []byte, ok bool) {
 	if len(data) < fileHeaderLen || string(data[:4]) != fileMagic {
-		return nil, time.Time{}, false
+		return nil, false
 	}
-	exp := int64(binary.LittleEndian.Uint64(data[4:]))
-	length := binary.LittleEndian.Uint64(data[12:])
-	crc := binary.LittleEndian.Uint32(data[20:])
+	length := binary.LittleEndian.Uint64(data[4:])
+	crc := binary.LittleEndian.Uint32(data[12:])
 	payload := data[fileHeaderLen:]
 	if uint64(len(payload)) != length || crc32.ChecksumIEEE(payload) != crc {
-		return nil, time.Time{}, false
+		return nil, false
 	}
-	if exp != 0 {
-		expiry = time.Unix(0, exp)
-	}
-	return payload, expiry, true
+	return payload, true
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -17,7 +18,7 @@ func TestCacheDoFetchOutcomes(t *testing.T) {
 	computes := 0
 	compute := func() (any, bool, error) { computes++; return "computed", true, nil }
 
-	c := newUnit(8, 0)
+	c := newUnit(8)
 	v, hit, _, err := c.DoFetch(ctx, "aa01", func(context.Context) (any, bool, error) {
 		return "from-peer", true, nil
 	}, compute)
@@ -97,7 +98,7 @@ func TestMatrixDoFetchOutcomes(t *testing.T) {
 // because a peer's traffic is not this node's traffic.
 func TestPeekDoesNotCountTraffic(t *testing.T) {
 	ctx := context.Background()
-	c := newUnit(8, 0)
+	c := newUnit(8)
 	store, err := OpenFileStore(t.TempDir(), "v1@engine-1/results")
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +115,7 @@ func TestPeekDoesNotCountTraffic(t *testing.T) {
 
 	// Evict the memory copy by building a fresh cache over the same store:
 	// Peek must restore from disk.
-	c2 := newUnit(8, 0)
+	c2 := newUnit(8)
 	c2.AttachStore(store, stringCodec())
 	if v, ok := c2.Peek(ctx, "cc01"); !ok || v != "value" {
 		t.Fatalf("Peek disk restore = (%v, %v)", v, ok)
@@ -145,7 +146,7 @@ func TestPeekDoesNotCountTraffic(t *testing.T) {
 
 func TestKeysEnumerateResidents(t *testing.T) {
 	ctx := context.Background()
-	c := newUnit(8, 0)
+	c := newUnit(8)
 	c.Put(ctx, "dd01", "a")
 	c.Put(ctx, "dd02", "b")
 	if keys := c.Keys(); len(keys) != 2 {
@@ -174,7 +175,7 @@ func TestDiskBudgetEvictsOldest(t *testing.T) {
 	keys := make([]string, 12)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("ee%02d", i)
-		if err := s.Put(keys[i], payload, time.Time{}); err != nil {
+		if err := s.Put(keys[i], payload); err != nil {
 			t.Fatal(err)
 		}
 		// Distinct mtimes so the LRU order is unambiguous even on coarse
@@ -190,10 +191,10 @@ func TestDiskBudgetEvictsOldest(t *testing.T) {
 		t.Fatal("no evictions recorded despite overflow")
 	}
 	// The newest entries must have survived; the oldest must be gone.
-	if _, _, ok, _ := s.Get(keys[len(keys)-1]); !ok {
+	if _, ok, _ := s.Get(keys[len(keys)-1]); !ok {
 		t.Fatal("newest entry was evicted")
 	}
-	if _, _, ok, _ := s.Get(keys[0]); ok {
+	if _, ok, _ := s.Get(keys[0]); ok {
 		t.Fatal("oldest entry survived eviction")
 	}
 }
@@ -216,17 +217,17 @@ func TestDiskBudgetSharedAcrossStores(t *testing.T) {
 	rs.SetBudget(b)
 	ms.SetBudget(b)
 	for i := 0; i < 5; i++ {
-		if err := rs.Put(fmt.Sprintf("ff%02d", i), payload, time.Time{}); err != nil {
+		if err := rs.Put(fmt.Sprintf("ff%02d", i), payload); err != nil {
 			t.Fatal(err)
 		}
-		if err := ms.Put(fmt.Sprintf("aa%02d", i), payload, time.Time{}); err != nil {
+		if err := ms.Put(fmt.Sprintf("aa%02d", i), payload); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if used := b.Used(); used > 6*entrySize {
 		t.Fatalf("shared budget not enforced: used=%d limit=%d", used, 6*entrySize)
 	}
-	if rs.Len()+ms.Len() >= 10 {
+	if entryFiles(t, rs)+entryFiles(t, ms) >= 10 {
 		t.Fatal("no entries evicted across the shared root")
 	}
 }
@@ -241,9 +242,15 @@ func TestDiskBudgetInitFromDisk(t *testing.T) {
 	}
 	payload := make([]byte, 256)
 	for i := 0; i < 4; i++ {
-		if err := s.Put(fmt.Sprintf("ab%02d", i), payload, time.Time{}); err != nil {
+		if err := s.Put(fmt.Sprintf("ab%02d", i), payload); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// A stale temp file from a crashed write is not an entry and is not
+	// charged.
+	dir := filepath.Dir(entryPath(t, s, "ab00"))
+	if err := os.WriteFile(filepath.Join(dir, ".tmp-123"), []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	b := NewDiskBudget(root, 1<<20)
 	want := 4 * int64(fileHeaderLen+len(payload))

@@ -1,7 +1,5 @@
 package cache
 
-import "time"
-
 // Store is a persistent second-chance tier under the in-memory caches: a
 // content-addressed byte store keyed by the same canonical digests, consulted
 // on memory misses (lazy warm-on-miss restore) and written through on every
@@ -11,24 +9,19 @@ import "time"
 // recovered hit rate).
 //
 // Implementations must be safe for concurrent use. Every method treats a
-// missing key as a miss, not an error; Get must treat corrupt, truncated, or
-// expired entries the same way (self-healing by deletion is encouraged),
-// because a crash mid-write or a partial disk must never take the serving
-// layer down.
+// missing key as a miss, not an error; Get must treat corrupt or truncated
+// entries the same way (self-healing by deletion is encouraged), because a
+// crash mid-write or a partial disk must never take the serving layer down.
 type Store interface {
-	// Get returns the stored bytes and absolute expiry of key (zero expiry
-	// means never). ok is false on a miss — including expired, corrupt, or
-	// truncated entries, which Get is expected to delete.
-	Get(key string) (value []byte, expiry time.Time, ok bool, err error)
-	// Put durably stores value under key with an absolute expiry (zero means
-	// never). The write must be atomic: a concurrent or crashed reader sees
-	// either the previous entry or the complete new one, never a torn write.
-	Put(key string, value []byte, expiry time.Time) error
+	// Get returns the stored bytes of key. ok is false on a miss — including
+	// corrupt or truncated entries, which Get is expected to delete.
+	Get(key string) (value []byte, ok bool, err error)
+	// Put durably stores value under key. The write must be atomic: a
+	// concurrent or crashed reader sees either the previous entry or the
+	// complete new one, never a torn write.
+	Put(key string, value []byte) error
 	// Delete removes key; deleting an absent key is not an error.
 	Delete(key string) error
-	// Scan visits every live (non-expired, non-corrupt) entry. Iteration
-	// stops at the first error returned by fn and reports it.
-	Scan(fn func(key string, value []byte, expiry time.Time) error) error
 	// Close releases the store's resources. The in-memory tiers flush
 	// through Put before their owner calls Close.
 	Close() error

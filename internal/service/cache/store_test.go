@@ -3,7 +3,10 @@ package cache
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,50 +30,27 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, err := s.Get(testKey); ok || err != nil {
+	if _, ok, err := s.Get(testKey); ok || err != nil {
 		t.Fatalf("empty store Get: ok=%v err=%v", ok, err)
 	}
-	if err := s.Put(testKey, []byte("hello"), time.Time{}); err != nil {
+	if err := s.Put(testKey, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	v, expiry, ok, err := s.Get(testKey)
-	if err != nil || !ok || string(v) != "hello" || !expiry.IsZero() {
-		t.Fatalf("Get = %q %v %v %v, want hello/zero-expiry hit", v, expiry, ok, err)
+	v, ok, err := s.Get(testKey)
+	if err != nil || !ok || string(v) != "hello" {
+		t.Fatalf("Get = %q %v %v, want hello hit", v, ok, err)
 	}
-	if n := s.Len(); n != 1 {
-		t.Fatalf("Len = %d, want 1", n)
+	if n := entryFiles(t, s); n != 1 {
+		t.Fatalf("entry files = %d, want 1", n)
 	}
 	if err := s.Delete(testKey); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, _ := s.Get(testKey); ok {
+	if _, ok, _ := s.Get(testKey); ok {
 		t.Fatal("deleted entry still reads")
 	}
 	if err := s.Delete(testKey); err != nil {
 		t.Fatalf("deleting an absent key: %v", err)
-	}
-}
-
-func TestFileStoreTTLExpiry(t *testing.T) {
-	s, err := OpenFileStore(t.TempDir(), "v1@engine-1/results")
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(1000, 0)
-	s.SetClock(func() time.Time { return now })
-	if err := s.Put(testKey, []byte("x"), now.Add(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	if _, expiry, ok, _ := s.Get(testKey); !ok || !expiry.Equal(now.Add(time.Minute)) {
-		t.Fatalf("fresh entry: ok=%v expiry=%v", ok, expiry)
-	}
-	now = now.Add(2 * time.Minute)
-	if _, _, ok, _ := s.Get(testKey); ok {
-		t.Fatal("expired entry still reads")
-	}
-	// Expiry is self-healing: the dead file is gone, not just skipped.
-	if n := s.Len(); n != 0 {
-		t.Fatalf("expired entry still on disk, Len = %d", n)
 	}
 }
 
@@ -84,6 +64,23 @@ func entryPath(t *testing.T, s *FileStore, key string) string {
 	return p
 }
 
+// entryFiles counts the entry files under the store's namespace, skipping
+// temp files from in-progress or crashed writes.
+func entryFiles(t *testing.T, s *FileStore) int {
+	t.Helper()
+	n := 0
+	err := filepath.WalkDir(s.dir, func(_ string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && !strings.HasPrefix(d.Name(), ".") {
+			n++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // TestFileStoreTruncatedEntry: a torn write (crash mid-write on a
 // non-atomic filesystem, or bit rot) reads as a miss, never an error, and
 // the broken file is removed.
@@ -92,7 +89,7 @@ func TestFileStoreTruncatedEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(testKey, []byte("payload-bytes"), time.Time{}); err != nil {
+	if err := s.Put(testKey, []byte("payload-bytes")); err != nil {
 		t.Fatal(err)
 	}
 	p := entryPath(t, s, testKey)
@@ -104,13 +101,13 @@ func TestFileStoreTruncatedEntry(t *testing.T) {
 		if err := os.WriteFile(p, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok, err := s.Get(testKey); ok || err != nil {
+		if _, ok, err := s.Get(testKey); ok || err != nil {
 			t.Fatalf("truncated to %d bytes: ok=%v err=%v, want clean miss", cut, ok, err)
 		}
 		if _, statErr := os.Stat(p); !errors.Is(statErr, os.ErrNotExist) {
 			t.Fatalf("truncated entry (%d bytes) was not deleted", cut)
 		}
-		if err := s.Put(testKey, []byte("payload-bytes"), time.Time{}); err != nil {
+		if err := s.Put(testKey, []byte("payload-bytes")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +120,7 @@ func TestFileStoreCorruptPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(testKey, []byte("payload"), time.Time{}); err != nil {
+	if err := s.Put(testKey, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	p := entryPath(t, s, testKey)
@@ -135,11 +132,11 @@ func TestFileStoreCorruptPayload(t *testing.T) {
 	if err := os.WriteFile(p, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, err := s.Get(testKey); ok || err != nil {
+	if _, ok, err := s.Get(testKey); ok || err != nil {
 		t.Fatalf("corrupt entry: ok=%v err=%v, want clean miss", ok, err)
 	}
-	if n := s.Len(); n != 0 {
-		t.Fatalf("corrupt entry survived, Len = %d", n)
+	if n := entryFiles(t, s); n != 0 {
+		t.Fatalf("corrupt entry survived, %d entry files", n)
 	}
 }
 
@@ -152,14 +149,14 @@ func TestFileStoreVersionBumpInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Put(testKey, []byte("old"), time.Time{}); err != nil {
+	if err := s1.Put(testKey, []byte("old")); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := OpenFileStore(root, "v1@engine-2/results")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, _ := s2.Get(testKey); ok {
+	if _, ok, _ := s2.Get(testKey); ok {
 		t.Fatal("entry survived an engine-version bump")
 	}
 	if _, err := os.Stat(filepath.Join(root, "v1@engine-1")); !errors.Is(err, os.ErrNotExist) {
@@ -176,41 +173,52 @@ func TestFileStoreSharedVersionTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.Put(testKey, []byte("result"), time.Time{}); err != nil {
+	if err := rs.Put(testKey, []byte("result")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenFileStore(root, "v1@engine-1/matrices"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, _ := rs.Get(testKey); !ok {
+	if _, ok, _ := rs.Get(testKey); !ok {
 		t.Fatal("opening the sibling tier pruned the results tier")
 	}
 }
 
-func TestFileStoreScanSkipsTempAndCorrupt(t *testing.T) {
-	s, err := OpenFileStore(t.TempDir(), "v1@engine-1/results")
+// TestFileStoreOldFrameIsMiss: an entry written in the retired MRC1 frame
+// (magic, expiry, length, CRC-32) fails the magic check, reads as a miss, is
+// deleted, and refunds its bytes to the disk budget.
+func TestFileStoreOldFrameIsMiss(t *testing.T) {
+	root := t.TempDir()
+	s, err := OpenFileStore(root, "v1@engine-1/results")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(testKey, []byte("live"), time.Time{}); err != nil {
+	payload := []byte(`{"ranking":[1,0,2],"method":"kemeny"}`)
+	old := make([]byte, 24+len(payload))
+	copy(old, "MRC1")
+	binary.LittleEndian.PutUint64(old[12:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(old[20:], crc32.ChecksumIEEE(payload))
+	copy(old[24:], payload)
+	p := entryPath(t, s, testKey)
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// A stale temp file from a crashed write and a garbage file must both be
-	// invisible to Scan.
-	dir := filepath.Dir(entryPath(t, s, testKey))
-	if err := os.WriteFile(filepath.Join(dir, ".tmp-123"), []byte("partial"), 0o644); err != nil {
+	if err := os.WriteFile(p, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "feedbead"), []byte("not an entry"), 0o644); err != nil {
-		t.Fatal(err)
+	b := NewDiskBudget(root, 1<<20)
+	s.SetBudget(b)
+	if got := b.Used(); got != int64(len(old)) {
+		t.Fatalf("budget before read = %d, want %d", got, len(old))
 	}
-	var keys []string
-	err = s.Scan(func(key string, value []byte, _ time.Time) error {
-		keys = append(keys, key+"="+string(value))
-		return nil
-	})
-	if err != nil || len(keys) != 1 || keys[0] != testKey+"=live" {
-		t.Fatalf("Scan = %v (%v), want exactly the live entry", keys, err)
+	if _, ok, err := s.Get(testKey); ok || err != nil {
+		t.Fatalf("MRC1 entry: ok=%v err=%v, want clean miss", ok, err)
+	}
+	if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+		t.Fatal("MRC1 entry was not deleted")
+	}
+	if got := b.Used(); got != 0 {
+		t.Fatalf("budget after read = %d, want the MRC1 bytes refunded", got)
 	}
 }
 
@@ -220,7 +228,7 @@ func TestFileStoreRejectsUnsafeKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []string{"", "../escape", "a/b", "a b"} {
-		if err := s.Put(bad, []byte("x"), time.Time{}); err == nil {
+		if err := s.Put(bad, []byte("x")); err == nil {
 			t.Fatalf("Put(%q) accepted an unsafe key", bad)
 		}
 	}
@@ -236,7 +244,7 @@ func TestCacheDiskWarmRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := newUnit(4, 0)
+		c := newUnit(4)
 		c.AttachStore(st, stringCodec())
 		return c
 	}
@@ -270,39 +278,6 @@ func TestCacheDiskWarmRestart(t *testing.T) {
 	}
 }
 
-// TestCacheDiskExpiryPreserved: a restored entry keeps its original absolute
-// expiry — a restart cannot extend a result's life.
-func TestCacheDiskExpiryPreserved(t *testing.T) {
-	root := t.TempDir()
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	open := func() (*Tier[any], *FileStore) {
-		st, err := OpenFileStore(root, "v1@engine-1/results")
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.SetClock(clock)
-		c := newUnit(4, time.Minute)
-		c.SetClock(clock)
-		c.AttachStore(st, stringCodec())
-		return c, st
-	}
-	c1, _ := open()
-	mustDo(t, c1, testKey, "v") // persisted with expiry now+60s
-
-	now = now.Add(45 * time.Second)
-	c2, _ := open()
-	if _, hit := mustDo(t, c2, testKey, "x"); !hit {
-		t.Fatal("entry should still be live 45s in")
-	}
-	// 30s later the ORIGINAL expiry (t+60s) has passed. If the restart had
-	// restamped the TTL the entry would live until t+105s.
-	now = now.Add(30 * time.Second)
-	if _, hit := mustDo(t, c2, testKey, "fresh"); hit {
-		t.Fatal("restored entry outlived its original expiry")
-	}
-}
-
 // TestCacheDiskDecodeErrorRecovers: an entry the codec cannot decode counts
 // a disk error, is deleted, and degrades to a recompute — never an outage.
 func TestCacheDiskDecodeErrorRecovers(t *testing.T) {
@@ -310,10 +285,10 @@ func TestCacheDiskDecodeErrorRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(testKey, []byte("legacy-garbage"), time.Time{}); err != nil {
+	if err := st.Put(testKey, []byte("legacy-garbage")); err != nil {
 		t.Fatal(err)
 	}
-	c := newUnit(4, 0)
+	c := newUnit(4)
 	c.AttachStore(st, Codec[any]{
 		Encode: func(v any) ([]byte, error) { return []byte(v.(string)), nil },
 		Decode: func(d []byte) (any, error) { return nil, errors.New("schema mismatch") },
@@ -325,8 +300,8 @@ func TestCacheDiskDecodeErrorRecovers(t *testing.T) {
 	if s := c.Stats(); s.DiskErrors != 1 {
 		t.Fatalf("stats = %+v, want 1 disk error", s)
 	}
-	if n := st.Len(); n != 1 { // the garbage was replaced by the write-through
-		t.Fatalf("store Len = %d, want the recomputed entry only", n)
+	if n := entryFiles(t, st); n != 1 { // the garbage was replaced by the write-through
+		t.Fatalf("%d entry files, want the recomputed entry only", n)
 	}
 }
 
@@ -335,7 +310,7 @@ func TestCacheDiskDecodeErrorRecovers(t *testing.T) {
 // in for a failed write-through), so shutdown leaves a complete snapshot.
 func TestCacheFlush(t *testing.T) {
 	root := t.TempDir()
-	c := newUnit(4, 0)
+	c := newUnit(4)
 	mustDo(t, c, testKey, "early") // stored in memory before any store exists
 	st, err := OpenFileStore(root, "v1@engine-1/results")
 	if err != nil {
@@ -345,7 +320,7 @@ func TestCacheFlush(t *testing.T) {
 	if n := c.Flush(); n != 1 {
 		t.Fatalf("Flush = %d, want 1", n)
 	}
-	if v, _, ok, _ := st.Get(testKey); !ok || string(v) != "early" {
+	if v, ok, _ := st.Get(testKey); !ok || string(v) != "early" {
 		t.Fatalf("flushed entry: %q ok=%v", v, ok)
 	}
 	if s := c.Stats(); s.DiskPuts != 1 {
@@ -357,7 +332,7 @@ func TestCacheFlush(t *testing.T) {
 // followers with the dedicated sentinel, not context.Canceled, and the panic
 // still reaches the leader's caller.
 func TestCachePanicSentinel(t *testing.T) {
-	c := newUnit(4, 0)
+	c := newUnit(4)
 	gate := make(chan struct{})
 	followerJoined := make(chan struct{})
 	leaderPanicked := make(chan any, 1)
@@ -402,45 +377,6 @@ func TestCachePanicSentinel(t *testing.T) {
 	// The key must be retryable (no wedged flight).
 	if v, _, _, err := c.Do(context.Background(), "key", compute("retry")); err != nil || v.(string) != "retry" {
 		t.Fatalf("retry after panic: %v %v", v, err)
-	}
-}
-
-// TestSweepDrivenExpiry (satellite fix): expired entries that nobody
-// re-requests are collected by Sweep — the reaper's entry point — and
-// counted under Expirations.
-func TestSweepDrivenExpiry(t *testing.T) {
-	c := newUnit(8, time.Minute)
-	now := time.Unix(1000, 0)
-	c.SetClock(func() time.Time { return now })
-	mustDo(t, c, "a", 1)
-	mustDo(t, c, "b", 2)
-	mustDo(t, c, "c", 3)
-	now = now.Add(2 * time.Minute)
-	if n := c.Sweep(); n != 3 {
-		t.Fatalf("Sweep = %d, want 3", n)
-	}
-	s := c.Stats()
-	if s.Expirations != 3 || s.Entries != 0 {
-		t.Fatalf("stats = %+v, want 3 expirations and no entries", s)
-	}
-	if c.Sweep() != 0 {
-		t.Fatal("second sweep found entries")
-	}
-}
-
-// TestOpportunisticSweepOnInsert: inserting a new key sweeps TTL-dead
-// entries in passing (no reaper, no re-request needed), so the dead entry's
-// budget is free before the insert is admitted.
-func TestOpportunisticSweepOnInsert(t *testing.T) {
-	c := newUnit(8, time.Minute)
-	now := time.Unix(1000, 0)
-	c.SetClock(func() time.Time { return now })
-	mustDo(t, c, "a", 1)
-	now = now.Add(2 * time.Minute)
-	mustDo(t, c, "b", 2)
-	s := c.Stats()
-	if s.Expirations != 1 || s.Entries != 1 {
-		t.Fatalf("stats = %+v, want the insert to have swept the dead entry", s)
 	}
 }
 
@@ -566,7 +502,7 @@ func TestMatrixOversizePersists(t *testing.T) {
 	if s := c.Stats(); s.Rejected != 1 || s.DiskPuts != 1 {
 		t.Fatalf("stats = %+v, want rejected in memory but persisted", s)
 	}
-	if v, _, ok, _ := st.Get(testKey); !ok || string(v) != "huge" {
+	if v, ok, _ := st.Get(testKey); !ok || string(v) != "huge" {
 		t.Fatalf("oversize entry not on disk: %q ok=%v", v, ok)
 	}
 }
@@ -583,7 +519,7 @@ func TestMatrixFlush(t *testing.T) {
 	if n := c.Flush(); n != 1 {
 		t.Fatalf("Flush = %d, want 1", n)
 	}
-	if v, _, ok, _ := st.Get(testKey); !ok || string(v) != "m" {
+	if v, ok, _ := st.Get(testKey); !ok || string(v) != "m" {
 		t.Fatalf("flushed matrix: %q ok=%v", v, ok)
 	}
 }
@@ -607,24 +543,23 @@ func TestFileStoreKeyFanout(t *testing.T) {
 // FuzzDecodeEntry fuzzes the FileStore frame, the on-disk trust boundary:
 // decodeEntry must never panic, every frame it accepts must re-encode to
 // exactly its input bytes (the frame has no slack a corrupt file could hide
-// in), and encodeEntry → decodeEntry must round-trip any payload and expiry.
+// in), and encodeEntry → decodeEntry must round-trip any payload. The
+// committed corpus in testdata/fuzz/FuzzDecodeEntry holds valid frames and
+// one of each form the decoder rejects, an entry in the retired MRC1 frame
+// among them.
 func FuzzDecodeEntry(f *testing.F) {
-	f.Add(encodeEntry([]byte("payload"), time.Time{}), int64(0))
-	f.Add(encodeEntry([]byte(`{"ranking":[2,0,1]}`), time.Unix(0, 1_700_000_000_000_000_000)), int64(-1))
-	f.Add([]byte("MRC1"), int64(1))
-	f.Fuzz(func(t *testing.T, data []byte, exp int64) {
-		if value, expiry, ok := decodeEntry(data); ok {
-			if again := encodeEntry(value, expiry); !bytes.Equal(again, data) {
+	f.Add(encodeEntry([]byte("payload")))
+	f.Add(encodeEntry([]byte(`{"ranking":[2,0,1]}`)))
+	f.Add([]byte(fileMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if value, ok := decodeEntry(data); ok {
+			if again := encodeEntry(value); !bytes.Equal(again, data) {
 				t.Fatalf("accepted frame re-encodes differently:\n in  %x\n out %x", data, again)
 			}
 		}
-		var expiry time.Time
-		if exp != 0 {
-			expiry = time.Unix(0, exp)
-		}
-		value, gotExpiry, ok := decodeEntry(encodeEntry(data, expiry))
-		if !ok || !bytes.Equal(value, data) || !gotExpiry.Equal(expiry) {
-			t.Fatalf("round trip of %d-byte payload at %v: ok=%v expiry=%v", len(data), expiry, ok, gotExpiry)
+		value, ok := decodeEntry(encodeEntry(data))
+		if !ok || !bytes.Equal(value, data) {
+			t.Fatalf("round trip of %d-byte payload: ok=%v", len(data), ok)
 		}
 	})
 }

@@ -4,16 +4,17 @@
 // canonical digests whose admission is bounded by a cost budget, evicted in
 // least-recently-used order (every resident entry sits in one recency list
 // the tier owns, so a hit is a map lookup plus a move to the front), with
-// optional TTL expiry, hit/miss/eviction counters, and single-flight
-// coalescing so any number of concurrent identical lookups trigger exactly
-// one computation.
+// hit/miss/eviction counters and single-flight coalescing so any number of
+// concurrent identical lookups trigger exactly one computation. A value is a
+// pure function of its digest key and the versioned namespace, so it cannot
+// go stale: an entry leaves a tier only by eviction.
 //
 // The serving layer runs two of them. The consensus result tier is keyed by
-// request digest, charges one unit per entry (so its budget is an entry
-// count) and takes the configured TTL. The precedence-matrix tier is keyed
-// by the profile sub-digest, since profiles are shared across methods, and
-// is bounded by memory cost (n² cells per entry) — ten small profiles and
-// one n=500 matrix are priced honestly against the same budget.
+// request digest and charges one unit per entry (so its budget is an entry
+// count). The precedence-matrix tier is keyed by the profile sub-digest,
+// since profiles are shared across methods, and is bounded by memory cost
+// (n² cells per entry) — ten small profiles and one n=500 matrix are priced
+// honestly against the same budget.
 //
 // Either tier can sit on a persistent Store (store.go, filestore.go): a
 // content-addressed byte store under the same digest keys, written through
@@ -40,7 +41,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"manirank/internal/obs"
 )
@@ -67,9 +67,6 @@ type Stats struct {
 	// Rejected counts values costing more than the whole budget, which are
 	// never admitted to memory.
 	Rejected uint64 `json:"rejected"`
-	// Expirations counts entries dropped because their TTL elapsed — at
-	// lookup, during an opportunistic store-time sweep, or by Sweep.
-	Expirations uint64 `json:"expirations"`
 	// DiskHits counts Do calls served by restoring an entry from the
 	// persistent store (a subset of Misses; zero without an attached Store).
 	DiskHits uint64 `json:"disk_hits"`
@@ -124,8 +121,6 @@ type Counters struct {
 	Evictions *obs.Counter
 	// Rejected counts values too costly to admit at all.
 	Rejected *obs.Counter
-	// Expirations counts entries dropped because their TTL elapsed.
-	Expirations *obs.Counter
 	// DiskHits counts Do calls served by a persistent-store restore.
 	DiskHits *obs.Counter
 	// DiskPuts counts successful write-throughs to the persistent store.
@@ -172,28 +167,17 @@ type Config[V any] struct {
 	Cost func(V) int64
 	// Size prices a value's resident bytes for Bytes; nil reports 0.
 	Size func(V) int64
-	// TTL bounds each entry's life; <= 0 disables expiry.
-	TTL time.Duration
 }
 
 // spanNames are a tier's trace span names, built once from Config.Name.
 type spanNames struct{ lookup, wait, diskRead, diskWrite, peerRead string }
 
 // entry is one stored value and its place in the tier's recency list.
-// expiresAt is absolute (zero = never): entries restored from the persistent
-// tier keep the expiry they were first stored with, so a restart cannot
-// extend a value's life.
 type entry[V any] struct {
-	key       string
-	value     V
-	cost      int64
-	expiresAt time.Time
-	el        *list.Element // in Tier.lru; Value is the *entry itself
-}
-
-// expired reports whether the entry's TTL elapsed at time now.
-func (e *entry[V]) expired(now time.Time) bool {
-	return !e.expiresAt.IsZero() && !now.Before(e.expiresAt)
+	key   string
+	value V
+	cost  int64
+	el    *list.Element // in Tier.lru; Value is the *entry itself
 }
 
 // flight is one in-progress computation that concurrent identical lookups
@@ -211,22 +195,19 @@ type flight[V any] struct {
 var errComputePanic = errors.New("cache: compute panicked")
 
 // Tier is a thread-safe, cost-budgeted value store with LRU eviction,
-// optional TTL expiry, single-flight coalescing, and an optional persistent
-// second-chance tier (AttachStore). Construct with New.
+// single-flight coalescing, and an optional persistent second-chance tier
+// (AttachStore). Construct with New.
 type Tier[V any] struct {
 	budget int64
-	ttl    time.Duration
 	cost   func(V) int64
 	size   func(V) int64
 	spans  spanNames
 
-	mu        sync.Mutex
-	used      int64
-	items     map[string]*entry[V]
-	lru       *list.List // front = most recently used
-	flights   map[string]*flight[V]
-	now       func() time.Time
-	lastSweep time.Time
+	mu      sync.Mutex
+	used    int64
+	items   map[string]*entry[V]
+	lru     *list.List // front = most recently used
+	flights map[string]*flight[V]
 
 	store Store // nil: memory only
 	codec Codec[V]
@@ -239,7 +220,6 @@ func New[V any](cfg Config[V]) *Tier[V] {
 	n := cfg.Name
 	return &Tier[V]{
 		budget: cfg.Budget,
-		ttl:    cfg.TTL,
 		cost:   cfg.Cost,
 		size:   cfg.Size,
 		spans: spanNames{
@@ -252,35 +232,25 @@ func New[V any](cfg Config[V]) *Tier[V] {
 		items:   make(map[string]*entry[V]),
 		lru:     list.New(),
 		flights: make(map[string]*flight[V]),
-		now:     time.Now,
 		counters: Counters{
-			Hits:        new(obs.Counter),
-			Misses:      new(obs.Counter),
-			Coalesced:   new(obs.Counter),
-			Builds:      new(obs.Counter),
-			Evictions:   new(obs.Counter),
-			Rejected:    new(obs.Counter),
-			Expirations: new(obs.Counter),
-			DiskHits:    new(obs.Counter),
-			DiskPuts:    new(obs.Counter),
-			DiskErrors:  new(obs.Counter),
-			PeerHits:    new(obs.Counter),
-			PeerMisses:  new(obs.Counter),
-			PeerErrors:  new(obs.Counter),
+			Hits:       new(obs.Counter),
+			Misses:     new(obs.Counter),
+			Coalesced:  new(obs.Counter),
+			Builds:     new(obs.Counter),
+			Evictions:  new(obs.Counter),
+			Rejected:   new(obs.Counter),
+			DiskHits:   new(obs.Counter),
+			DiskPuts:   new(obs.Counter),
+			DiskErrors: new(obs.Counter),
+			PeerHits:   new(obs.Counter),
+			PeerMisses: new(obs.Counter),
+			PeerErrors: new(obs.Counter),
 		},
 	}
 }
 
 // Counters returns the tier's live counters for registry adoption.
 func (t *Tier[V]) Counters() Counters { return t.counters }
-
-// SetClock replaces the tier's time source; tests use it to drive TTL
-// expiry deterministically.
-func (t *Tier[V]) SetClock(now func() time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.now = now
-}
 
 // AttachStore puts the persistent tier under the memory tier: every admitted
 // value is written through (encoded by codec), and a memory miss consults
@@ -329,18 +299,11 @@ func (t *Tier[V]) removeLocked(e *entry[V]) {
 	t.used -= e.cost
 }
 
-// lookupLocked returns the live stored value for key, expiring it first if
-// its TTL elapsed. Callers hold t.mu.
+// lookupLocked returns the stored value for key and marks it most recently
+// used. Callers hold t.mu.
 func (t *Tier[V]) lookupLocked(key string) (V, bool) {
 	e, ok := t.items[key]
 	if !ok {
-		var zero V
-		return zero, false
-	}
-	// Entries without an expiry skip the clock read.
-	if !e.expiresAt.IsZero() && e.expired(t.now()) {
-		t.removeLocked(e)
-		t.counters.Expirations.Inc()
 		var zero V
 		return zero, false
 	}
@@ -349,14 +312,11 @@ func (t *Tier[V]) lookupLocked(key string) (V, bool) {
 }
 
 // admitLocked stores (or refreshes) key at cost (priced by costOf before
-// the lock was taken) with an absolute expiry (zero = never) at the front
-// of the recency list, evicting least-recently-used entries until the value
-// fits the budget. Values costing more than the whole budget are rejected
-// rather than flushing the tier for one entry. New insertions
-// opportunistically sweep expired entries first, so TTL-dead entries release
-// their memory without waiting to be re-requested or evicted. Callers hold
-// t.mu.
-func (t *Tier[V]) admitLocked(key string, v V, cost int64, expiresAt time.Time) {
+// the lock was taken) at the front of the recency list, evicting
+// least-recently-used entries until the value fits the budget. Values
+// costing more than the whole budget are rejected rather than flushing the
+// tier for one entry. Callers hold t.mu.
+func (t *Tier[V]) admitLocked(key string, v V, cost int64) {
 	if t.budget <= 0 {
 		return
 	}
@@ -366,18 +326,13 @@ func (t *Tier[V]) admitLocked(key string, v V, cost int64, expiresAt time.Time) 
 	}
 	if e, ok := t.items[key]; ok {
 		t.used += cost - e.cost
-		e.value, e.cost, e.expiresAt = v, cost, expiresAt
+		e.value, e.cost = v, cost
 		t.lru.MoveToFront(e.el)
 		t.evictLocked(0)
 		return
 	}
-	if t.ttl > 0 {
-		if now := t.now(); now.Sub(t.lastSweep) >= t.ttl/2 {
-			t.sweepLocked(now)
-		}
-	}
 	t.evictLocked(cost)
-	e := &entry[V]{key: key, value: v, cost: cost, expiresAt: expiresAt}
+	e := &entry[V]{key: key, value: v, cost: cost}
 	e.el = t.lru.PushFront(e)
 	t.items[key] = e
 	t.used += cost
@@ -394,39 +349,6 @@ func (t *Tier[V]) evictLocked(cost int64) {
 		t.removeLocked(tail.Value.(*entry[V]))
 		t.counters.Evictions.Inc()
 	}
-}
-
-// expiryLocked returns the absolute expiry a value stored now carries.
-func (t *Tier[V]) expiryLocked() time.Time {
-	if t.ttl <= 0 {
-		return time.Time{}
-	}
-	return t.now().Add(t.ttl)
-}
-
-// sweepLocked drops every expired entry, counting each under Expirations.
-// Callers hold t.mu.
-func (t *Tier[V]) sweepLocked(now time.Time) int {
-	t.lastSweep = now
-	removed := 0
-	for _, e := range t.items {
-		if e.expired(now) {
-			t.removeLocked(e)
-			t.counters.Expirations.Inc()
-			removed++
-		}
-	}
-	return removed
-}
-
-// Sweep removes every expired entry now and returns how many it dropped.
-// The serving layer's reaper calls it on a timer so idle expired entries
-// release memory without waiting for traffic; admissions also sweep
-// opportunistically.
-func (t *Tier[V]) Sweep() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sweepLocked(t.now())
 }
 
 // Do returns the value for key: from memory on a hit, by joining an
@@ -489,12 +411,12 @@ func (t *Tier[V]) DoFetch(ctx context.Context, key string, fetch FetchFunc[V], c
 			t.release(key, f, value, errComputePanic)
 		}
 	}()
-	if v, expiry, ok := t.restore(ctx, key); ok {
+	if v, ok := t.restore(ctx, key); ok {
 		completed = true
 		t.counters.DiskHits.Inc()
 		cost := t.costOf(v)
 		t.mu.Lock()
-		t.admitLocked(key, v, cost, expiry)
+		t.admitLocked(key, v, cost)
 		t.mu.Unlock()
 		t.release(key, f, v, nil)
 		return v, true, false, nil
@@ -532,31 +454,30 @@ func (t *Tier[V]) release(key string, f *flight[V], v V, err error) {
 
 // restore consults the persistent store for key. Any store or decode failure
 // is absorbed (counted under DiskErrors, the entry deleted) — a broken disk
-// entry must degrade to a recompute, never an outage. The entry's absolute
-// expiry is returned so a restart cannot extend a value's life.
-func (t *Tier[V]) restore(ctx context.Context, key string) (value V, expiry time.Time, ok bool) {
+// entry must degrade to a recompute, never an outage.
+func (t *Tier[V]) restore(ctx context.Context, key string) (value V, ok bool) {
 	t.mu.Lock()
 	store, codec := t.store, t.codec
 	t.mu.Unlock()
 	if store == nil {
-		return value, expiry, false
+		return value, false
 	}
 	defer obs.StartSpan(ctx, t.spans.diskRead)()
-	data, expiry, found, err := store.Get(key)
+	data, found, err := store.Get(key)
 	if err != nil {
 		t.counters.DiskErrors.Inc()
-		return value, time.Time{}, false
+		return value, false
 	}
 	if !found {
-		return value, time.Time{}, false
+		return value, false
 	}
 	v, err := codec.Decode(data)
 	if err != nil {
 		store.Delete(key)
 		t.counters.DiskErrors.Inc()
-		return value, time.Time{}, false
+		return value, false
 	}
-	return v, expiry, true
+	return v, true
 }
 
 // peerFetch runs the fleet hook and classifies its outcome into the peer
@@ -578,7 +499,7 @@ func (t *Tier[V]) peerFetch(ctx context.Context, fetch FetchFunc[V]) (V, bool) {
 	return v, false
 }
 
-// Peek returns the live value for key from memory or the persistent store
+// Peek returns the value for key from memory or the persistent store
 // without touching the hit/miss/disk counters — the read path a node serves
 // peer fetches from, which must not distort its own traffic statistics. A
 // disk restore is still admitted to memory (the peer asking is evidence the
@@ -590,17 +511,17 @@ func (t *Tier[V]) Peek(ctx context.Context, key string) (V, bool) {
 		return v, true
 	}
 	t.mu.Unlock()
-	v, expiry, ok := t.restore(ctx, key)
+	v, ok := t.restore(ctx, key)
 	if ok {
 		cost := t.costOf(v)
 		t.mu.Lock()
-		t.admitLocked(key, v, cost, expiry)
+		t.admitLocked(key, v, cost)
 		t.mu.Unlock()
 	}
 	return v, ok
 }
 
-// Put admits value under key with a fresh TTL and writes it through to the
+// Put admits value under key and writes it through to the
 // persistent store — the path every fresh value takes: a computation, a
 // peer fetch, a fleet push (a non-owner computed this key, or a membership
 // change re-homed it here), or a matrix the serving layer patched
@@ -612,8 +533,7 @@ func (t *Tier[V]) Peek(ctx context.Context, key string) (V, bool) {
 func (t *Tier[V]) Put(ctx context.Context, key string, value V) {
 	cost := t.costOf(value)
 	t.mu.Lock()
-	expiry := t.expiryLocked()
-	t.admitLocked(key, value, cost, expiry)
+	t.admitLocked(key, value, cost)
 	var store Store
 	if t.budget > 0 {
 		store = t.store
@@ -621,33 +541,29 @@ func (t *Tier[V]) Put(ctx context.Context, key string, value V) {
 	codec := t.codec
 	t.mu.Unlock()
 	if store != nil {
-		t.persist(ctx, store, codec, key, value, expiry)
+		t.persist(ctx, store, codec, key, value)
 	}
 }
 
-// Keys returns the keys of every live in-memory entry, in no particular
-// order — the enumeration re-owned-key warming walks after a membership
-// change.
+// Keys returns the keys of every in-memory entry, in no particular order —
+// the enumeration re-owned-key warming walks after a membership change.
 func (t *Tier[V]) Keys() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := t.now()
 	out := make([]string, 0, len(t.items))
-	for key, e := range t.items {
-		if !e.expired(now) {
-			out = append(out, key)
-		}
+	for key := range t.items {
+		out = append(out, key)
 	}
 	return out
 }
 
 // persist writes one entry through to the store (outside t.mu — encoding
 // and I/O must not serialise the tier). Failures are absorbed and counted.
-func (t *Tier[V]) persist(ctx context.Context, store Store, codec Codec[V], key string, value V, expiry time.Time) {
+func (t *Tier[V]) persist(ctx context.Context, store Store, codec Codec[V], key string, value V) {
 	defer obs.StartSpan(ctx, t.spans.diskWrite)()
 	data, err := codec.Encode(value)
 	if err == nil {
-		err = store.Put(key, data, expiry)
+		err = store.Put(key, data)
 	}
 	if err != nil {
 		t.counters.DiskErrors.Inc()
@@ -656,7 +572,7 @@ func (t *Tier[V]) persist(ctx context.Context, store Store, codec Codec[V], key 
 	}
 }
 
-// Flush re-persists every live in-memory entry to the attached store and
+// Flush re-persists every in-memory entry to the attached store and
 // returns how many it wrote — the snapshot-on-shutdown half of warm
 // restarts. Write-through already persisted each entry once, so Flush only
 // repairs entries whose earlier write failed; it is cheap and idempotent.
@@ -668,16 +584,13 @@ func (t *Tier[V]) Flush() int {
 		t.mu.Unlock()
 		return 0
 	}
-	now := t.now()
-	snaps := make(map[string]entry[V], len(t.items))
+	snaps := make(map[string]V, len(t.items))
 	for key, e := range t.items {
-		if !e.expired(now) {
-			snaps[key] = *e
-		}
+		snaps[key] = e.value
 	}
 	t.mu.Unlock()
-	for key, e := range snaps {
-		t.persist(context.Background(), store, codec, key, e.value, e.expiresAt)
+	for key, v := range snaps {
+		t.persist(context.Background(), store, codec, key, v)
 	}
 	return len(snaps)
 }
@@ -696,7 +609,6 @@ func (t *Tier[V]) Stats() Stats {
 		BuildsSkipped: c.BuildsSkipped(),
 		Evictions:     c.Evictions.Value(),
 		Rejected:      c.Rejected.Value(),
-		Expirations:   c.Expirations.Value(),
 		DiskHits:      c.DiskHits.Value(),
 		DiskPuts:      c.DiskPuts.Value(),
 		DiskErrors:    c.DiskErrors.Value(),

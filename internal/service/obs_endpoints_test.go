@@ -103,7 +103,6 @@ func TestMetricszStatzCrossCheck(t *testing.T) {
 		`manirank_cache_misses_total{tier="result"}`:      float64(st.Cache.Misses),
 		`manirank_cache_coalesced_total{tier="result"}`:   float64(st.Cache.Coalesced),
 		`manirank_cache_evictions_total{tier="result"}`:   float64(st.Cache.Evictions),
-		`manirank_cache_expirations_total{tier="result"}`: float64(st.Cache.Expirations),
 		`manirank_cache_disk_hits_total{tier="result"}`:   float64(st.Cache.DiskHits),
 		`manirank_cache_disk_puts_total{tier="result"}`:   float64(st.Cache.DiskPuts),
 		`manirank_cache_disk_errors_total{tier="result"}`: float64(st.Cache.DiskErrors),

@@ -66,10 +66,6 @@ type Config struct {
 	// CacheSize is the result-cache capacity in entries (default 1024;
 	// negative disables caching).
 	CacheSize int
-	// CacheTTL expires cached results (default 0: never). With a TTL set the
-	// server also runs a clock-driven reaper that sweeps expired entries out
-	// of memory even when nothing re-requests them.
-	CacheTTL time.Duration
 	// CacheDir, when non-empty, roots a persistent content-addressed tier
 	// under both caches: every admitted result and matrix is written through
 	// to disk, memory misses consult disk before computing, and both tiers
@@ -104,9 +100,10 @@ type Config struct {
 	// coalesce).
 	PrecCacheCells int64
 	// DefaultDeadline caps a solve when the request doesn't set deadline_ms
-	// (default 30s).
+	// (default 30s; negative is an error).
 	DefaultDeadline time.Duration
-	// MaxDeadline caps what deadline_ms may ask for (default 5m).
+	// MaxDeadline caps what deadline_ms may ask for (default 5m; negative is
+	// an error).
 	MaxDeadline time.Duration
 	// MaxBodyBytes bounds the request body (default 32 MiB).
 	MaxBodyBytes int64
@@ -277,17 +274,23 @@ type Server struct {
 }
 
 // New starts a Server's worker pool and returns it. It fails on a negative
-// Config.QueueDepth or an unusable Config.CacheDir.
+// Config.QueueDepth, DefaultDeadline or MaxDeadline, or an unusable
+// Config.CacheDir.
 func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth < 0 {
 		return nil, fmt.Errorf("service: negative queue depth %d", cfg.QueueDepth)
+	}
+	if cfg.DefaultDeadline < 0 {
+		return nil, fmt.Errorf("service: negative default deadline %v", cfg.DefaultDeadline)
+	}
+	if cfg.MaxDeadline < 0 {
+		return nil, fmt.Errorf("service: negative max deadline %v", cfg.MaxDeadline)
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg: cfg,
 		cache: cache.New(cache.Config[*result]{
-			Name: "result", Budget: int64(cfg.CacheSize), TTL: cfg.CacheTTL,
-			Size: resultSizer,
+			Name: "result", Budget: int64(cfg.CacheSize), Size: resultSizer,
 		}),
 		prec: cache.New(cache.Config[*ranking.Precedence]{
 			Name: "matrix", Budget: cfg.PrecCacheCells,
@@ -349,14 +352,6 @@ func New(cfg Config) (*Server, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
-	}
-	if cfg.CacheTTL > 0 {
-		interval := cfg.CacheTTL / 2
-		if interval < time.Second {
-			interval = time.Second
-		}
-		s.wg.Add(1)
-		go s.reaper(interval)
 	}
 	return s, nil
 }
@@ -446,8 +441,7 @@ func (s *Server) initObs() {
 	// Cache tiers: adopt each tier's counters under its tier label, with
 	// measured vs Che-predicted hit rate and their drift — sustained drift
 	// means the popularity model (or the capacity assumption) is wrong. The
-	// result tier alone expires entries; the matrix tier alone reports its
-	// build axis.
+	// matrix tier alone reports its build axis.
 	rc, mc := s.cache.Counters(), s.prec.Counters()
 	for _, t := range []struct {
 		label   string
@@ -480,7 +474,6 @@ func (s *Server) initObs() {
 		r.GaugeFunc("manirank_cache_hit_rate_drift", "measured minus predicted hit rate per tier",
 			func() float64 { return t.stats().HitRate() - t.predict() }, l)
 	}
-	r.RegisterCounter("manirank_cache_expirations_total", "entries dropped by TTL expiry", rc.Expirations, obs.L("tier", "result"))
 	r.RegisterCounter("manirank_matrix_builds_total", "precedence-matrix constructions paid", mc.Builds)
 	r.RegisterCounter("manirank_matrix_rejected_total", "built matrices too large to admit", mc.Rejected)
 	r.CounterFunc("manirank_matrix_builds_skipped_total",
@@ -529,24 +522,6 @@ func (s *Server) predictMatrixHitRate() float64 {
 	}
 	capEntries := int(ms.CostBudget / (ms.CostUsed / int64(ms.Entries)))
 	return s.cheMatrix.Predict(capEntries)
-}
-
-// reaper periodically sweeps expired entries out of the result cache so a
-// TTL'd working set that stops being requested releases its memory and
-// budget without waiting for capacity pressure (lookupLocked only expires
-// entries somebody asks for again).
-func (s *Server) reaper(interval time.Duration) {
-	defer s.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-t.C:
-			s.cache.Sweep()
-		}
-	}
 }
 
 // snapshotter flushes both memory tiers to the persistent store on a fixed
@@ -725,16 +700,19 @@ func buildResult(sr *manirank.Result, pb *problem) *result {
 	return res
 }
 
-// deadline resolves a request's compute budget.
-func (s *Server) deadline(req *AggregateRequest) time.Duration {
+// deadline resolves the compute budget of a request or session op from its
+// deadline_ms: the default when unset, never above MaxDeadline. The cap is
+// checked on the millisecond count before converting, because a huge count
+// overflows time.Duration into a zero or negative budget.
+func (s *Server) deadline(ms int64) time.Duration {
+	if ms > s.cfg.MaxDeadline.Milliseconds() {
+		return s.cfg.MaxDeadline
+	}
 	d := s.cfg.DefaultDeadline
-	if req.DeadlineMillis > 0 {
-		d = time.Duration(req.DeadlineMillis) * time.Millisecond
+	if ms > 0 {
+		d = time.Duration(ms) * time.Millisecond
 	}
-	if d > s.cfg.MaxDeadline {
-		d = s.cfg.MaxDeadline
-	}
-	return d
+	return min(d, s.cfg.MaxDeadline)
 }
 
 // admit queues pb for the worker pool and waits for its result. The compute
@@ -840,7 +818,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	digest := pb.digest
-	budget := s.deadline(&req)
+	budget := s.deadline(req.DeadlineMillis)
 
 	// The request trace starts once the problem is valid (malformed bodies
 	// have no stages worth attributing) and rides every context from here:

@@ -229,13 +229,55 @@ func TestDeadlineReturnsBestSoFarUncached(t *testing.T) {
 	}
 }
 
-// TestNegativeQueueDepthRejected: a negative queue depth is a
-// configuration error New reports, not a panic from sizing the job channel.
+// TestNegativeQueueDepthRejected: a negative queue depth, default deadline
+// or max deadline is a configuration error New reports — not a panic from
+// sizing the job channel, nor a server that answers every request 504 at
+// once.
 func TestNegativeQueueDepthRejected(t *testing.T) {
-	s, err := New(Config{QueueDepth: -1})
-	if err == nil {
-		s.Close()
-		t.Fatal("New accepted QueueDepth -1")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"QueueDepth", Config{QueueDepth: -1}},
+		{"DefaultDeadline", Config{DefaultDeadline: -time.Second}},
+		{"MaxDeadline", Config{MaxDeadline: -time.Second}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(tc.cfg)
+			if err == nil {
+				s.Close()
+				t.Fatalf("New accepted a negative %s", tc.name)
+			}
+		})
+	}
+}
+
+// TestDeadlineOverflowCapped: a deadline_ms whose nanosecond count overflows
+// time.Duration (9.3e12 ms wraps negative, 1<<62 ms wraps to 0) is capped at
+// MaxDeadline on both the aggregate and the session path, so the request
+// solves and answers 200 instead of timing out at once.
+func TestDeadlineOverflowCapped(t *testing.T) {
+	const maxDeadline = 10 * time.Second
+	s, ts := newTestServer(t, Config{MaxDeadline: maxDeadline})
+	for i, ms := range []int64{9_300_000_000_000, 1 << 62} {
+		if got := s.deadline(ms); got != maxDeadline {
+			t.Fatalf("deadline(%d) = %v, want the %v cap", ms, got, maxDeadline)
+		}
+		req := testRequest("fair-kemeny", int64(30+i))
+		req.DeadlineMillis = ms
+		if status, _ := post(t, ts.URL, req); status != http.StatusOK {
+			t.Fatalf("aggregate with deadline_ms %d: status %d, want 200", ms, status)
+		}
+		sreq := testRequest("fair-kemeny", int64(40+i)) // a profile no POST built
+		sreq.DeadlineMillis = ms
+		status, created := createSession(t, ts.URL, sreq)
+		if status != http.StatusOK {
+			t.Fatalf("session create with deadline_ms %d: status %d, want 200", ms, status)
+		}
+		op := &SessionOp{Op: "add", Ranking: randomRow(len(sreq.Profile[0]), int64(i)), DeadlineMillis: ms}
+		if status, _ := postOp(t, ts.URL, created.SessionID, op); status != http.StatusOK {
+			t.Fatalf("session op with deadline_ms %d: status %d, want 200", ms, status)
+		}
 	}
 }
 

@@ -139,7 +139,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// skips the build); the engine copy-on-writes on the first mutation, so
 	// the cache-resident matrix is never corrupted.
 	tr := obs.NewTrace("session-create/"+pb.method.String(), pb.digest[:12])
-	budget := s.deadline(&req)
+	budget := s.deadline(req.DeadlineMillis)
 	mctx, cancel := context.WithTimeout(obs.WithTrace(r.Context(), tr), budget)
 	w0, err := s.precedence(mctx, pb)
 	cancel()
@@ -289,13 +289,7 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request, sess *s
 	}
 	opc.Inc()
 
-	deadline := s.cfg.DefaultDeadline
-	if op.DeadlineMillis > 0 {
-		deadline = time.Duration(op.DeadlineMillis) * time.Millisecond
-	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
-	}
+	deadline := s.deadline(op.DeadlineMillis)
 	tr := obs.NewTrace("session-"+op.Op+"/"+sess.req.Method, sess.id[:12])
 	resp, status, serr := s.solveSession(r.Context(), tr, sess, deadline)
 	if serr != nil {

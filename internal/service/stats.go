@@ -11,8 +11,8 @@ import (
 // TierStatz is one cache tier's /statz section: the tier's Stats under the
 // key set that section has always reported. Both tiers share one Stats
 // type, so each section names the keys it never carried — the result
-// tier's build and cost accounting, the matrix tier's policy and
-// expirations — and rendering drops them.
+// tier's build and cost accounting, the matrix tier's policy — and
+// rendering drops them.
 type TierStatz struct {
 	cache.Stats
 	omit []string
@@ -21,7 +21,7 @@ type TierStatz struct {
 // Key sets dropped from each tier's /statz section.
 var (
 	resultStatzOmit = []string{"builds", "builds_skipped", "rejected", "cost_used", "cost_budget"}
-	matrixStatzOmit = []string{"policy", "expirations"}
+	matrixStatzOmit = []string{"policy"}
 )
 
 // MarshalJSON renders the Stats without the omitted keys.

@@ -6,8 +6,9 @@
 # two-tier contract). Then the persistence contract: restart the daemon over
 # the same -cache-dir and assert the first repeated request is a disk-warm
 # hit (no solver run, no matrix build), and that bumping
-# -cache-engine-version invalidates everything persisted. Used by CI's
-# serve-smoke stage.
+# -cache-engine-version invalidates everything persisted. First of all, a
+# negative -queue, -deadline or -max-deadline must stop the daemon at
+# startup with exit 2. Used by CI's serve-smoke stage.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -15,6 +16,16 @@ cd "$(dirname "$0")/.."
 go build -o /tmp/manirankd ./cmd/manirankd
 
 PORT="${SMOKE_PORT:-18080}"
+
+# --- Config validation: a negative queue depth or deadline is a startup
+# error (exit 2) raised before the daemon listens. timeout turns a
+# regression that starts serving anyway into a fast failure, not a hung job.
+for FLAGS in "-queue -1" "-deadline -1s" "-max-deadline -1s"; do
+  CODE=0
+  timeout 10 /tmp/manirankd -addr "127.0.0.1:${PORT}" $FLAGS 2>/dev/null || CODE=$?
+  [ "$CODE" = 2 ] || { echo "manirankd $FLAGS exited $CODE, want 2" >&2; exit 1; }
+done
+echo "config-validation smoke ok"
 CACHE_DIR="$(mktemp -d)"
 SERVER_PID=""
 cleanup() {
