@@ -21,6 +21,10 @@ const fileMagic = "MRC2"
 // payload CRC-32 (4).
 const fileHeaderLen = 4 + 8 + 4
 
+// tempPrefix starts the name of every file Put writes before renaming it
+// into place. Entry keys are hex digests, so no entry starts with '.'.
+const tempPrefix = ".tmp-"
+
 // FileStore is the file-backed Store: one file per entry under
 //
 //	<root>/<namespace...>/<key prefix>/<key>
@@ -34,9 +38,10 @@ const fileHeaderLen = 4 + 8 + 4
 //
 // Writes are atomic: the entry is written to a temp file in the destination
 // directory and renamed into place, so a crash mid-write leaves at worst a
-// stale temp file, never a torn entry. Each entry carries a header with a
-// magic, the payload length, and a payload CRC; Get treats any mismatch —
-// truncation, corruption, a foreign magic — as a miss and deletes the file.
+// stale temp file, which the next OpenFileStore deletes, never a torn
+// entry. Each entry carries a header with a magic, the payload length, and
+// a payload CRC; Get treats any mismatch — truncation, corruption, a
+// foreign magic — as a miss and deletes the file.
 type FileStore struct {
 	dir string // the namespace directory all entries live under
 
@@ -50,6 +55,13 @@ type FileStore struct {
 // version tree: sibling first-segment directories under root are pruned,
 // because a version bump made their entries unreachable forever. Root must
 // therefore be a directory dedicated to this store (manirankd's -cache-dir).
+//
+// Opening also deletes every temp file under the namespace directory: one
+// left by a crash mid-Put is not an entry and no DiskBudget walk charges
+// it, so nothing else would reclaim it. A store opened on the same
+// directory by another process may have a Put in flight; deleting its temp
+// file makes that Put's rename fail and return an error. The write is
+// lost, but no entry is ever corrupted.
 func OpenFileStore(root, namespace string) (*FileStore, error) {
 	if root == "" {
 		return nil, errors.New("cache: empty file store root")
@@ -69,7 +81,20 @@ func OpenFileStore(root, namespace string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: creating store namespace: %w", err)
 	}
+	removeTempFiles(dir)
 	return &FileStore{dir: dir}, nil
+}
+
+// removeTempFiles deletes the temp files under dir. Errors are ignored, as
+// in pruneStaleVersions: an orphan that survives costs disk, not
+// correctness.
+func removeTempFiles(dir string) {
+	filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasPrefix(d.Name(), tempPrefix) {
+			os.Remove(p)
+		}
+		return nil
+	})
 }
 
 // pruneStaleVersions removes version trees under root other than keep: their
@@ -181,7 +206,7 @@ func (s *FileStore) Put(key string, value []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	tmp, err := os.CreateTemp(dir, tempPrefix+"*")
 	if err != nil {
 		return err
 	}

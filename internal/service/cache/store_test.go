@@ -222,6 +222,34 @@ func TestFileStoreOldFrameIsMiss(t *testing.T) {
 	}
 }
 
+// TestFileStoreOpenRemovesOrphanedTemp: a temp file left in a shard
+// directory by a crash mid-Put is deleted when the store is next opened;
+// the entries beside it survive.
+func TestFileStoreOpenRemovesOrphanedTemp(t *testing.T) {
+	root := t.TempDir()
+	s, err := OpenFileStore(root, "v1@engine-1/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(testKey, []byte("entry")); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(filepath.Dir(entryPath(t, s, testKey)), ".tmp-123")
+	if err := os.WriteFile(orphan, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = OpenFileStore(root, "v1@engine-1/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("orphaned temp file survived reopening: %v", err)
+	}
+	if got, ok, err := s.Get(testKey); !ok || err != nil || string(got) != "entry" {
+		t.Fatalf("entry after reopen: %q ok=%v err=%v", got, ok, err)
+	}
+}
+
 func TestFileStoreRejectsUnsafeKeys(t *testing.T) {
 	s, err := OpenFileStore(t.TempDir(), "v1@engine-1/results")
 	if err != nil {

@@ -131,25 +131,26 @@ func Digests(req *AggregateRequest) (full, profile string) {
 	return hex.EncodeToString(h.Sum(nil)), profile
 }
 
-// SessionDigests returns the cache keys of one session-scoped solve: the
-// session's current state as an AggregateRequest, folded with the
-// warm-start seed ranking. The warm seed participates because warm-started
-// heuristic results are deterministic per (input, warm, options) but not
-// identical to cold solves — a session result cached under the plain
-// request digest would poison the stateless tier (and vice versa), while
-// folding the seed in gives every (state, warm) pair its own entry. An
-// empty warm seed hashes as a zero-length ranking, which still differs from
-// the stateless digest via the namespace suffix. The profile sub-digest is
-// the plain post-mutation one: the matrix depends only on the profile, and
-// an incrementally patched W is bitwise identical to a fresh build, so the
-// matrix tier shares entries between the session and stateless paths.
-func SessionDigests(req *AggregateRequest, warm ranking.Ranking) (full, profile string) {
-	base, profile := Digests(req)
+// SessionDigest returns the result-cache key of one session-scoped solve:
+// base, the full digest (Digests) of the session's current state as an
+// AggregateRequest, folded with the warm-start seed ranking. Callers pass
+// the digest buildProblem already computed, so a session solve hashes its
+// profile once. The warm seed participates because warm-started heuristic
+// results are deterministic per (input, warm, options) but not identical to
+// cold solves — a session result cached under the plain request digest
+// would poison the stateless tier (and vice versa), while folding the seed
+// in gives every (state, warm) pair its own entry. An empty warm seed
+// hashes as a zero-length ranking, which still differs from the stateless
+// digest via the namespace suffix. The matrix key is the plain
+// post-mutation profile sub-digest: the matrix depends only on the profile,
+// and an incrementally patched W is bitwise identical to a fresh build, so
+// the matrix tier shares entries between the session and stateless paths.
+func SessionDigest(base string, warm ranking.Ranking) string {
 	h := sha256.New()
 	writeString(h, digestVersion+"/session")
 	writeString(h, base)
 	writeInts(h, warm)
-	return hex.EncodeToString(h.Sum(nil)), profile
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // writeString writes a length-prefixed string, so no concatenation of

@@ -3,6 +3,8 @@ package service
 import (
 	"encoding/json"
 	"testing"
+
+	"manirank/internal/ranking"
 )
 
 // baseRequest returns a representative request touching every digest field.
@@ -160,4 +162,54 @@ func TestDigestCanonicalisesMethodSpelling(t *testing.T) {
 			t.Errorf("method spelling %q digests to %s, canonical digests to %s", spelling, got, want)
 		}
 	}
+}
+
+// TestDigestGolden pins the bytes of every cache key: disk entries, peers
+// and the manirankd/v2 namespace all key on them, so a change to the
+// canonical serialisation (or to how a profile decodes) must fail here,
+// not silently orphan every persisted entry. The request is spelled out
+// rather than taken from baseRequest so that editing a shared fixture can
+// never move the pins.
+func TestDigestGolden(t *testing.T) {
+	const (
+		wantFull      = "87213646f3c216373113576b266b2bc94dbb959cb047b6074733e2eb8c36c670"
+		wantProfile   = "9fcc0981927f13abc21e9f5d245c789e112d7797af27e8a4a01b088d50ac8100"
+		wantSessWarm  = "a4cfaddbbf6f8a86f651255872fe297ef10eb7e63d44df08a0b3cce1a0ca36fe"
+		wantSessEmpty = "4a6442cc11d210d956b9b65510dfec759953f53ab86e175814802a1752661147"
+	)
+	req := &AggregateRequest{
+		Method:  "fair-kemeny",
+		Profile: [][]int{{0, 1, 2, 3}, {1, 0, 3, 2}, {0, 2, 1, 3}},
+		Attributes: []AttributeSpec{
+			{Name: "Gender", Values: []string{"M", "W"}, Of: []int{0, 1, 0, 1}},
+			{Name: "Race", Values: []string{"A", "B"}, Of: []int{0, 0, 1, 1}},
+		},
+		Delta:      0.2,
+		Thresholds: map[string]float64{"Gender": 0.1, "Race": 0.3, "intersection": 0.25},
+		Options:    SolverOptions{Seed: 7, Perturbations: 16, Strength: 4, ExactThreshold: 10, MaxNodes: 1000},
+	}
+	check := func(how string, req *AggregateRequest) {
+		t.Helper()
+		full, profile := Digests(req)
+		for _, c := range []struct{ name, got, want string }{
+			{"full digest", full, wantFull},
+			{"profile sub-digest", profile, wantProfile},
+			{"session digest, warm seed", SessionDigest(full, ranking.Ranking{2, 0, 3, 1}), wantSessWarm},
+			{"session digest, empty seed", SessionDigest(full, nil), wantSessEmpty},
+		} {
+			if c.got != c.want {
+				t.Errorf("%s: %s = %s, want %s", how, c.name, c.got, c.want)
+			}
+		}
+	}
+	check("in memory", req)
+	blob, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded AggregateRequest
+	if err := json.Unmarshal(blob, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	check("after a JSON round trip", &decoded)
 }

@@ -137,7 +137,7 @@ func (s *Server) handlePeerBuild(w http.ResponseWriter, r *http.Request, digest 
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var rows [][]int
+	var rows ProfileRows
 	if err := json.Unmarshal(body, &rows); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -49,7 +49,7 @@ type AggregateRequest struct {
 	Method string `json:"method"`
 	// Profile is the base rankings, one row per ranker, candidate ids from
 	// top to bottom; every row must be a permutation of 0..n-1.
-	Profile [][]int `json:"profile"`
+	Profile ProfileRows `json:"profile"`
 	// Attributes is the candidate table; required for fair-* methods,
 	// optional otherwise (enables the audit in the response).
 	Attributes []AttributeSpec `json:"attributes,omitempty"`

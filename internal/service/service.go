@@ -105,7 +105,8 @@ type Config struct {
 	// MaxDeadline caps what deadline_ms may ask for (default 5m; negative is
 	// an error).
 	MaxDeadline time.Duration
-	// MaxBodyBytes bounds the request body (default 32 MiB).
+	// MaxBodyBytes bounds the request body (default 32 MiB; negative is an
+	// error).
 	MaxBodyBytes int64
 	// MaxSessions bounds the number of live streaming sessions (default 256;
 	// negative disables the session endpoint). Session creation beyond the
@@ -274,8 +275,8 @@ type Server struct {
 }
 
 // New starts a Server's worker pool and returns it. It fails on a negative
-// Config.QueueDepth, DefaultDeadline or MaxDeadline, or an unusable
-// Config.CacheDir.
+// Config.QueueDepth, DefaultDeadline, MaxDeadline or MaxBodyBytes, or an
+// unusable Config.CacheDir.
 func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth < 0 {
 		return nil, fmt.Errorf("service: negative queue depth %d", cfg.QueueDepth)
@@ -285,6 +286,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxDeadline < 0 {
 		return nil, fmt.Errorf("service: negative max deadline %v", cfg.MaxDeadline)
+	}
+	if cfg.MaxBodyBytes < 0 {
+		// http.MaxBytesReader would read a negative limit as 0 and answer
+		// every non-empty body 400.
+		return nil, fmt.Errorf("service: negative max body size %d", cfg.MaxBodyBytes)
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{

@@ -229,10 +229,10 @@ func TestDeadlineReturnsBestSoFarUncached(t *testing.T) {
 	}
 }
 
-// TestNegativeQueueDepthRejected: a negative queue depth, default deadline
-// or max deadline is a configuration error New reports — not a panic from
-// sizing the job channel, nor a server that answers every request 504 at
-// once.
+// TestNegativeQueueDepthRejected: a negative queue depth, default deadline,
+// max deadline or max body size is a configuration error New reports — not
+// a panic from sizing the job channel, nor a server that answers every
+// request 504 (or, for the body cap, 400) at once.
 func TestNegativeQueueDepthRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -241,6 +241,7 @@ func TestNegativeQueueDepthRejected(t *testing.T) {
 		{"QueueDepth", Config{QueueDepth: -1}},
 		{"DefaultDeadline", Config{DefaultDeadline: -time.Second}},
 		{"MaxDeadline", Config{MaxDeadline: -time.Second}},
+		{"MaxBodyBytes", Config{MaxBodyBytes: -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := New(tc.cfg)

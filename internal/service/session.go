@@ -22,7 +22,7 @@ import (
 // O(n²·m) rebuild a stateless re-POST costs, and every re-solve warm-starts
 // from the previous consensus. Results flow through the same result cache,
 // worker pool, and deadline machinery as /v1/aggregate — keyed by
-// SessionDigests so a mutated profile (or a different warm seed) can never
+// SessionDigest so a mutated profile (or a different warm seed) can never
 // be served a stale entry, and patched matrices are written through to the
 // matrix tier under the post-mutation profile digest.
 
@@ -331,7 +331,7 @@ func (s *Server) solveSession(rctx context.Context, tr *obs.Trace, sess *session
 	}
 	warm := sess.warmSeed
 	warmStarted := len(warm) == sess.eng.N()
-	digest, profDigest := SessionDigests(sess.req, warm)
+	digest := SessionDigest(pb.digest, warm)
 	s.cheResult.Observe(digest)
 
 	eng := sess.eng
@@ -381,7 +381,7 @@ func (s *Server) solveSession(rctx context.Context, tr *obs.Trace, sess *session
 		sess.consensus = res.Ranking
 		if v := eng.Version(); !sess.putOnce || v != sess.putVersion {
 			w := eng.PrecedenceSnapshot()
-			s.prec.Put(context.WithoutCancel(rctx), profDigest, w)
+			s.prec.Put(context.WithoutCancel(rctx), pb.profDigest, w)
 			sess.putVersion, sess.putOnce = v, true
 		}
 	}
