@@ -53,8 +53,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	queue := flag.Int("queue", 64, "admission queue depth; a full queue answers 429")
-	workers := flag.Int("workers", 0, "solver pool width (0 = all CPUs)")
+	queue := flag.Int("queue", 64, "requests that may wait for a solver slot; past it a request answers 429")
+	workers := flag.Int("workers", 0, "solver slots: at most this many solves run at once (0 = all CPUs)")
 	solverWorkers := flag.Int("solver-workers", 1, "restart shards per individual solve (kemeny.Options.Workers); keep 1 under concurrent load")
 	cacheSize := flag.Int("cache-size", 1024, "result cache capacity in entries (negative disables)")
 	cacheDir := flag.String("cache-dir", "", "root a persistent cache tier here: results and matrices survive restarts (empty disables)")
@@ -166,7 +166,7 @@ func main() {
 		<-sig
 		logger.Info("shutting down")
 		// Stop accepting and wait for in-flight handlers first (they hold
-		// coalesced flights open), then drain the solver pool.
+		// coalesced flights open), then wait out the running solves.
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(ctx); err != nil {

@@ -1,11 +1,14 @@
 package service
 
 import (
+	"context"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"manirank"
 )
 
 // TestCloseRejectsWaitersAndFinishesRunning pins Close's admission
@@ -104,5 +107,54 @@ func TestWorkersBoundConcurrency(t *testing.T) {
 	}
 	if got := maxDepth.Load(); got < 1 {
 		t.Fatalf("queue depth never rose above %d during a burst of %d", got, burst)
+	}
+}
+
+// TestCloseAnswersRunningRequest: Close waits for a running solve, and the
+// request that owns it still gets its best-so-far answer rather than 503.
+func TestCloseAnswersRunningRequest(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	slow := testRequest("fair-kemeny", 53)
+	slow.Options.Perturbations = 2_000_000
+	slow.DeadlineMillis = 500
+	type answer struct {
+		status int
+		out    *AggregateResponse
+	}
+	done := make(chan answer, 1)
+	go func() {
+		status, out := post(t, ts.URL, slow)
+		done <- answer{status, out}
+	}()
+	waitFor(t, func() bool { return s.StatzSnapshot().Queue.InFlight == 1 })
+	s.Close()
+	if a := <-done; a.status != http.StatusOK || !a.out.Partial {
+		t.Fatalf("running request: status %d, want 200 with a partial answer", a.status)
+	}
+}
+
+// TestAdmitPanicFreesSlot: a panicking computation unwinds its caller
+// without leaking the solver slot or the in-flight count.
+func TestAdmitPanicFreesSlot(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("admit swallowed the panic")
+			}
+		}()
+		s.admit(nil, manirank.MethodBorda, time.Second, func(context.Context) (*result, error) {
+			panic("solver exploded")
+		})
+	}()
+	if n := s.StatzSnapshot().Queue.InFlight; n != 0 {
+		t.Fatalf("in_flight = %d after the panic, want 0", n)
+	}
+	want := &result{}
+	got, err := s.admit(nil, manirank.MethodBorda, time.Second, func(context.Context) (*result, error) {
+		return want, nil
+	})
+	if err != nil || got != want {
+		t.Fatalf("admit after the panic = %v, %v; want the slot free", got, err)
 	}
 }

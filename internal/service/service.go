@@ -11,10 +11,11 @@
 //     *different* methods or solver options over an already-seen profile
 //     skip the O(n²·m) matrix construction — admission is bounded by memory
 //     cost (n² cells per matrix), not entry count;
-//  2. admission and scheduling: a bounded job queue feeding a fixed solver
-//     worker pool, per-request deadlines threaded as context.Context into
-//     the Kemeny/Fair-Kemeny restart loops (best-so-far on expiry), and
-//     backpressure (HTTP 429) when the queue is full;
+//  2. admission and scheduling: each solve runs on its request's own
+//     goroutine once it holds one of Config.Workers slots, with at most
+//     Config.QueueDepth requests waiting for one and backpressure (HTTP 429)
+//     beyond that; per-request deadlines are threaded as context.Context
+//     into the Kemeny/Fair-Kemeny restart loops (best-so-far on expiry);
 //  3. observability (internal/obs, DESIGN.md §11): one obs.Registry holds
 //     every counter, gauge, and latency histogram; /statz renders it as
 //     JSON and /metricsz as Prometheus text — the same live atomics, so
@@ -52,11 +53,11 @@ import (
 
 // Config tunes a Server. Zero fields take the documented defaults.
 type Config struct {
-	// QueueDepth bounds the admission queue; a full queue answers 429
-	// (default 64; negative is an error).
+	// QueueDepth bounds how many requests may wait for a solver slot; past
+	// it a request answers 429 (default 64; negative is an error).
 	QueueDepth int
-	// Workers is the solver pool width — at most this many requests compute
-	// concurrently (default GOMAXPROCS).
+	// Workers is the number of solver slots — at most this many requests
+	// compute concurrently (default GOMAXPROCS).
 	Workers int
 	// SolverWorkers shards each individual solve's restarts
 	// (manirank.WithSolverWorkers). Default 1: under concurrent load the request
@@ -168,8 +169,8 @@ const DefaultPrecCacheCells = 4 << 20
 var (
 	// ErrQueueFull: the bounded queue rejected the request (429).
 	ErrQueueFull = errors.New("service: job queue full")
-	// ErrExpiredInQueue: the request's deadline elapsed before a solver
-	// worker picked it up (504).
+	// ErrExpiredInQueue: the request's deadline elapsed before it got a
+	// solver slot (504).
 	ErrExpiredInQueue = errors.New("service: deadline expired while queued")
 	// ErrShuttingDown: the server is draining (503).
 	ErrShuttingDown = errors.New("service: shutting down")
@@ -199,32 +200,6 @@ type AggregateResponse struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// job is one admitted solve travelling from the handler to a worker.
-type job struct {
-	pb       *problem
-	ctx      context.Context // carries the compute deadline and the trace
-	enqueued time.Time       // when the job entered the queue (the queue span's start)
-	done     chan struct{}
-	res      *result
-	err      error
-	// run, when non-nil, replaces the stateless s.solve(pb) with a custom
-	// computation — the session endpoint's warm-started engine solves. pb
-	// still rides along for the per-method histogram and logging.
-	run func(ctx context.Context) (*result, error)
-	// state arbitrates the queued job between the worker and a leader whose
-	// deadline lapses while it waits: exactly one of claim/abandon wins.
-	state atomic.Int32 // 0 = queued, 1 = claimed by a worker, 2 = abandoned by the leader
-}
-
-// claim marks the job as picked up by a worker; false means the leader
-// already walked away and the job must be dropped.
-func (j *job) claim() bool { return j.state.CompareAndSwap(0, 1) }
-
-// abandon marks the job as given up by its leader; false means a worker
-// already claimed it and the leader must keep waiting for the (imminent,
-// deadline-bounded) result.
-func (j *job) abandon() bool { return j.state.CompareAndSwap(0, 2) }
-
 // Server is the manirankd serving core. Construct with New, mount via
 // Handler, stop with Close.
 type Server struct {
@@ -232,17 +207,18 @@ type Server struct {
 	cache   *cache.Tier[*result]
 	prec    *cache.Tier[*ranking.Precedence]
 	stores  []cache.Store // persistent tiers to close after the final flush
-	jobs    chan *job
+	slots   chan struct{} // one element per running solve, capacity Config.Workers
 	quit    chan struct{}
-	wg      sync.WaitGroup
+	wg      sync.WaitGroup // the snapshotter
 	log     *slog.Logger
 	started time.Time
 
 	inFlight atomic.Int64 // solves currently executing
-	queued   atomic.Int64 // jobs waiting in the queue
+	queued   atomic.Int64 // requests waiting for a solver slot
 
-	// Streaming sessions (session.go): id → live session. sessMu guards the
-	// map only; each session carries its own lock.
+	// Streaming sessions (session.go): id → live session, or nil while a
+	// create holds the id's slot. sessMu guards the map only; each session
+	// carries its own lock.
 	sessMu   sync.Mutex
 	sessions map[string]*session
 
@@ -274,7 +250,7 @@ type Server struct {
 	snapshotFlushes *obs.Counter // background snapshot ticks completed
 }
 
-// New starts a Server's worker pool and returns it. It fails on a negative
+// New returns a Server ready to mount with Handler. It fails on a negative
 // Config.QueueDepth, DefaultDeadline, MaxDeadline or MaxBodyBytes, or an
 // unusable Config.CacheDir.
 func New(cfg Config) (*Server, error) {
@@ -302,7 +278,7 @@ func New(cfg Config) (*Server, error) {
 			Name: "matrix", Budget: cfg.PrecCacheCells,
 			Cost: (*ranking.Precedence).Cells, Size: matrixSizer,
 		}),
-		jobs:      make(chan *job, cfg.QueueDepth),
+		slots:     make(chan struct{}, cfg.Workers),
 		quit:      make(chan struct{}),
 		log:       cfg.Logger,
 		started:   time.Now(),
@@ -354,10 +330,6 @@ func New(cfg Config) (*Server, error) {
 		s.fleet.OnChange(s.warmReowned)
 		s.log.Info("fleet peering attached",
 			"self", s.fleet.Self(), "nodes", len(s.fleet.Nodes()))
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
 	}
 	return s, nil
 }
@@ -552,25 +524,20 @@ func (s *Server) snapshotter(interval time.Duration) {
 	}
 }
 
-// Close drains the solver pool: workers finish their current job and exit,
-// and any job still queued fails with ErrShuttingDown. With a persistent
-// tier attached, both caches then snapshot-flush to disk and the stores are
+// Close stops admission: every request still waiting for a solver slot
+// fails with ErrShuttingDown, and Close takes all Workers slots, so it
+// returns once the running solves have finished. With a persistent tier
+// attached, both caches then snapshot-flush to disk and the stores are
 // closed, so the next process starts from this one's full working set (not
 // just what write-through persisted). Stop accepting HTTP traffic
 // (http.Server.Shutdown) before calling Close so no handler is left waiting.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		close(s.quit)
-		s.wg.Wait()
-		for drained := false; !drained; {
-			select {
-			case j := <-s.jobs:
-				j.err = ErrShuttingDown
-				close(j.done)
-			default:
-				drained = true
-			}
+		for i := 0; i < s.cfg.Workers; i++ {
+			s.slots <- struct{}{}
 		}
+		s.wg.Wait()
 		if len(s.stores) > 0 {
 			nr := s.cache.Flush()
 			nm := s.prec.Flush()
@@ -580,50 +547,6 @@ func (s *Server) Close() {
 			}
 		}
 	})
-}
-
-// worker pops admitted jobs and solves them until Close.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case j := <-s.jobs:
-			s.queued.Add(-1)
-			obs.FromContext(j.ctx).AddSpan("queue", j.enqueued, time.Now())
-			if !j.claim() {
-				// The leader already answered 504 for it; nobody is
-				// listening, so don't waste a solver slot.
-				continue
-			}
-			if j.ctx.Err() != nil {
-				// Expired while queued: don't waste a solver slot on it.
-				j.err = ErrExpiredInQueue
-				close(j.done)
-				continue
-			}
-			s.inFlight.Add(1)
-			t0 := time.Now()
-			if j.run != nil {
-				j.res, j.err = j.run(j.ctx)
-			} else {
-				j.res, j.err = s.solve(j.ctx, j.pb)
-			}
-			if j.err == nil {
-				// Solve time is measured worker-side — queueing, coalescing,
-				// and cache lookups excluded — so the per-method family
-				// separates solver cost from serving overhead. The method
-				// set is pre-registered from the solver registry
-				// (buildProblem validated the name), so the lookup is total.
-				if h, ok := s.methodHist[j.pb.method.String()]; ok {
-					observeSeconds(h, time.Since(t0))
-				}
-			}
-			s.inFlight.Add(-1)
-			close(j.done)
-		}
-	}
 }
 
 // solveOptions lowers the request's solver knobs onto Engine.Solve options.
@@ -721,54 +644,74 @@ func (s *Server) deadline(ms int64) time.Duration {
 	return min(d, s.cfg.MaxDeadline)
 }
 
-// admit queues pb for the worker pool and waits for its result. The compute
-// context is detached from the requester: coalesced followers must not lose
-// the computation because the leader's connection died, and the deadline
-// bounds it regardless. The leader's trace is re-attached to the detached
-// context explicitly so the worker's queue/solve spans land on it. run, when
-// non-nil, replaces the stateless solve (see job.run).
-func (s *Server) admit(tr *obs.Trace, pb *problem, budget time.Duration, run func(ctx context.Context) (*result, error)) (*result, error) {
+// admit runs compute on the caller's goroutine once it holds one of the
+// Config.Workers solver slots. With every slot taken it waits, FIFO, unless
+// QueueDepth requests already wait (ErrQueueFull); the wait ends early at
+// the compute deadline (ErrExpiredInQueue) or at Close (ErrShuttingDown).
+// The compute context is detached from the requester: coalesced followers
+// must not lose the computation because the leader's connection died, and
+// the deadline bounds it regardless. The leader's trace is re-attached to
+// the detached context explicitly so the queue and solve spans land on it.
+func (s *Server) admit(tr *obs.Trace, method manirank.Method, budget time.Duration, compute func(ctx context.Context) (*result, error)) (*result, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	ctx = obs.WithTrace(ctx, tr)
-	j := &job{pb: pb, ctx: ctx, enqueued: time.Now(), done: make(chan struct{}), run: run}
-	// Count the job before the send: a worker may pop it (and decrement)
-	// the instant the send lands, and the depth gauge must never go
-	// negative. The rejection paths undo the increment.
-	s.queued.Add(1)
+	arrived := time.Now()
 	select {
-	case s.jobs <- j:
-	case <-s.quit:
-		s.queued.Add(-1)
-		return nil, ErrShuttingDown
+	case s.slots <- struct{}{}:
 	default:
-		s.queued.Add(-1)
-		return nil, ErrQueueFull
-	}
-	select {
-	case <-j.done:
-		return j.res, j.err
-	case <-ctx.Done():
-		// The compute deadline lapsed. If the job is still queued behind
-		// busy workers, abandon it and answer 504 now instead of holding
-		// the connection until a worker pops (and then drops) it. If a
-		// worker already claimed it, the cooperative cancellation bounds
-		// the remaining solve time — wait for its best-so-far result.
-		if j.abandon() {
-			return nil, ErrExpiredInQueue
+		if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
+			s.queued.Add(-1)
+			return nil, ErrQueueFull
 		}
-		<-j.done
-		return j.res, j.err
-	case <-s.quit:
-		// Close drains the queue and resolves every job; prefer its answer
-		// when it already landed.
+		var err error
 		select {
-		case <-j.done:
-			return j.res, j.err
-		default:
-			return nil, ErrShuttingDown
+		case s.slots <- struct{}{}:
+		case <-ctx.Done():
+			err = ErrExpiredInQueue
+		case <-s.quit:
+			err = ErrShuttingDown
+		}
+		s.queued.Add(-1)
+		if err != nil {
+			return nil, err
 		}
 	}
+	// Deferred, so a panicking solver cannot leak its slot; in-flight drops
+	// first, so Close (which waits on the slots) sees it at zero.
+	defer func() { <-s.slots }()
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+	t0 := time.Now()
+	tr.AddSpan("queue", arrived, t0)
+	res, err := compute(ctx)
+	if err == nil {
+		// Solve time excludes queueing, coalescing and cache lookups, so the
+		// per-method family separates solver cost from serving overhead. The
+		// method set is pre-registered from the solver registry (buildProblem
+		// validated the name), so the lookup is total.
+		if h, ok := s.methodHist[method.String()]; ok {
+			observeSeconds(h, time.Since(t0))
+		}
+	}
+	return res, err
+}
+
+// admitStatus maps an admission or solve error to its HTTP status: 429 for
+// a full queue, 504 for a lapsed deadline, 503 while shutting down, and 500
+// for anything else.
+func admitStatus(err error) int {
+	switch {
+	case errors.Is(err, ErrQueueFull):
+		return http.StatusTooManyRequests
+	case errors.Is(err, ErrExpiredInQueue),
+		errors.Is(err, context.DeadlineExceeded),
+		errors.Is(err, context.Canceled):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, ErrShuttingDown):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
 }
 
 // Handler returns the service's HTTP mux: POST /v1/aggregate, the streaming
@@ -837,25 +780,16 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	defer cancelWait()
 	waitCtx = obs.WithTrace(waitCtx, tr)
 	res, hit, shared, err := s.cache.DoFetch(waitCtx, digest, s.resultFetch(digest), func() (*result, bool, error) {
-		res, err := s.admit(tr, pb, budget, nil)
+		res, err := s.admit(tr, pb.method, budget, func(ctx context.Context) (*result, error) {
+			return s.solve(ctx, pb)
+		})
 		if err != nil {
 			return nil, false, err
 		}
 		return res, !res.Partial, nil
 	})
 	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrQueueFull):
-			status = http.StatusTooManyRequests
-		case errors.Is(err, ErrExpiredInQueue),
-			errors.Is(err, context.DeadlineExceeded),
-			errors.Is(err, context.Canceled):
-			status = http.StatusGatewayTimeout
-		case errors.Is(err, ErrShuttingDown):
-			status = http.StatusServiceUnavailable
-		}
-		s.writeError(w, r, status, err, start)
+		s.writeError(w, r, admitStatus(err), err, start)
 		s.finishTrace(tr)
 		return
 	}

@@ -21,7 +21,7 @@ import (
 // the session engine's precedence matrix in O(n²) instead of re-paying the
 // O(n²·m) rebuild a stateless re-POST costs, and every re-solve warm-starts
 // from the previous consensus. Results flow through the same result cache,
-// worker pool, and deadline machinery as /v1/aggregate — keyed by
+// solver slots, and deadline machinery as /v1/aggregate — keyed by
 // SessionDigest so a mutated profile (or a different warm seed) can never
 // be served a stale entry, and patched matrices are written through to the
 // matrix tier under the post-mutation profile digest.
@@ -135,6 +135,34 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	id, err := newSessionID()
+	if err != nil {
+		s.writeError(w, r, http.StatusInternalServerError, err, start)
+		return
+	}
+	// Reserve the session's MaxSessions slot before paying the matrix build,
+	// so a create at the limit answers 429 at once. The reservation (a nil
+	// entry, which lookups treat as unknown) is given back unless the create
+	// answers 200: a client that never learns the id could never delete it.
+	s.sessMu.Lock()
+	full := len(s.sessions) >= s.cfg.MaxSessions
+	if !full {
+		s.sessions[id] = nil
+	}
+	s.sessMu.Unlock()
+	if full {
+		s.writeError(w, r, http.StatusTooManyRequests, errSessionsFull, start)
+		return
+	}
+	created := false
+	defer func() {
+		if !created {
+			s.sessMu.Lock()
+			delete(s.sessions, id)
+			s.sessMu.Unlock()
+		}
+	}()
+
 	// The session's matrix comes through the shared tier (a seen profile
 	// skips the build); the engine copy-on-writes on the first mutation, so
 	// the cache-resident matrix is never corrupted.
@@ -158,25 +186,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.finishTrace(tr)
 		return
 	}
-	id, err := newSessionID()
-	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, err, start)
-		s.finishTrace(tr)
-		return
-	}
 	sess := &session{id: id, req: &req, eng: eng, created: time.Now()}
-
-	s.sessMu.Lock()
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		s.sessMu.Unlock()
-		s.writeError(w, r, http.StatusTooManyRequests, errSessionsFull, start)
-		s.finishTrace(tr)
-		return
-	}
-	s.sessions[id] = sess
-	s.sessMu.Unlock()
-	s.sessionOps["create"].Inc()
-
 	sess.mu.Lock()
 	resp, status, err := s.solveSession(r.Context(), tr, sess, budget)
 	sess.mu.Unlock()
@@ -185,6 +195,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.finishTrace(tr)
 		return
 	}
+	s.sessMu.Lock()
+	s.sessions[id] = sess
+	s.sessMu.Unlock()
+	created = true
+	s.sessionOps["create"].Inc()
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	s.countStatus(http.StatusOK)
 	s.log.Info("session create",
@@ -311,7 +326,7 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request, sess *s
 }
 
 // solveSession re-solves the session's current state through the shared
-// result cache and worker pool, warm-started from the previous consensus.
+// result cache and solver slots, warm-started from the previous consensus.
 // The caller holds sess.mu. Returns the response, or an HTTP status plus
 // error.
 func (s *Server) solveSession(rctx context.Context, tr *obs.Trace, sess *session, budget time.Duration) (*SessionResponse, int, error) {
@@ -336,7 +351,7 @@ func (s *Server) solveSession(rctx context.Context, tr *obs.Trace, sess *session
 
 	eng := sess.eng
 	opts := append(s.solveOptions(pb.opts), manirank.WithWarmStart(warm))
-	run := func(ctx context.Context) (*result, error) {
+	compute := func(ctx context.Context) (*result, error) {
 		sr, err := eng.Solve(ctx, pb.method, pb.targets, opts...)
 		if err != nil {
 			return nil, err
@@ -348,7 +363,7 @@ func (s *Server) solveSession(rctx context.Context, tr *obs.Trace, sess *session
 	defer cancelWait()
 	waitCtx = obs.WithTrace(waitCtx, tr)
 	res, hit, shared, err := s.cache.Do(waitCtx, digest, func() (*result, bool, error) {
-		res, err := s.admit(tr, pb, budget, run)
+		res, err := s.admit(tr, pb.method, budget, compute)
 		if err != nil {
 			return nil, false, err
 		}
@@ -357,18 +372,7 @@ func (s *Server) solveSession(rctx context.Context, tr *obs.Trace, sess *session
 		return res, !res.Partial, nil
 	})
 	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrQueueFull):
-			status = http.StatusTooManyRequests
-		case errors.Is(err, ErrExpiredInQueue),
-			errors.Is(err, context.DeadlineExceeded),
-			errors.Is(err, context.Canceled):
-			status = http.StatusGatewayTimeout
-		case errors.Is(err, ErrShuttingDown):
-			status = http.StatusServiceUnavailable
-		}
-		return nil, status, err
+		return nil, admitStatus(err), err
 	}
 
 	if !res.Partial {

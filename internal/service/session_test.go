@@ -435,3 +435,47 @@ func TestSessionValidation(t *testing.T) {
 		t.Fatalf("disabled sessions: create status %d, want 404", status)
 	}
 }
+
+// TestSessionCreateFailureFreesSlot: a session create whose first solve is
+// refused (here 429, the solver busy and the queue full) must not keep its
+// MaxSessions slot, nor count as a create; once the load drains, a create
+// succeeds. A create at the limit is refused before its matrix is built.
+func TestSessionCreateFailureFreesSlot(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, MaxSessions: 1})
+	var wg sync.WaitGroup
+	for i, wait := range []func() bool{
+		func() bool { return s.StatzSnapshot().Queue.InFlight == 1 },
+		func() bool { return s.StatzSnapshot().Queue.Depth == 1 },
+	} {
+		req := testRequest("fair-kemeny", int64(70+i))
+		req.Options.Perturbations = 2_000_000
+		req.DeadlineMillis = 400
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			post(t, ts.URL, req)
+		}()
+		waitFor(t, wait)
+	}
+	sreq := testRequest("fair-kemeny", 72)
+	if status, _ := createSession(t, ts.URL, sreq); status != http.StatusTooManyRequests {
+		t.Fatalf("create with the queue full: status %d, want 429", status)
+	}
+	if st := s.StatzSnapshot(); st.Sessions.Active != 0 || st.Sessions.Ops["create"] != 0 {
+		t.Fatalf("after a refused create: sessions %+v, want none active or created", st.Sessions)
+	}
+	wg.Wait()
+	if status, _ := createSession(t, ts.URL, sreq); status != http.StatusOK {
+		t.Fatalf("create after the load drained: status %d, want 200", status)
+	}
+	if st := s.StatzSnapshot(); st.Sessions.Active != 1 || st.Sessions.Ops["create"] != 1 {
+		t.Fatalf("after a served create: sessions %+v, want 1 active and 1 created", st.Sessions)
+	}
+	builds := s.StatzSnapshot().Matrix.Builds
+	if status, _ := createSession(t, ts.URL, testRequest("fair-kemeny", 73)); status != http.StatusTooManyRequests {
+		t.Fatalf("create at the limit: status %d, want 429", status)
+	}
+	if got := s.StatzSnapshot().Matrix.Builds; got != builds {
+		t.Fatalf("a create at the limit built its matrix (builds %d -> %d)", builds, got)
+	}
+}
