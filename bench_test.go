@@ -131,7 +131,7 @@ func BenchmarkAblationKemenyBBSeeded(b *testing.B) {
 	b.ResetTimer()
 	var nodes int64
 	for i := 0; i < b.N; i++ {
-		seed := kemeny.LocalSearch(w, kemeny.BordaFromPrecedence(w))
+		seed := kemeny.LocalSearch(w, w.Borda())
 		res := kemeny.BranchAndBound(w, nil, seed, 0)
 		nodes = res.Nodes
 	}
@@ -157,7 +157,7 @@ func BenchmarkAblationILSBordaInit(b *testing.B) {
 	w := kemenyBenchInstance(b, 90)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kemeny.LocalSearch(w, kemeny.BordaFromPrecedence(w))
+		kemeny.LocalSearch(w, w.Borda())
 	}
 }
 
@@ -359,7 +359,7 @@ func fairScaleInstance(b *testing.B, n, m int) (*ranking.Precedence, []kemeny.Co
 	p := mallows.MustNewPlackettLuce(unfairgen.BlockRanking(tab), 3.0).SampleProfile(m, rng)
 	w := ranking.MustPrecedence(p)
 	targets := core.Targets(tab, 0.1)
-	start, err := core.MakeMRFair(kemeny.BordaFromPrecedence(w), targets)
+	start, err := core.MakeMRFair(w.Borda(), targets)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func benchFairKemeny(b *testing.B, n int) {
 	opts := kemeny.Options{Workers: 1, Perturbations: -1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.FairKemenyW(context.Background(), w, targets, opts); err != nil {
+		if _, _, err := core.FairKemenyW(context.Background(), w, targets, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

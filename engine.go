@@ -232,8 +232,11 @@ type Result struct {
 	// Method is the registry method that produced the ranking.
 	Method Method
 	// PDLoss is the pairwise disagreement loss of Ranking against the
-	// engine's profile, in [0, 1] (paper Def. 9), computed from the shared
-	// precedence matrix.
+	// engine's profile, in [0, 1] (paper Def. 9): exactly
+	// Precedence().PDLoss(Ranking), bit for bit. The Kemeny-based methods
+	// track their ranking's cost through the search and convert it with
+	// Precedence.PDLossOfCost; the others pay one KemenyCost pass over the
+	// shared matrix.
 	PDLoss float64
 	// Report is the full MANI-Rank fairness audit of Ranking (per-group
 	// FPRs, per-attribute ARPs, IRP); nil when the engine has no Table.
@@ -255,7 +258,8 @@ type SolveStats struct {
 	Rankers int
 	// Elapsed is the wall-clock duration of the solve alone — it excludes
 	// the engine's one-time matrix construction and the Result's PD-loss /
-	// audit bookkeeping.
+	// audit bookkeeping. That bookkeeping includes an O(n²) KemenyCost
+	// pass only for the methods that do not track their cost (PDLoss).
 	Elapsed time.Duration
 }
 
@@ -294,7 +298,7 @@ func (e *Engine) Solve(ctx context.Context, m Method, targets []Target, opts ...
 	defer e.mu.RUnlock()
 	start := time.Now()
 	endSolve := obs.StartSpan(ctx, "solve")
-	r, partial, err := ent.solve(ctx, e, targets, cfg.kemeny)
+	r, cost, partial, err := ent.solve(ctx, e, targets, cfg.kemeny)
 	endSolve()
 	// The clock stops here: the PD-loss scan and the audit below are result
 	// bookkeeping, not solve work, and must not be charged to Elapsed (the
@@ -303,10 +307,13 @@ func (e *Engine) Solve(ctx context.Context, m Method, targets []Target, opts ...
 	if err != nil {
 		return nil, err
 	}
+	if cost == noCost {
+		cost = e.w.KemenyCost(r)
+	}
 	res := &Result{
 		Ranking: r,
 		Method:  m,
-		PDLoss:  e.w.PDLoss(r),
+		PDLoss:  e.w.PDLossOfCost(cost),
 		Partial: partial,
 		Stats: SolveStats{
 			Candidates: e.w.N(),

@@ -73,7 +73,8 @@ func legacyCall(m manirank.Method, p manirank.Profile, tab *manirank.Table, targ
 	case manirank.MethodFairSchulze:
 		return core.FairSchulzeW(w, targets)
 	case manirank.MethodFairKemeny:
-		return core.FairKemenyW(context.Background(), w, targets, opts)
+		r, _, err := core.FairKemenyW(context.Background(), w, targets, opts)
+		return r, err
 	}
 	return nil, fmt.Errorf("no legacy mapping for %v", m)
 }

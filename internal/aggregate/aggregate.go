@@ -5,10 +5,11 @@
 //
 // All methods are deterministic: score ties break by ascending candidate
 // id. The pairwise methods consume a precomputed ranking.Precedence, and
-// Borda has a matrix twin (BordaW, integer-identical point totals from row
-// sums), so every method composes with the serving layer's shared
-// precedence-matrix tier; KemenyCtx adds cooperative cancellation with a
-// best-so-far result for deadline-bounded serving.
+// Borda has a matrix twin (ranking.Precedence.Borda, integer-identical
+// point totals from the matrix's row sums), so every method composes with
+// the serving layer's shared precedence-matrix tier; KemenyCtx adds
+// cooperative cancellation with a best-so-far result for deadline-bounded
+// serving.
 package aggregate
 
 import (
@@ -36,22 +37,6 @@ func Borda(p ranking.Profile) (ranking.Ranking, error) {
 		}
 	}
 	return ranking.SortByPointsDesc(points), nil
-}
-
-// BordaW returns the Borda consensus from a precomputed precedence matrix:
-// candidate c's Borda total equals |R|·(n-1) minus its row sum (the row sum
-// counts, over all rankings, how many candidates sit above c — exactly the
-// points c forfeits). The derived point totals are integer-identical to
-// Borda's, so the ranking — including tie-breaks — is too; the serving
-// layer's profile-keyed matrix tier relies on that equivalence to route
-// every method through one shared W.
-func BordaW(w *ranking.Precedence) ranking.Ranking {
-	n := w.N()
-	points := make([]int, n)
-	for c := 0; c < n; c++ {
-		points[c] = w.Rankings()*(n-1) - w.RowSum(c)
-	}
-	return ranking.SortByPointsDesc(points)
 }
 
 // Copeland returns the Copeland consensus: candidates ordered by descending
@@ -212,14 +197,17 @@ func schulzeRankFromPaths(p [][]int) ranking.Ranking {
 // the profile summarised by w: exactly (branch-and-bound) for small n,
 // heuristically (Borda-seeded iterated local search) for large n.
 func Kemeny(w *ranking.Precedence, opts kemeny.Options) ranking.Ranking {
-	return KemenyCtx(context.Background(), w, opts)
+	return KemenyCtx(context.Background(), w, opts).Ranking()
 }
 
 // KemenyCtx is Kemeny with cooperative cancellation (the serving layer's
 // per-request deadline): when ctx is done both engines stop early and return
 // the best ranking found so far — never nil. A never-cancelled ctx produces
-// output identical to Kemeny.
-func KemenyCtx(ctx context.Context, w *ranking.Precedence, opts kemeny.Options) ranking.Ranking {
+// output identical to Kemeny. The ranking comes as a kemeny.Incumbent, with
+// its exact Kemeny cost and the descent's bounds synced to it, so a caller
+// that goes on to repair and descend again (Fair-Kemeny) pays no second
+// pair sweep.
+func KemenyCtx(ctx context.Context, w *ranking.Precedence, opts kemeny.Options) *kemeny.Incumbent {
 	opts = opts.WithDefaults()
 	if w.N() <= opts.ExactThreshold {
 		// A warm-start ranking (opts.Warm) seeds the exact search's
@@ -228,10 +216,10 @@ func KemenyCtx(ctx context.Context, w *ranking.Precedence, opts kemeny.Options) 
 		seed := kemeny.LocalSearch(w, kemeny.WarmOrBordaSeed(w, opts))
 		res := kemeny.BranchAndBoundCtx(ctx, w, nil, seed, opts.MaxNodes)
 		if res.Ranking != nil {
-			return res.Ranking
+			return kemeny.Sync(w, res.Ranking)
 		}
 	}
-	return kemeny.HeuristicCtx(ctx, w, opts)
+	return kemeny.HeuristicSearch(ctx, w, opts)
 }
 
 // PickAPerm returns the base ranking closest to the whole profile (minimum

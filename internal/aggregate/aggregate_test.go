@@ -227,10 +227,13 @@ func TestBordaRejectsInvalidProfile(t *testing.T) {
 	}
 }
 
-// TestBordaWMatchesBorda: the precedence-matrix Borda (row-sum derivation)
-// must be bitwise identical to the profile computation for every profile —
-// the equivalence the serving layer's shared matrix tier rests on.
-func TestBordaWMatchesBorda(t *testing.T) {
+// TestPrecedenceBordaMatchesBorda: the precedence-matrix Borda (from the
+// row sums the matrix keeps) must be bitwise identical to the profile
+// computation for every profile — whether the matrix was built, patched
+// ranking by ranking, or decoded from its wire form, the three ways a matrix
+// reaches a solver — the equivalence the serving layer's shared matrix tier
+// rests on.
+func TestPrecedenceBordaMatchesBorda(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n, m := 2+rng.Intn(40), 1+rng.Intn(20)
@@ -239,7 +242,19 @@ func TestBordaWMatchesBorda(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return BordaW(ranking.MustPrecedence(p)).Equal(direct)
+		built := ranking.MustPrecedence(p)
+		patched := ranking.MustPrecedence(p[:1])
+		for _, r := range p[1:] {
+			if patched.AddRanking(r) != nil {
+				return false
+			}
+		}
+		wire, _ := built.MarshalBinary()
+		decoded, err := ranking.UnmarshalPrecedence(wire)
+		if err != nil {
+			return false
+		}
+		return built.Borda().Equal(direct) && patched.Borda().Equal(direct) && decoded.Borda().Equal(direct)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

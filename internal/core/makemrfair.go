@@ -36,6 +36,14 @@ var ErrUnrepairable = errors.New("core: Make-MR-Fair cannot reach the requested 
 // Fairness scores are maintained incrementally, so one swap costs O(span*q)
 // where span is the position distance swapped and q the number of targets.
 func MakeMRFair(r ranking.Ranking, targets []Target) (ranking.Ranking, error) {
+	return makeMRFair(r, targets, nil)
+}
+
+// makeMRFair is MakeMRFair reporting each swap it applies, as positions
+// i < j of the working ranking, to onSwap (when non-nil) right after
+// applying it: Fair-Kemeny replays the swaps on its search state, keeping
+// that state's bounds and cost exact without re-reading the pairs.
+func makeMRFair(r ranking.Ranking, targets []Target, onSwap func(i, j int)) (ranking.Ranking, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
@@ -48,6 +56,7 @@ func MakeMRFair(r ranking.Ranking, targets []Target) (ranking.Ranking, error) {
 		}
 	}
 	eng := newParityEngine(r, targets)
+	eng.onSwap = onSwap
 	n := len(r)
 	// Worst case the algorithm flips every pair once per target
 	// (paper complexity analysis); anything beyond signals an
@@ -144,6 +153,8 @@ type parityEngine struct {
 	// jointOf[c] is candidate c's joint group; nil exactly when joint is.
 	jointOf []int
 	jointG  int
+	// onSwap, when non-nil, is told every swap (i < j) after swap applies it.
+	onSwap func(i, j int)
 }
 
 // maxJointGroups caps the joint candidate-generation structure; beyond it
@@ -489,6 +500,9 @@ func (eng *parityEngine) swap(i, j int) {
 	}
 	eng.r[i], eng.r[j] = b, a
 	eng.pos[a], eng.pos[b] = j, i
+	if eng.onSwap != nil {
+		eng.onSwap(i, j)
+	}
 }
 
 // Ranking returns the engine's current working ranking (shared storage).

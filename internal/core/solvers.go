@@ -22,12 +22,13 @@ func FairBorda(p ranking.Profile, targets []Target) (ranking.Ranking, error) {
 }
 
 // FairBordaW is FairBorda on a precomputed precedence matrix: the Borda
-// totals derive from W's row sums (aggregate.BordaW), integer-identical to
-// the profile computation, so the repaired ranking matches FairBorda's
-// bitwise. It exists for callers that already hold W — the Engine registry
-// and the serving layer's shared precedence tier in particular.
+// totals derive from W's row sums (ranking.Precedence.Borda),
+// integer-identical to the profile computation, so the repaired ranking
+// matches FairBorda's bitwise. It exists for callers that already hold W —
+// the Engine registry and the serving layer's shared precedence tier in
+// particular.
 func FairBordaW(w *ranking.Precedence, targets []Target) (ranking.Ranking, error) {
-	return MakeMRFair(aggregate.BordaW(w), targets)
+	return MakeMRFair(w.Borda(), targets)
 }
 
 // FairCopelandW solves MFCR with the Copeland pairwise-contest aggregator
@@ -46,19 +47,26 @@ func FairSchulzeW(w *ranking.Precedence, targets []Target) (ranking.Ranking, err
 
 // FairKemenyW solves MFCR over a precomputed precedence matrix by
 // minimising pairwise disagreement subject to the MANI-Rank targets (paper
-// Algorithm 1). For n at or below opts.ExactThreshold it runs the
-// constrained branch-and-bound (this repo's CPLEX substitute) seeded with a
-// Make-MR-Fair repaired incumbent and returns the provably optimal fair
-// consensus; for larger n it runs constrained local search from the same
-// incumbent (see DESIGN.md, Substitutions).
+// Algorithm 1), and returns the fair consensus with its exact Kemeny cost
+// against w. For n at or below opts.ExactThreshold it runs the constrained
+// branch-and-bound (this repo's CPLEX substitute) seeded with a Make-MR-Fair
+// repaired incumbent and returns the provably optimal fair consensus; for
+// larger n it runs constrained local search from the same incumbent (see
+// DESIGN.md, Substitutions).
+//
+// The three phases move one kemeny.Incumbent: the unconstrained search's
+// result, its bounds synced by the search's one pair sweep, takes each
+// Make-MR-Fair swap as two O(span) insertion moves, and the constrained
+// descent starts from it. The cost is tracked exactly throughout, so
+// neither a second sweep nor a final KemenyCost pass is paid.
 //
 // Cancellation is cooperative through every search stage (unconstrained
 // Kemeny, constrained branch-and-bound, constrained local search): when ctx
 // is done mid-solve the stages return their best-so-far rankings, so the
 // result is still a feasible fair consensus — just potentially further from
-// optimal. The Make-MR-Fair repair itself is polynomial and always runs to
-// completion.
-func FairKemenyW(ctx context.Context, w *ranking.Precedence, targets []Target, opts kemeny.Options) (ranking.Ranking, error) {
+// optimal — and its cost still exact. The Make-MR-Fair repair itself is
+// polynomial and always runs to completion.
+func FairKemenyW(ctx context.Context, w *ranking.Precedence, targets []Target, opts kemeny.Options) (ranking.Ranking, int, error) {
 	opts = opts.WithDefaults()
 	cons := constraints(targets)
 	// Warm start (opts.Warm): when the previous consensus is still feasible
@@ -70,24 +78,23 @@ func FairKemenyW(ctx context.Context, w *ranking.Precedence, targets []Target, o
 	// what makes session re-solves cheap. A warm ranking that is not a
 	// permutation of w's candidates, or is infeasible, falls back to the
 	// cold path.
-	var incumbent ranking.Ranking
+	var in *kemeny.Incumbent
 	if warm := opts.Warm; kemeny.UsableWarm(w, warm) && kemeny.Feasible(warm, cons) {
-		incumbent = warm.Clone()
+		in = kemeny.Sync(w, warm.Clone())
 	} else {
-		unfair := aggregate.KemenyCtx(ctx, w, opts)
-		var err error
-		incumbent, err = MakeMRFair(unfair, targets)
-		if err != nil {
-			return nil, fmt.Errorf("core: FairKemeny could not build a feasible incumbent: %w", err)
+		in = aggregate.KemenyCtx(ctx, w, opts)
+		if _, err := makeMRFair(in.Ranking(), targets, func(i, j int) { in.Swap(w, i, j) }); err != nil {
+			return nil, 0, fmt.Errorf("core: FairKemeny could not build a feasible incumbent: %w", err)
 		}
 	}
 	if w.N() <= opts.ExactThreshold {
-		res := kemeny.BranchAndBoundCtx(ctx, w, cons, incumbent, opts.MaxNodes)
+		res := kemeny.BranchAndBoundCtx(ctx, w, cons, in.Ranking(), opts.MaxNodes)
 		if res.Ranking != nil {
-			return res.Ranking, nil
+			return res.Ranking, res.Cost, nil
 		}
 	}
-	return kemeny.ConstrainedSearchCtx(ctx, w, cons, incumbent, opts), nil
+	in = kemeny.ConstrainedSearchFrom(ctx, w, cons, in, opts)
+	return in.Ranking(), in.Cost(), nil
 }
 
 // PickFairest returns the base ranking minimising the maximum violation of

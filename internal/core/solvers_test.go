@@ -36,7 +36,8 @@ func TestAllSolversSatisfyTargets(t *testing.T) {
 		{"FairCopeland", func() (ranking.Ranking, error) { return FairCopelandW(w, targets) }},
 		{"FairSchulze", func() (ranking.Ranking, error) { return FairSchulzeW(w, targets) }},
 		{"FairKemeny", func() (ranking.Ranking, error) {
-			return FairKemenyW(context.Background(), w, targets, kemeny.Options{})
+			r, _, err := FairKemenyW(context.Background(), w, targets, kemeny.Options{})
+			return r, err
 		}},
 		{"CorrectFairestPerm", func() (ranking.Ranking, error) { return CorrectFairestPerm(p, targets) }},
 	}
@@ -61,7 +62,7 @@ func TestFairKemenyBeatsRepairMethodsOnPDLoss(t *testing.T) {
 	tab := testTable(t, n)
 	p, w := lowFairProfile(t, n, 20, 0.5, 2)
 	targets := Targets(tab, 0.12)
-	fk, err := FairKemenyW(context.Background(), w, targets, kemeny.Options{})
+	fk, _, err := FairKemenyW(context.Background(), w, targets, kemeny.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestFairKemenyExactMatchesConstrainedBB(t *testing.T) {
 	p := model.SampleProfile(10, rng)
 	w := ranking.MustPrecedence(p)
 	targets := AttributeTargets(tab, 0.25)
-	got, err := FairKemenyW(context.Background(), w, targets, kemeny.Options{})
+	got, _, err := FairKemenyW(context.Background(), w, targets, kemeny.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestPriceOfFairnessNonNegative(t *testing.T) {
 	p, w := lowFairProfile(t, n, 15, 0.6, 4)
 	targets := Targets(tab, 0.1)
 	unfair := aggregate.Kemeny(w, kemeny.Options{})
-	fair, err := FairKemenyW(context.Background(), w, targets, kemeny.Options{})
+	fair, _, err := FairKemenyW(context.Background(), w, targets, kemeny.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestPoFDecreasesWithLooserDelta(t *testing.T) {
 	unfair := aggregate.Kemeny(w, kemeny.Options{})
 	prev := -1.0
 	for _, delta := range []float64{0.5, 0.3, 0.1} {
-		fair, err := FairKemenyW(context.Background(), w, Targets(tab, delta), kemeny.Options{})
+		fair, _, err := FairKemenyW(context.Background(), w, Targets(tab, delta), kemeny.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestCorrectFairestPermHigherLossThanFairKemeny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fk, err := FairKemenyW(context.Background(), w, targets, kemeny.Options{})
+	fk, _, err := FairKemenyW(context.Background(), w, targets, kemeny.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,5 +216,55 @@ func TestFairBordaWMatchesFairBorda(t *testing.T) {
 		if !fromW.Equal(direct) {
 			t.Fatalf("seed %d: FairBordaW diverged from FairBorda\n  W: %v\n  p: %v", seed, fromW, direct)
 		}
+	}
+}
+
+// TestRepairSwapsCarryIncumbent: the swaps makeMRFair reports are the ones
+// it applies, so FairKemenyW's incumbent follows the repair exactly.
+// Replayed through the hook on a kemeny.Incumbent, after every swap (i < j)
+// the incumbent's ranking equals a mirror the same swaps were applied to,
+// and its carried cost equals a fresh KemenyCost; the final ranking is
+// MakeMRFair's. Starts are block rankings (long swaps) and near-consensus
+// Mallows draws (short ones), at three deltas.
+func TestRepairSwapsCarryIncumbent(t *testing.T) {
+	swaps := 0
+	for trial := 0; trial < 18; trial++ {
+		n := 30 + 15*(trial%4)
+		p, w := lowFairProfile(t, n, 6, 0.3, int64(trial))
+		tab := testTable(t, n)
+		start := p[0]
+		if trial%2 == 0 {
+			start = blockRanking(tab)
+		}
+		targets := Targets(tab, []float64{0.05, 0.1, 0.3}[trial%3])
+		in := kemeny.Sync(w, start.Clone())
+		mirror := start.Clone()
+		got, err := makeMRFair(in.Ranking(), targets, func(i, j int) {
+			if i >= j {
+				t.Fatalf("trial %d: hook told swap (%d, %d), want i < j", trial, i, j)
+			}
+			in.Swap(w, i, j)
+			mirror.Swap(i, j)
+			swaps++
+			if !in.Ranking().Equal(mirror) {
+				t.Fatalf("trial %d: incumbent ranking left the repair's after swap (%d, %d)", trial, i, j)
+			}
+			if cost := w.KemenyCost(mirror); in.Cost() != cost {
+				t.Fatalf("trial %d: carried cost %d after swap (%d, %d), KemenyCost %d", trial, in.Cost(), i, j, cost)
+			}
+		})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want, err := MakeMRFair(start, targets)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !got.Equal(want) || !in.Ranking().Equal(want) {
+			t.Fatalf("trial %d: hooked repair %v, incumbent %v, MakeMRFair %v", trial, got, in.Ranking(), want)
+		}
+	}
+	if swaps < 200 {
+		t.Fatalf("only %d repair swaps replayed", swaps)
 	}
 }

@@ -109,8 +109,8 @@ func (c *runCtx) solve(cfg Config, m manirank.Method, targets []core.Target) (*m
 //     the paper's claim for it — Fig. 6/7 and Tables II/III — is precisely
 //     that it scales without a matrix, so routing its *timed* cells over
 //     the registry's shared W would change the measured complexity. The
-//     ranking is bitwise identical either way (BordaW property tests), so
-//     only the clock, never the data, takes this path.
+//     ranking is bitwise identical either way (Precedence.Borda property
+//     tests), so only the clock, never the data, takes this path.
 //   - The profile-consuming baselines (kemeny-weighted, pick-fairest-perm,
 //     correct-fairest-perm) never built the shared matrix either —
 //     Kemeny-Weighted constructs its own weighted one inside the solve —

@@ -8,7 +8,6 @@ import (
 	"manirank"
 	"manirank/internal/attribute"
 	"manirank/internal/core"
-	"manirank/internal/kemeny"
 	"manirank/internal/mallows"
 	"manirank/internal/ranking"
 	"manirank/internal/unfairgen"
@@ -129,7 +128,7 @@ func fig6FairScale(cfg Config) error {
 		si, mi := i/perSize, i%perSize
 		ctx := ctxs[si]
 		if mi == 0 {
-			seed := kemeny.BordaFromPrecedence(ctx.w)
+			seed := ctx.w.Borda()
 			start := time.Now()
 			r, err := core.MakeMRFair(seed, ctx.targets)
 			elapsed := time.Since(start)

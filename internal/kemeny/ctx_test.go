@@ -28,7 +28,7 @@ func TestHeuristicCtxCancelledReturnsBestSoFar(t *testing.T) {
 	}
 	// Worst case it fell straight back to the Borda seed; it must never be
 	// worse than that.
-	if seed, gotCost := BordaFromPrecedence(w), w.KemenyCost(got); gotCost > w.KemenyCost(seed) {
+	if seed, gotCost := w.Borda(), w.KemenyCost(got); gotCost > w.KemenyCost(seed) {
 		t.Fatalf("cancelled result cost %d worse than Borda seed %d", gotCost, w.KemenyCost(seed))
 	}
 }
@@ -82,7 +82,7 @@ func TestCtxCancelledMidRun(t *testing.T) {
 func TestBranchAndBoundCtxCancelledReturnsIncumbent(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	w := ranking.MustPrecedence(randomProfile(12, 3, rng))
-	incumbent := LocalSearch(w, BordaFromPrecedence(w))
+	incumbent := LocalSearch(w, w.Borda())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res := BranchAndBoundCtx(ctx, w, nil, incumbent, 0)

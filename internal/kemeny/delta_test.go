@@ -63,7 +63,7 @@ func TestHeuristicBestMatchesReportedRanking(t *testing.T) {
 		n := 8 + rng.Intn(20)
 		w := ranking.MustPrecedence(randomProfile(n, 7, rng))
 		best := Heuristic(w, Options{Seed: int64(trial)})
-		seed := LocalSearch(w, BordaFromPrecedence(w))
+		seed := LocalSearch(w, w.Borda())
 		if w.KemenyCost(best) > w.KemenyCost(seed) {
 			t.Fatalf("Heuristic returned a ranking worse than its own seed (%d > %d)",
 				w.KemenyCost(best), w.KemenyCost(seed))

@@ -163,7 +163,7 @@ func TestBranchAndBoundNodeBudget(t *testing.T) {
 func TestBranchAndBoundUsesIncumbent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	w := ranking.MustPrecedence(randomProfile(8, 4, rng))
-	seed := LocalSearch(w, BordaFromPrecedence(w))
+	seed := LocalSearch(w, w.Borda())
 	res := BranchAndBound(w, nil, seed, 0)
 	if res.Cost > w.KemenyCost(seed) {
 		t.Fatal("result worse than incumbent")

@@ -7,26 +7,12 @@ import (
 	"manirank/internal/ranking"
 )
 
-// BordaFromPrecedence returns the Borda consensus computed directly from a
-// precedence matrix: candidate c earns one point for every (ranking, rival)
-// pair that places c above the rival, i.e. m*(n-1) minus c's row sum. One
-// sequential pass per row. Ties break by candidate id for determinism.
-func BordaFromPrecedence(w *ranking.Precedence) ranking.Ranking {
-	n := w.N()
-	m := w.Rankings()
-	points := make([]int, n)
-	for c := 0; c < n; c++ {
-		points[c] = m*(n-1) - w.RowSum(c)
-	}
-	return ranking.SortByPointsDesc(points)
-}
-
 // LocalSearch improves r in place with best-improvement insertion moves until
 // a local optimum of the Kemeny cost is reached, and returns r. Each pass is
 // O(n^2); the insertion neighbourhood is the standard Kemeny local search
 // (Ali & Meila 2012).
 func LocalSearch(w *ranking.Precedence, r ranking.Ranking) ranking.Ranking {
-	seedDescent(context.Background(), w, nil, r)
+	Sync(w, r).descend(context.Background(), w, nil)
 	return r
 }
 
@@ -116,11 +102,20 @@ func Heuristic(w *ranking.Precedence, opts Options) ranking.Ranking {
 // depends on how far the restarts got, so it is best-effort, not
 // deterministic.
 func HeuristicCtx(ctx context.Context, w *ranking.Precedence, opts Options) ranking.Ranking {
+	return HeuristicSearch(ctx, w, opts).Ranking()
+}
+
+// HeuristicSearch is HeuristicCtx returning the whole search state: the
+// best ranking with its exact Kemeny cost and its synced sweep bounds, ready
+// for a repair (Incumbent.Swap) and a constrained descent
+// (ConstrainedSearchFrom) that then pay no pair sweep of their own.
+func HeuristicSearch(ctx context.Context, w *ranking.Precedence, opts Options) *Incumbent {
 	opts = opts.WithDefaults()
 	endSeed := obs.StartSpan(ctx, "kemeny_seed_descent")
-	sc, cost := seedDescent(ctx, w, nil, WarmOrBordaSeed(w, opts))
+	in := Sync(w, WarmOrBordaSeed(w, opts))
+	in.descend(ctx, w, nil)
 	endSeed()
-	return restartSearch(ctx, w, nil, sc, cost, opts)
+	return restartSearch(ctx, w, nil, in, opts)
 }
 
 // WarmOrBordaSeed resolves a search's starting ranking: a clone of
@@ -133,7 +128,7 @@ func WarmOrBordaSeed(w *ranking.Precedence, opts Options) ranking.Ranking {
 	if UsableWarm(w, opts.Warm) {
 		return opts.Warm.Clone()
 	}
-	return BordaFromPrecedence(w)
+	return w.Borda()
 }
 
 // UsableWarm reports whether warm can seed a search over w: it must be a
@@ -156,9 +151,9 @@ func ConstrainedLocalSearch(w *ranking.Precedence, cons []Constraint, start rank
 	if !Feasible(start, cons) {
 		panic("kemeny: ConstrainedLocalSearch start ranking violates constraints")
 	}
-	r := start.Clone()
-	seedDescent(context.Background(), w, cons, r)
-	return r
+	in := Sync(w, start.Clone())
+	in.descend(context.Background(), w, cons)
+	return in.Ranking()
 }
 
 // ConstrainedSearch is the large-n Fair-Kemeny engine: the
@@ -179,23 +174,63 @@ func ConstrainedSearch(w *ranking.Precedence, cons []Constraint, start ranking.R
 // accepted move preserves feasibility. Never nil. A never-cancelled ctx
 // yields output bitwise identical to ConstrainedSearch.
 func ConstrainedSearchCtx(ctx context.Context, w *ranking.Precedence, cons []Constraint, start ranking.Ranking, opts Options) ranking.Ranking {
-	if !Feasible(start, cons) {
+	return ConstrainedSearchFrom(ctx, w, cons, Sync(w, start.Clone()), opts).Ranking()
+}
+
+// ConstrainedSearchFrom is ConstrainedSearchCtx from an Incumbent, whose
+// bounds and cost spare the descent the pair sweep that syncing a bare
+// ranking costs. It takes in over: the descent moves its ranking in place,
+// and the returned Incumbent — in itself, or a restart that beat it — holds
+// the result with its exact cost. in must satisfy cons (panics otherwise).
+func ConstrainedSearchFrom(ctx context.Context, w *ranking.Precedence, cons []Constraint, in *Incumbent, opts Options) *Incumbent {
+	if !Feasible(in.Ranking(), cons) {
 		panic("kemeny: ConstrainedSearch start ranking violates constraints")
 	}
 	opts = opts.WithDefaults()
 	endSeed := obs.StartSpan(ctx, "kemeny_seed_descent")
-	sc, cost := seedDescent(ctx, w, cons, start.Clone())
+	in.descend(ctx, w, cons)
 	endSeed()
-	return restartSearch(ctx, w, cons, sc, cost, opts)
+	return restartSearch(ctx, w, cons, in, opts)
 }
 
-// seedDescent runs the insertion descent on r in place from a fresh scratch
-// and returns that scratch — holding r as cur, synced to the local optimum —
-// with r's final Kemeny cost, the baseline restartSearch scores against.
-func seedDescent(ctx context.Context, w *ranking.Precedence, cons []Constraint, r ranking.Ranking) (*searchScratch, int) {
+// Incumbent is the search state one phase of a solve hands to the next: a
+// ranking, the insertion descent's sweep bounds synced to it, and its exact
+// Kemeny cost. Fair-Kemeny's unconstrained search, its Make-MR-Fair repair
+// (through Swap) and its constrained descent all move one Incumbent, so a
+// cold solve pays a single pair sweep (Sync), and the cost it reports is the
+// one the moves tracked.
+type Incumbent struct {
+	sc   *searchScratch // cur is the ranking; up and dn are synced to it
+	cost int
+}
+
+// Sync makes r an Incumbent, taking r over rather than copying it: one pair
+// sweep (ranking.Precedence.InversionMass) counts its bounds and its cost.
+func Sync(w *ranking.Precedence, r ranking.Ranking) *Incumbent {
 	sc := &searchScratch{cur: r}
-	cost := sc.sync(w, cons, r)
-	return sc, cost + sc.descentDelta(ctx, w, r)
+	return &Incumbent{sc: sc, cost: sc.sync(w, nil, r)}
+}
+
+// Ranking returns the incumbent's ranking (shared storage).
+func (in *Incumbent) Ranking() ranking.Ranking { return in.sc.cur }
+
+// Cost returns the incumbent ranking's exact Kemeny cost against w.
+func (in *Incumbent) Cost() int { return in.cost }
+
+// Swap exchanges the candidates at positions i < j of the incumbent's
+// ranking as the two insertion moves i → j and j−1 → i, keeping the bounds
+// and the cost exact in O(j−i).
+func (in *Incumbent) Swap(w *ranking.Precedence, i, j int) {
+	in.cost += in.sc.move(w, in.sc.cur, i, j)
+	in.cost += in.sc.move(w, in.sc.cur, j-1, i)
+}
+
+// descend runs the insertion descent under cons on the incumbent's ranking
+// in place, keeping its cost exact. A descent stopped by ctx leaves it
+// feasible, its cost still exact.
+func (in *Incumbent) descend(ctx context.Context, w *ranking.Precedence, cons []Constraint) {
+	in.sc.syncAuditor(cons, in.sc.cur)
+	in.cost += in.sc.descentDelta(ctx, w, in.sc.cur)
 }
 
 // descentDelta runs the insertion descent on r in place until no element

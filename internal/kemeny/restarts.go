@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -54,7 +55,7 @@ func restartWorkers(requested, restarts int) int {
 // descends (cur), the descent's incremental fairness auditor and sweep
 // bounds, plus — for restart workers — the restart RNG (re-seeded per
 // restart; math/rand's generator state is ~5KB, too big to churn per
-// restart). A seed descent's scratch holds the ranking it was handed; a
+// restart). An Incumbent's scratch holds the ranking it was handed; a
 // restart worker allocates cur, up, dn and rng lazily on its first restart
 // and overwrites them — with the auditor reset, not reallocated — per
 // restart. All of it stays cache-resident across every restart the worker
@@ -82,26 +83,29 @@ func (sc *searchScratch) sync(w *ranking.Precedence, cons []Constraint, r rankin
 }
 
 // move applies r.MoveTo(from, to) together with its bookkeeping: the
-// auditor's trackers and the sweep bounds, O(span + groups · log n). Every
-// accepted move — descent and perturbation alike — goes through it, so the
+// auditor's trackers and the sweep bounds, O(span + groups · log n), and
+// returns the move's exact Kemeny-cost change. Every accepted move —
+// descent, perturbation and repair swap alike — goes through it, so the
 // bounds can never fall out of step with r.
-func (sc *searchScratch) move(w *ranking.Precedence, r ranking.Ranking, from, to int) {
+func (sc *searchScratch) move(w *ranking.Precedence, r ranking.Ranking, from, to int) int {
 	if sc.aud != nil {
 		sc.aud.applyMove(from, to)
 	}
-	w.MoveInversionMass(r, sc.up, sc.dn, from, to)
+	delta := w.MoveInversionMass(r, sc.up, sc.dn, from, to)
 	r.MoveTo(from, to)
+	return delta
 }
 
-// runRestart executes restart idx from the shared seed scratch — its
-// ranking and bounds, copied in O(n) — and returns the restart's final cost
-// plus a clone of its ranking when it strictly beats the seed (nil otherwise
-// — the common case allocates nothing). An empty constraint set (nil or
-// zero-length alike) leaves the auditor nil, so every move is feasible.
-func (sc *searchScratch) runRestart(ctx context.Context, w *ranking.Precedence, cons []Constraint, seed *searchScratch, seedCost int, opts Options, idx int) (int, ranking.Ranking) {
+// runRestart executes restart idx from the seed incumbent — its ranking and
+// bounds, copied in O(n) — and returns the restart's result as a new
+// Incumbent (clones of its ranking and bounds, with its exact cost) when it
+// strictly beats the seed, and nil otherwise: the common case allocates
+// nothing. An empty constraint set (nil or zero-length alike) leaves the
+// auditor nil, so every move is feasible.
+func (sc *searchScratch) runRestart(ctx context.Context, w *ranking.Precedence, cons []Constraint, seed *Incumbent, opts Options, idx int) *Incumbent {
 	defer obs.StartSpan(ctx, "kemeny_restart")()
 	if sc.cur == nil {
-		n := len(seed.cur)
+		n := len(seed.sc.cur)
 		sc.cur = make(ranking.Ranking, n)
 		sc.up, sc.dn = make([]int, n), make([]int, n)
 		sc.rng = rand.New(rand.NewSource(0))
@@ -109,45 +113,44 @@ func (sc *searchScratch) runRestart(ctx context.Context, w *ranking.Precedence, 
 	// Re-seeding the scratch generator draws the identical stream a fresh
 	// rand.New(rand.NewSource(seed)) would.
 	sc.rng.Seed(restartSeed(opts.Seed, idx, len(cons) > 0))
-	copy(sc.cur, seed.cur)
-	copy(sc.up, seed.up)
-	copy(sc.dn, seed.dn)
+	copy(sc.cur, seed.sc.cur)
+	copy(sc.up, seed.sc.up)
+	copy(sc.dn, seed.sc.dn)
 	sc.syncAuditor(cons, sc.cur)
-	cost := seedCost + sc.perturbFeasibleDelta(w, sc.cur, opts.Strength, sc.rng)
+	cost := seed.cost + sc.perturbFeasibleDelta(w, sc.cur, opts.Strength, sc.rng)
 	cost += sc.descentDelta(ctx, w, sc.cur)
-	if cost < seedCost {
-		return cost, sc.cur.Clone()
+	if cost >= seed.cost {
+		return nil
 	}
-	return seedCost, nil
+	best := &searchScratch{cur: sc.cur.Clone(), up: slices.Clone(sc.up), dn: slices.Clone(sc.dn)}
+	return &Incumbent{sc: best, cost: cost}
 }
 
 // restartSearch runs opts.Perturbations independent perturbed restarts from
-// the seed descent's scratch (seed.cur, already a local optimum, with its
-// bounds; see seedDescent) on a pool of restartWorkers goroutines, and returns
-// the best ranking seen. seedCost is seed.cur's Kemeny cost, the baseline
-// every restart is scored against. The workers only read seed.
-// An empty constraint set selects the unconstrained engine. Ties — including every
+// the seed incumbent (already descended to a local optimum under cons) on a
+// pool of restartWorkers goroutines, and returns the best incumbent seen:
+// seed itself, or the restart that beat it by the most. Every restart is
+// scored against seed's cost; the workers only read seed. An empty
+// constraint set selects the unconstrained engine. Ties — including every
 // restart that fails to improve — resolve to the seed first and then to the
 // lowest restart index, independent of schedule.
 //
 // Cancellation is cooperative: once ctx is done no further restart starts
 // (workers stop claiming indices), the in-flight ones finish their current
 // descent pass, and the merge below still returns the best completed result —
-// at minimum the seed, never a zero value. With a never-cancelled ctx the
-// output is bitwise identical to the uncancelled engine for every worker
-// count.
-func restartSearch(ctx context.Context, w *ranking.Precedence, cons []Constraint, seed *searchScratch, seedCost int, opts Options) ranking.Ranking {
+// at minimum the seed, never nil. With a never-cancelled ctx the output is
+// bitwise identical to the uncancelled engine for every worker count.
+func restartSearch(ctx context.Context, w *ranking.Precedence, cons []Constraint, seed *Incumbent, opts Options) *Incumbent {
 	restarts := opts.Perturbations
-	if restarts <= 0 || len(seed.cur) < 2 || ctx.Err() != nil {
-		return seed.cur
+	if restarts <= 0 || len(seed.sc.cur) < 2 || ctx.Err() != nil {
+		return seed
 	}
-	costs := make([]int, restarts)
-	improved := make([]ranking.Ranking, restarts)
+	improved := make([]*Incumbent, restarts)
 	workers := restartWorkers(opts.Workers, restarts)
 	if workers == 1 {
 		sc := new(searchScratch)
 		for i := 0; i < restarts && ctx.Err() == nil; i++ {
-			costs[i], improved[i] = sc.runRestart(ctx, w, cons, seed, seedCost, opts, i)
+			improved[i] = sc.runRestart(ctx, w, cons, seed, opts, i)
 		}
 	} else {
 		next := int64(-1)
@@ -162,16 +165,16 @@ func restartSearch(ctx context.Context, w *ranking.Precedence, cons []Constraint
 					if i >= restarts {
 						return
 					}
-					costs[i], improved[i] = sc.runRestart(ctx, w, cons, seed, seedCost, opts, i)
+					improved[i] = sc.runRestart(ctx, w, cons, seed, opts, i)
 				}
 			}()
 		}
 		wg.Wait()
 	}
-	best, bestCost := seed.cur, seedCost
-	for i := 0; i < restarts; i++ {
-		if improved[i] != nil && costs[i] < bestCost {
-			best, bestCost = improved[i], costs[i]
+	best := seed
+	for _, in := range improved {
+		if in != nil && in.cost < best.cost {
+			best = in
 		}
 	}
 	return best
@@ -202,8 +205,7 @@ func (sc *searchScratch) perturbFeasibleDelta(w *ranking.Precedence, r ranking.R
 		if aud != nil && !aud.feasibleMove(i, j) {
 			continue
 		}
-		delta += w.MoveDelta(r, i, j)
-		sc.move(w, r, i, j)
+		delta += sc.move(w, r, i, j)
 	}
 	return delta
 }

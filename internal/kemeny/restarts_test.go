@@ -107,7 +107,7 @@ func TestHeuristicNeverWorseThanSeedDescent(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 8 + rng.Intn(30)
 		w := ranking.MustPrecedence(randomProfile(n, 4, rng))
-		seed := LocalSearch(w, BordaFromPrecedence(w))
+		seed := LocalSearch(w, w.Borda())
 		h := Heuristic(w, Options{Seed: int64(trial), Workers: 4})
 		if w.KemenyCost(h) > w.KemenyCost(seed) {
 			t.Fatalf("Heuristic cost %d above its own seed descent %d", w.KemenyCost(h), w.KemenyCost(seed))
@@ -152,11 +152,12 @@ func TestRestartAllocFree(t *testing.T) {
 		name string
 		cons []Constraint
 	}{{"constrained", cons}, {"unconstrained", nil}} {
-		seed, seedCost := seedDescent(ctx, w, tc.cons, start.Clone())
+		seed := Sync(w, start.Clone())
+		seed.descend(ctx, w, tc.cons)
 		sc := new(searchScratch)
 		idx := -1
 		for i := 0; i < 64 && idx < 0; i++ {
-			if _, improved := sc.runRestart(ctx, w, tc.cons, seed, seedCost, opts, i); improved == nil {
+			if sc.runRestart(ctx, w, tc.cons, seed, opts, i) == nil {
 				idx = i
 			}
 		}
@@ -164,7 +165,7 @@ func TestRestartAllocFree(t *testing.T) {
 			t.Fatalf("%s: every restart improved on the seed", tc.name)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			sc.runRestart(ctx, w, tc.cons, seed, seedCost, opts, idx)
+			sc.runRestart(ctx, w, tc.cons, seed, opts, idx)
 		})
 		if allocs != 0 {
 			t.Fatalf("%s: non-improving restart made %v allocations, want 0", tc.name, allocs)

@@ -51,7 +51,7 @@ func UnmarshalPrecedence(data []byte) (*Precedence, error) {
 		return nil, fmt.Errorf("ranking: precedence wire payload %d bytes, want %d for n=%d",
 			len(payload), 4*n*n, n)
 	}
-	w := &Precedence{n: int(n), m: int(m), w: make([]int32, n*n)}
+	w := &Precedence{n: int(n), m: int(m), w: make([]int32, n*n), rows: make([]int, n)}
 	for i := range w.w {
 		w.w[i] = int32(binary.LittleEndian.Uint32(payload[4*i:]))
 	}
@@ -63,7 +63,8 @@ func UnmarshalPrecedence(data []byte) (*Precedence, error) {
 
 // checkPairs verifies the profile invariant of every cell in one O(n²)
 // pass: a zero diagonal, and for each pair a < b two non-negative cells
-// summing to m.
+// summing to m. The same pass fills the row sums, which the wire form does
+// not carry.
 func (w *Precedence) checkPairs() error {
 	for a := 0; a < w.n; a++ {
 		if d := w.At(a, a); d != 0 {
@@ -75,6 +76,8 @@ func (w *Precedence) checkPairs() error {
 				return fmt.Errorf("ranking: precedence wire pair W[%d][%d] = %d, W[%d][%d] = %d, want non-negative cells summing to m = %d",
 					a, b, x, b, a, y, w.m)
 			}
+			w.rows[a] += x
+			w.rows[b] += y
 		}
 	}
 	return nil

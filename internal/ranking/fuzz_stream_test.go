@@ -12,13 +12,14 @@ import (
 
 // FuzzIncrementalPrecedence drives a random add/remove/update stream through
 // Precedence.AddRanking/RemoveRanking and pins the patched matrix cell-for-
-// cell against a from-scratch MustPrecedence over a mirrored profile after
-// EVERY step — the bitwise-parity invariant the streaming Engine and the
-// manirankd session endpoint both rest on. Each step also re-seats a
-// long-lived fairness.Tracker on a fresh consensus over the mutated profile
-// (Reset + one incremental ApplyMove) and pins its counters against a
-// freshly built tracker, so the fairness state the warm-started solvers
-// audit with stays consistent across profile mutations. Payload layout:
+// cell, and row sum for row sum, against a from-scratch MustPrecedence over
+// a mirrored profile after EVERY step — the bitwise-parity invariant the
+// streaming Engine and the manirankd session endpoint both rest on. Each
+// step also re-seats a long-lived fairness.Tracker on a fresh consensus
+// over the mutated profile (Reset + one incremental ApplyMove) and pins its
+// counters against a freshly built tracker, so the fairness state the
+// warm-started solvers audit with stays consistent across profile
+// mutations. Payload layout:
 // data[0] -> n, data[1] -> initial m, data[2] -> RNG seed byte, remaining
 // bytes are the op stream (b%3 selects add/remove/update, b/3 the target
 // index).
@@ -60,11 +61,17 @@ func FuzzIncrementalPrecedence(f *testing.F) {
 					step, w.Rankings(), want.Rankings())
 			}
 			for a := 0; a < n; a++ {
+				sum := 0
 				for b := 0; b < n; b++ {
 					if w.At(a, b) != want.At(a, b) {
 						t.Fatalf("step %d: patched W[%d][%d] = %d, rebuild = %d",
 							step, a, b, w.At(a, b), want.At(a, b))
 					}
+					sum += w.At(a, b)
+				}
+				if w.RowSum(a) != sum || want.RowSum(a) != sum {
+					t.Fatalf("step %d: row %d sums to %d, patched RowSum %d, rebuild RowSum %d",
+						step, a, sum, w.RowSum(a), want.RowSum(a))
 				}
 			}
 			r := ranking.Random(n, rng)

@@ -79,10 +79,10 @@ func FuzzSwapDeltas(f *testing.F) {
 // FuzzUnmarshalPrecedence feeds arbitrary bytes to the precedence wire
 // decoder — the boundary every peer and disk entry crosses. It must never
 // panic, and everything it accepts must be a matrix some profile could
-// produce (zero diagonal, non-negative cells, W[a][b] + W[b][a] = m) whose
-// canonical re-encoding is exactly the input. The committed corpus in
-// testdata/fuzz/FuzzUnmarshalPrecedence holds valid entries and one of each
-// corruption the decoder rejects.
+// produce (zero diagonal, non-negative cells, W[a][b] + W[b][a] = m), with
+// row sums equal to its cell sums, whose canonical re-encoding is exactly
+// the input. The committed corpus in testdata/fuzz/FuzzUnmarshalPrecedence
+// holds valid entries and one of each corruption the decoder rejects.
 func FuzzUnmarshalPrecedence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, err := UnmarshalPrecedence(data)
@@ -103,6 +103,7 @@ func FuzzUnmarshalPrecedence(f *testing.F) {
 				}
 			}
 		}
+		requireRowSums(t, w)
 		again, _ := w.MarshalBinary()
 		if !bytes.Equal(again, data) {
 			t.Fatal("accepted entry does not re-encode to its own bytes")
@@ -130,7 +131,8 @@ func massByDefinition(w *Precedence, r Ranking) (up, dn []int) {
 // FuzzInversionMass checks the descent's bound kernels on fuzzed weighted
 // profiles, rankings and move sequences: InversionMass fills the inversion
 // mass its definition gives and returns KemenyCost, and after every move
-// the O(span) MoveInversionMass update equals a fresh recount. Layout:
+// the O(span) MoveInversionMass update equals a fresh recount and returns
+// MoveDelta's cost change. Layout:
 // data[0] -> n, data[1] -> m, data[2] -> which rankings weigh MaxInt32/m
 // (bit k for ranking k; the rest weigh 1..9), data[3] -> RNG seed, then
 // (from, to) byte pairs. With every bit set the total weight is within m of
@@ -171,7 +173,9 @@ func FuzzInversionMass(f *testing.F) {
 		freshUp, freshDn := make([]int, n), make([]int, n)
 		for k := 4; k+1 < len(data) && k < 4+2*32; k += 2 {
 			from, to := int(data[k])%n, int(data[k+1])%n
-			w.MoveInversionMass(r, up, dn, from, to)
+			if got, want := w.MoveInversionMass(r, up, dn, from, to), w.MoveDelta(r, from, to); got != want {
+				t.Fatalf("MoveInversionMass(%d, %d) returned delta %d, MoveDelta %d", from, to, got, want)
+			}
 			r.MoveTo(from, to)
 			w.InversionMass(r, freshUp, freshDn)
 			if !slices.Equal(up, freshUp) || !slices.Equal(dn, freshDn) {

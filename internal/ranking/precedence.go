@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -22,10 +23,16 @@ var DefaultWorkers int
 // half the cache footprint of the int layout, which matters because every
 // solver (Kemeny local search, branch and bound, Schulze, Copeland) streams
 // over its rows. For every pair a != b, W[a][b] + W[b][a] == |R|.
+//
+// Each row's sum is kept beside the cells: RowSum(a) = Σ_r pos_r(a), the
+// (weighted) count of candidates ranked above a, which every constructor and
+// patch derives from positions in O(n) per ranking. The Borda seed of every
+// Kemeny solve then costs a sort instead of an O(n²) pass.
 type Precedence struct {
-	n int
-	m int // number of base rankings summarised
-	w []int32
+	n    int
+	m    int // number of base rankings summarised
+	w    []int32
+	rows []int // rows[a] = Σ_b W[a][b]
 }
 
 // NewPrecedence computes the precedence matrix of profile p, sharding the
@@ -58,9 +65,21 @@ func MustPrecedence(p Profile) *Precedence {
 
 func newPrecedenceUnchecked(p Profile, workers int) *Precedence {
 	n := p.N()
-	pr := &Precedence{n: n, m: len(p), w: make([]int32, n*n)}
+	pr := &Precedence{n: n, m: len(p), w: make([]int32, n*n), rows: make([]int, n)}
 	buildShards(pr.w, p, nil, n, sizeWorkers(workers, n, len(p)))
+	for _, r := range p {
+		addRowSums(pr.rows, r, 1)
+	}
 	return pr
+}
+
+// addRowSums adds one ranking's contribution, with weight wt, to the row
+// sums: the candidate at position j has j candidates above it, each a cell
+// W[r[j]][b] the ranking adds wt to.
+func addRowSums(rows []int, r Ranking, wt int) {
+	for j, c := range r {
+		rows[c] += wt * j
+	}
 }
 
 // NewWeightedPrecedence computes a precedence matrix where ranking i
@@ -93,8 +112,11 @@ func NewWeightedPrecedenceWorkers(p Profile, weights []int, workers int) (*Prece
 		return nil, fmt.Errorf("ranking: total weight %d overflows the int32 cell size", total)
 	}
 	n := p.N()
-	pr := &Precedence{n: n, m: int(total), w: make([]int32, n*n)}
+	pr := &Precedence{n: n, m: int(total), w: make([]int32, n*n), rows: make([]int, n)}
 	buildShards(pr.w, p, weights, n, sizeWorkers(workers, n, len(p)))
+	for i, r := range p {
+		addRowSums(pr.rows, r, weights[i])
+	}
 	return pr, nil
 }
 
@@ -197,9 +219,7 @@ func accumulateShard(w []int32, p Profile, weights []int, n int) {
 // RemoveRanking) never affects the other — the copy-on-write primitive
 // behind sharing one matrix between a cache tier and a mutable engine.
 func (w *Precedence) Clone() *Precedence {
-	out := &Precedence{n: w.n, m: w.m, w: make([]int32, len(w.w))}
-	copy(out.w, w.w)
-	return out
+	return &Precedence{n: w.n, m: w.m, w: slices.Clone(w.w), rows: slices.Clone(w.rows)}
 }
 
 // AddRanking folds one more base ranking into w in O(n²) — the incremental
@@ -217,6 +237,7 @@ func (w *Precedence) AddRanking(r Ranking) error {
 		return fmt.Errorf("ranking: %d rankings overflow the int32 cell size", w.m+1)
 	}
 	patchRanking(w.w, r, w.n, 1)
+	addRowSums(w.rows, r, 1)
 	w.m++
 	return nil
 }
@@ -237,6 +258,7 @@ func (w *Precedence) RemoveRanking(r Ranking) error {
 		return fmt.Errorf("ranking: RemoveRanking on an empty matrix")
 	}
 	patchRanking(w.w, r, w.n, -1)
+	addRowSums(w.rows, r, -1)
 	w.m--
 	return nil
 }
@@ -341,11 +363,13 @@ func inversionRow(row []int32, below Ranking, up []int, m int) (cost, mass int) 
 }
 
 // MoveInversionMass updates up and dn, as InversionMass filled them for r,
-// to the ranking r.MoveTo(from, to) will leave, in O(|from−to|). It does not
-// move r: the caller applies MoveTo afterwards. Each candidate y the moved
-// candidate x crosses flips one pair, whose term leaves x's and y's sums on
-// one side and enters them on the other.
-func (w *Precedence) MoveInversionMass(r Ranking, up, dn []int, from, to int) {
+// to the ranking r.MoveTo(from, to) will leave, in O(|from−to|), and returns
+// the move's Kemeny-cost change — MoveDelta, summed from the margins the
+// update reads anyway. It does not move r: the caller applies MoveTo
+// afterwards. Each candidate y the moved candidate x crosses flips one pair,
+// whose term leaves x's and y's sums on one side and enters them on the
+// other.
+func (w *Precedence) MoveInversionMass(r Ranking, up, dn []int, from, to int) (delta int) {
 	x := r[from]
 	xrow := w.w[x*w.n : x*w.n+w.n]
 	m := w.m
@@ -353,23 +377,26 @@ func (w *Precedence) MoveInversionMass(r Ranking, up, dn []int, from, to int) {
 		// x moves up past each y: (y above x) becomes (x above y).
 		for _, y := range r[to:from] {
 			mg := 2*int(xrow[y]) - m // Margin(x, y)
+			delta += mg
 			before, after := min(0, mg), min(0, -mg)
 			up[x] -= before
 			dn[y] -= before
 			dn[x] += after
 			up[y] += after
 		}
-		return
+		return delta
 	}
 	// x moves down past each y: (x above y) becomes (y above x).
 	for _, y := range r[from+1 : to+1] {
 		mg := 2*int(xrow[y]) - m
+		delta -= mg
 		before, after := min(0, -mg), min(0, mg)
 		dn[x] -= before
 		up[y] -= before
 		up[x] += after
 		dn[y] += after
 	}
+	return delta
 }
 
 // AdjacentSwapDelta returns, in O(1), the Kemeny-cost change of swapping the
@@ -403,14 +430,21 @@ func (w *Precedence) MoveDelta(r Ranking, from, to int) int {
 }
 
 // RowSum returns sum over b of W[a][b], the total disagreement candidate a
-// would incur ranked above everyone else. Borda scores derive from row sums
-// in one sequential pass per row.
-func (w *Precedence) RowSum(a int) int {
-	s := 0
-	for _, v := range w.w[a*w.n : a*w.n+w.n] {
-		s += int(v)
+// would incur ranked above everyone else, in O(1): the sums are kept with
+// the matrix.
+func (w *Precedence) RowSum(a int) int { return w.rows[a] }
+
+// Borda returns the Borda consensus of the profile w summarises: candidate
+// c earns one point per (ranking, rival) pair placing c above the rival,
+// m·(n−1) minus its row sum — integer-identical to the point totals counted
+// from the profile itself, so the ranking and its tie-breaks (ascending id)
+// are too. O(n log n).
+func (w *Precedence) Borda() Ranking {
+	points := make([]int, w.n)
+	for c, s := range w.rows {
+		points[c] = w.m*(w.n-1) - s
 	}
-	return s
+	return SortByPointsDesc(points)
 }
 
 // LowerBound returns an admissible lower bound on the Kemeny cost of any
@@ -468,7 +502,17 @@ func (w *Precedence) PDLoss(r Ranking) float64 {
 	if w.n < 2 || w.m == 0 {
 		return 0
 	}
-	return float64(w.KemenyCost(r)) / (float64(TotalPairs(w.n)) * float64(w.m))
+	return w.PDLossOfCost(w.KemenyCost(r))
+}
+
+// PDLossOfCost is PDLoss for a ranking whose Kemeny cost against w is
+// already known — a search that tracked it exactly. It is the one formula
+// PDLoss applies, so both give the same float64 bits for the same cost.
+func (w *Precedence) PDLossOfCost(cost int) float64 {
+	if w.n < 2 || w.m == 0 {
+		return 0
+	}
+	return float64(cost) / (float64(TotalPairs(w.n)) * float64(w.m))
 }
 
 // PDLoss computes the Pairwise Disagreement loss of consensus r directly from

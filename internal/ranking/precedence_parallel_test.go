@@ -2,6 +2,7 @@ package ranking
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -143,18 +144,74 @@ func TestMoveDeltaAgreesWithFullCost(t *testing.T) {
 	}
 }
 
-func TestRowSum(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	n, m := 12, 7
-	w := MustPrecedence(randomProfile(n, m, rng))
-	for a := 0; a < n; a++ {
+// requireRowSums fails t unless every row sum w keeps equals the sum of the
+// row's cells.
+func requireRowSums(t *testing.T, w *Precedence) {
+	t.Helper()
+	for a := 0; a < w.N(); a++ {
 		want := 0
-		for b := 0; b < n; b++ {
+		for b := 0; b < w.N(); b++ {
 			want += w.At(a, b)
 		}
 		if got := w.RowSum(a); got != want {
-			t.Fatalf("RowSum(%d) = %d, want %d", a, got, want)
+			t.Fatalf("RowSum(%d) = %d, cells sum to %d", a, got, want)
 		}
+	}
+}
+
+// TestRowSum pins the row sums the matrix keeps to the cells they sum: for
+// plain and weighted (zero weights included) builds at construction widths
+// 1, 2 and 4, and for a Clone, whose sums follow its own patches and not
+// the original's.
+func TestRowSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 20; trial++ {
+		n, m := 2+rng.Intn(30), 1+rng.Intn(12)
+		p := randomProfile(n, m, rng)
+		weights := make([]int, m)
+		for i := range weights {
+			weights[i] = rng.Intn(5)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			w, err := NewPrecedenceWorkers(p, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireRowSums(t, w)
+			ww, err := NewWeightedPrecedenceWorkers(p, weights, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireRowSums(t, ww)
+		}
+	}
+
+	n := 9
+	p := randomProfile(n, 5, rng)
+	w := MustPrecedence(p)
+	sums := func(w *Precedence) []int {
+		s := make([]int, n)
+		for a := range s {
+			s[a] = w.RowSum(a)
+		}
+		return s
+	}
+	orig := sums(w)
+	c := w.Clone()
+	if err := c.AddRanking(Random(n, rng)); err != nil {
+		t.Fatal(err)
+	}
+	requireRowSums(t, c)
+	if got := sums(w); !slices.Equal(got, orig) {
+		t.Fatalf("patching a clone moved the original's row sums: %v, was %v", got, orig)
+	}
+	cloned := sums(c)
+	if err := w.RemoveRanking(p[0]); err != nil {
+		t.Fatal(err)
+	}
+	requireRowSums(t, w)
+	if got := sums(c); !slices.Equal(got, cloned) {
+		t.Fatalf("patching the original moved the clone's row sums: %v, was %v", got, cloned)
 	}
 }
 

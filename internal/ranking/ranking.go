@@ -11,9 +11,11 @@
 package ranking
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -167,14 +169,16 @@ func SortByScoreDesc(scores []float64) Ranking {
 }
 
 // SortByPointsDesc is SortByScoreDesc for integer scores (e.g. Borda points,
-// Copeland wins), again with deterministic id tie-breaking.
+// Copeland wins), again with deterministic id tie-breaking. Integers make
+// (points descending, id ascending) a total order, so an unstable sort
+// yields the one permutation a stable sort would.
 func SortByPointsDesc(points []int) Ranking {
 	r := New(len(points))
-	sort.SliceStable(r, func(i, j int) bool {
-		if points[r[i]] != points[r[j]] {
-			return points[r[i]] > points[r[j]]
+	slices.SortFunc(r, func(a, b int) int {
+		if c := cmp.Compare(points[b], points[a]); c != 0 {
+			return c
 		}
-		return r[i] < r[j]
+		return cmp.Compare(a, b)
 	})
 	return r
 }

@@ -1,7 +1,9 @@
 package ranking
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -148,6 +150,39 @@ func TestSortByPointsDesc(t *testing.T) {
 	want := Ranking{1, 2, 3, 0}
 	if !r.Equal(want) {
 		t.Fatalf("SortByPointsDesc = %v, want %v", r, want)
+	}
+}
+
+// TestSortByPointsDescMatchesStableSort pins the unstable sort to the
+// stable one it replaced, on tie-heavy points: few distinct values (ties in
+// almost every comparison), negatives, and the extremes of int. The order
+// (points descending, id ascending) is total, so the two must agree.
+func TestSortByPointsDescMatchesStableSort(t *testing.T) {
+	reference := func(points []int) Ranking {
+		r := New(len(points))
+		sort.SliceStable(r, func(i, j int) bool {
+			if points[r[i]] != points[r[j]] {
+				return points[r[i]] > points[r[j]]
+			}
+			return r[i] < r[j]
+		})
+		return r
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(300)
+		values := []int{math.MinInt, -1, 0, 1, math.MaxInt}
+		for k := rng.Intn(6); k > 0; k-- {
+			values = append(values, rng.Intn(7)-3)
+		}
+		points := make([]int, n)
+		for c := range points {
+			points[c] = values[rng.Intn(len(values))]
+		}
+		return SortByPointsDesc(points).Equal(reference(points))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 

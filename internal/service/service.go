@@ -587,10 +587,10 @@ func (s *Server) precedence(ctx context.Context, pb *problem) (*ranking.Preceden
 // The cached precedence matrix is wrapped in a manirank.Engine (a cheap
 // three-pointer struct) so the service shares the exact dispatch path of
 // the library and the CLI: every method — Borda included — consumes the
-// shared W (BordaW / FairBordaW derive integer-identical point totals from
-// W's row sums, so routing through the tier never changes an answer), the
-// Result's PD loss divides the same integers whether computed from W or
-// from the raw profile, and the partial flag is sampled by the registry
+// shared W (Precedence.Borda / FairBordaW derive integer-identical point
+// totals from W's row sums, so routing through the tier never changes an
+// answer), the Result's PD loss divides the same integers whether computed
+// from W or from the raw profile, and the partial flag is sampled by the registry
 // immediately after the cancellable engines return (a deadline lapsing
 // during audit bookkeeping can never mislabel a complete result and evict
 // it from cacheability).

@@ -59,9 +59,11 @@ const (
 
 // methodEntry is one row of the solver registry: the method's canonical
 // name, its input requirements, and the solve routine over the Engine's
-// shared state. partial reports whether a done context truncated the search
-// (only the Kemeny-based engines are cancellable; the polynomial methods
-// always run to completion).
+// shared state. The routine returns the ranking, its exact Kemeny cost
+// against the engine's matrix when the search tracked it (noCost when it did
+// not, and Engine.Solve then counts it), and whether a done context
+// truncated the search (only the Kemeny-based engines are cancellable; the
+// polynomial methods always run to completion).
 type methodEntry struct {
 	method   Method
 	name     string
@@ -69,8 +71,12 @@ type methodEntry struct {
 	baseline bool // Section IV-B comparison baseline, absent from Methods()
 	profile  bool // consumes the base rankings themselves, not just W
 	table    bool // consumes the candidate table beyond the audit
-	solve    func(ctx context.Context, e *Engine, targets []Target, opts kemeny.Options) (Ranking, bool, error)
+	solve    func(ctx context.Context, e *Engine, targets []Target, opts kemeny.Options) (r Ranking, cost int, partial bool, err error)
 }
+
+// noCost is the cost a registry solve reports when its search did not track
+// the ranking's Kemeny cost; a real cost is never negative.
+const noCost = -1
 
 // registry is the single dispatch table behind every surface: Engine.Solve
 // resolves methods here, and Methods/Baselines/ParseMethod derive the
@@ -78,56 +84,56 @@ type methodEntry struct {
 // Order is the documented presentation order.
 var registry = []methodEntry{
 	{method: MethodBorda, name: "borda",
-		solve: func(_ context.Context, e *Engine, _ []Target, _ kemeny.Options) (Ranking, bool, error) {
-			return aggregate.BordaW(e.w), false, nil
+		solve: func(_ context.Context, e *Engine, _ []Target, _ kemeny.Options) (Ranking, int, bool, error) {
+			return e.w.Borda(), noCost, false, nil
 		}},
 	{method: MethodCopeland, name: "copeland",
-		solve: func(_ context.Context, e *Engine, _ []Target, _ kemeny.Options) (Ranking, bool, error) {
-			return aggregate.Copeland(e.w), false, nil
+		solve: func(_ context.Context, e *Engine, _ []Target, _ kemeny.Options) (Ranking, int, bool, error) {
+			return aggregate.Copeland(e.w), noCost, false, nil
 		}},
 	{method: MethodSchulze, name: "schulze",
-		solve: func(_ context.Context, e *Engine, _ []Target, _ kemeny.Options) (Ranking, bool, error) {
-			return aggregate.Schulze(e.w), false, nil
+		solve: func(_ context.Context, e *Engine, _ []Target, _ kemeny.Options) (Ranking, int, bool, error) {
+			return aggregate.Schulze(e.w), noCost, false, nil
 		}},
 	{method: MethodKemeny, name: "kemeny",
-		solve: func(ctx context.Context, e *Engine, _ []Target, opts kemeny.Options) (Ranking, bool, error) {
-			r := aggregate.KemenyCtx(ctx, e.w, opts)
-			return r, ctx.Err() != nil, nil
+		solve: func(ctx context.Context, e *Engine, _ []Target, opts kemeny.Options) (Ranking, int, bool, error) {
+			in := aggregate.KemenyCtx(ctx, e.w, opts)
+			return in.Ranking(), in.Cost(), ctx.Err() != nil, nil
 		}},
 	{method: MethodFairBorda, name: "fair-borda", fair: true,
-		solve: func(_ context.Context, e *Engine, targets []Target, _ kemeny.Options) (Ranking, bool, error) {
+		solve: func(_ context.Context, e *Engine, targets []Target, _ kemeny.Options) (Ranking, int, bool, error) {
 			r, err := core.FairBordaW(e.w, targets)
-			return r, false, err
+			return r, noCost, false, err
 		}},
 	{method: MethodFairCopeland, name: "fair-copeland", fair: true,
-		solve: func(_ context.Context, e *Engine, targets []Target, _ kemeny.Options) (Ranking, bool, error) {
+		solve: func(_ context.Context, e *Engine, targets []Target, _ kemeny.Options) (Ranking, int, bool, error) {
 			r, err := core.FairCopelandW(e.w, targets)
-			return r, false, err
+			return r, noCost, false, err
 		}},
 	{method: MethodFairSchulze, name: "fair-schulze", fair: true,
-		solve: func(_ context.Context, e *Engine, targets []Target, _ kemeny.Options) (Ranking, bool, error) {
+		solve: func(_ context.Context, e *Engine, targets []Target, _ kemeny.Options) (Ranking, int, bool, error) {
 			r, err := core.FairSchulzeW(e.w, targets)
-			return r, false, err
+			return r, noCost, false, err
 		}},
 	{method: MethodFairKemeny, name: "fair-kemeny", fair: true,
-		solve: func(ctx context.Context, e *Engine, targets []Target, opts kemeny.Options) (Ranking, bool, error) {
-			r, err := core.FairKemenyW(ctx, e.w, targets, opts)
-			return r, err == nil && ctx.Err() != nil, err
+		solve: func(ctx context.Context, e *Engine, targets []Target, opts kemeny.Options) (Ranking, int, bool, error) {
+			r, cost, err := core.FairKemenyW(ctx, e.w, targets, opts)
+			return r, cost, err == nil && ctx.Err() != nil, err
 		}},
 	{method: MethodKemenyWeighted, name: "kemeny-weighted", baseline: true, profile: true, table: true,
-		solve: func(_ context.Context, e *Engine, _ []Target, opts kemeny.Options) (Ranking, bool, error) {
+		solve: func(_ context.Context, e *Engine, _ []Target, opts kemeny.Options) (Ranking, int, bool, error) {
 			r, err := aggregate.KemenyWeighted(e.p, e.tab, opts)
-			return r, false, err
+			return r, noCost, false, err
 		}},
 	{method: MethodPickFairestPerm, name: "pick-fairest-perm", baseline: true, profile: true, table: true,
-		solve: func(_ context.Context, e *Engine, _ []Target, _ kemeny.Options) (Ranking, bool, error) {
+		solve: func(_ context.Context, e *Engine, _ []Target, _ kemeny.Options) (Ranking, int, bool, error) {
 			r, err := aggregate.PickFairestPerm(e.p, e.tab)
-			return r, false, err
+			return r, noCost, false, err
 		}},
 	{method: MethodCorrectFairestPerm, name: "correct-fairest-perm", fair: true, baseline: true, profile: true,
-		solve: func(_ context.Context, e *Engine, targets []Target, _ kemeny.Options) (Ranking, bool, error) {
+		solve: func(_ context.Context, e *Engine, targets []Target, _ kemeny.Options) (Ranking, int, bool, error) {
 			r, err := core.CorrectFairestPerm(e.p, targets)
-			return r, false, err
+			return r, noCost, false, err
 		}},
 }
 

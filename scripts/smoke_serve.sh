@@ -30,6 +30,8 @@ CACHE_DIR="$(mktemp -d)"
 SERVER_PID=""
 cleanup() {
   [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null || true
+  # Let the daemon finish its shutdown flush before its cache dir goes.
+  [ -n "$SERVER_PID" ] && wait "$SERVER_PID" 2>/dev/null || true
   rm -rf "$CACHE_DIR"
 }
 trap cleanup EXIT
