@@ -227,13 +227,13 @@ func TestBordaRejectsInvalidProfile(t *testing.T) {
 	}
 }
 
-// TestPrecedenceBordaMatchesBorda: the precedence-matrix Borda (from the
-// row sums the matrix keeps) must be bitwise identical to the profile
+// TestBordaWMatchesBorda: the precedence-matrix Borda (Precedence.Borda,
+// from the row sums the matrix keeps) must be bitwise identical to the profile
 // computation for every profile — whether the matrix was built, patched
 // ranking by ranking, or decoded from its wire form, the three ways a matrix
 // reaches a solver — the equivalence the serving layer's shared matrix tier
 // rests on.
-func TestPrecedenceBordaMatchesBorda(t *testing.T) {
+func TestBordaWMatchesBorda(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n, m := 2+rng.Intn(40), 1+rng.Intn(20)

@@ -64,6 +64,30 @@ func TestHeuristicDeterministicForSeed(t *testing.T) {
 	}
 }
 
+// TestBordaFromPrecedenceMatchesProfileBorda: the Borda seed the heuristic
+// takes from the matrix (Precedence.Borda) equals an independent Borda by
+// position points.
+func TestBordaFromPrecedenceMatchesProfileBorda(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		n, m := 2+rng.Intn(15), 1+rng.Intn(8)
+		p := randomProfile(n, m, rng)
+		w := ranking.MustPrecedence(p)
+		got := w.Borda()
+		// Independent Borda: points by position.
+		points := make([]int, n)
+		for _, r := range p {
+			for i, c := range r {
+				points[c] += n - 1 - i
+			}
+		}
+		want := ranking.SortByPointsDesc(points)
+		if !got.Equal(want) {
+			t.Fatalf("Precedence.Borda = %v, want %v", got, want)
+		}
+	}
+}
+
 func TestConstrainedLocalSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 20; trial++ {
