@@ -490,16 +490,15 @@ func BenchmarkMakeMRFair10k(b *testing.B) {
 // benchFairKemeny measures the full Fair-Kemeny solve (unconstrained
 // heuristic, Make-MR-Fair repair, constrained seed descent; restarts
 // disabled so the cost is one descent, matching the scalability figures'
-// single-shot runs) on a prebuilt matrix at candidate scale n.
-func benchFairKemeny(b *testing.B, n int) {
+// single-shot runs) on a prebuilt matrix of m rankings at candidate scale n.
+func benchFairKemeny(b *testing.B, n, m int) {
 	b.Helper()
-	skipIfShort(b)
 	tab, err := unfairgen.PaperTable(n)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(17))
-	p := mallows.MustNewPlackettLuce(unfairgen.BlockRanking(tab), 3.0).SampleProfile(8, rng)
+	p := mallows.MustNewPlackettLuce(unfairgen.BlockRanking(tab), 3.0).SampleProfile(m, rng)
 	w := ranking.MustPrecedence(p)
 	targets := core.Targets(tab, 0.1)
 	opts := kemeny.Options{Workers: 1, Perturbations: -1}
@@ -511,8 +510,20 @@ func benchFairKemeny(b *testing.B, n int) {
 	}
 }
 
+// BenchmarkFairKemeny1k runs Fair-Kemeny at n = 990 over 50 rankings, the
+// shape of perfbench's solve-fair workload. It is cheap enough to run
+// without -short gating, and it is the `go test -cpuprofile` entry point for
+// that path.
+func BenchmarkFairKemeny1k(b *testing.B) { benchFairKemeny(b, 990, 50) }
+
 // BenchmarkFairKemeny5k runs Fair-Kemeny at n = 5000.
-func BenchmarkFairKemeny5k(b *testing.B) { benchFairKemeny(b, 4995) }
+func BenchmarkFairKemeny5k(b *testing.B) {
+	skipIfShort(b)
+	benchFairKemeny(b, 4995, 8)
+}
 
 // BenchmarkFairKemeny10k runs Fair-Kemeny at n = 10000.
-func BenchmarkFairKemeny10k(b *testing.B) { benchFairKemeny(b, 9990) }
+func BenchmarkFairKemeny10k(b *testing.B) {
+	skipIfShort(b)
+	benchFairKemeny(b, 9990, 8)
+}

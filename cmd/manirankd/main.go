@@ -83,7 +83,7 @@ func main() {
 
 	precCells := int64(-1) // 0 MiB: storage off (builds still coalesce)
 	if *precCacheMiB > 0 {
-		precCells = int64(*precCacheMiB) << 20 / 4 // int32 cells
+		precCells = int64(*precCacheMiB) << 20 / 4 // int32-width cells; uint16 matrices use half
 	}
 
 	// Fleet peering (DESIGN.md §13): -fleet-self + -peers shard both cache

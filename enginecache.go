@@ -65,10 +65,11 @@ type EngineCache struct {
 }
 
 // NewEngineCache returns an engine cache budgeted to hold at most cells
-// int32 matrix cells in memory — a profile over n candidates costs n²
-// (≈ 4n² bytes). cells <= 0 keeps no matrices in memory but still coalesces
-// concurrent builds; with AttachDir it still cannot persist (there is
-// nothing admitted to write through), so give persistent caches a budget.
+// matrix cells in memory — a profile over n candidates costs n² (2n² bytes
+// as uint16 cells while it has at most 65535 rankings, 4n² beyond). cells
+// <= 0 keeps no matrices in memory but still coalesces concurrent builds;
+// with AttachDir it still cannot persist (there is nothing admitted to
+// write through), so give persistent caches a budget.
 func NewEngineCache(cells int64) *EngineCache {
 	return &EngineCache{mc: cache.New(cache.Config[*Precedence]{Name: "matrix", Budget: cells, Cost: (*Precedence).Cells})}
 }

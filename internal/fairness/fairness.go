@@ -58,12 +58,6 @@ func GroupFPRs(r ranking.Ranking, a *attribute.Attribute) []float64 {
 	return fprs
 }
 
-// GroupFPR returns the FPR of the single group identified by value v of
-// attribute a.
-func GroupFPR(r ranking.Ranking, a *attribute.Attribute, v int) float64 {
-	return GroupFPRs(r, a)[v]
-}
-
 // ARP returns the Attribute Rank Parity of attribute a in ranking r (paper
 // Def. 5): the maximum absolute FPR difference over all pairs of the
 // attribute's groups, i.e. max FPR - min FPR. ARP is 0 at perfect statistical

@@ -243,15 +243,28 @@ func (in *Incumbent) descend(ctx context.Context, w *ranking.Precedence, cons []
 // O(span + groups · log n). Cancellation is
 // checked between passes; an early exit leaves r feasible (every accepted
 // move preserved feasibility) with the returned delta exact.
+//
+// The matrix's cell width is picked once here: the passes run generic
+// over it (descentPasses), so no per-candidate call dispatches on it.
 func (sc *searchScratch) descentDelta(ctx context.Context, w *ranking.Precedence, r ranking.Ranking) int {
-	n := len(r)
+	w16, w32 := w.Flat()
+	if w16 != nil {
+		return descentPasses(ctx, sc, w, w16, r)
+	}
+	return descentPasses(ctx, sc, w, w32, r)
+}
+
+// descentPasses is descentDelta over cells, w's row-major cells.
+func descentPasses[T ranking.Cell](ctx context.Context, sc *searchScratch, w *ranking.Precedence, cells []T, r ranking.Ranking) int {
+	n, m := len(r), w.Rankings()
 	total := 0
 	tr := obs.FromContext(ctx)
 	for improved := true; improved && ctx.Err() == nil; {
 		endPass := tr.StartSpan("kemeny_descent_pass")
 		improved = false
 		for i := 0; i < n; i++ {
-			to, delta := sc.bestMove(w, r, i)
+			c := r[i]
+			to, delta := bestMove(sc, cells[c*n:c*n+n], m, r, i)
 			if delta == 0 {
 				continue
 			}
@@ -264,12 +277,12 @@ func (sc *searchScratch) descentDelta(ctx context.Context, w *ranking.Precedence
 	return total
 }
 
-// bestMove returns the best feasible insertion target for the candidate at
-// position i and its Kemeny-cost delta: among the targets that strictly
-// lower the cost and keep every constraint satisfied, the one with the
-// smallest delta, ties going to the earliest in the canonical scan order
-// j = i-1..0 (upward), then j = i+1..n-1 (downward). With no such target it
-// returns (i, 0).
+// bestMove returns the best feasible insertion target for the candidate c
+// at position i, whose matrix row is row, and its Kemeny-cost delta: among
+// the targets that strictly lower the cost and keep every constraint
+// satisfied, the one with the smallest delta, ties going to the earliest in
+// the canonical scan order j = i-1..0 (upward), then j = i+1..n-1
+// (downward). With no such target it returns (i, 0).
 //
 // One sweep per direction does everything. The delta of moving to j is the
 // exact-integer running sum of the precedence margins crossed, read inline
@@ -289,7 +302,10 @@ func (sc *searchScratch) descentDelta(ctx context.Context, w *ranking.Precedence
 // so once d + rem >= delta none of them can be, and stopping there returns
 // the same (to, delta). A candidate with no negative term in a direction
 // skips that sweep outright.
-func (sc *searchScratch) bestMove(w *ranking.Precedence, r ranking.Ranking, i int) (to, delta int) {
+//
+// Both sweeps read only row c, at the matrix's cell width: each margin is
+// Margin(c, b) = 2·W[c][b] − m.
+func bestMove[T ranking.Cell](sc *searchScratch, row []T, m int, r ranking.Ranking, i int) (to, delta int) {
 	aud := sc.aud
 	c := r[i]
 	to = i
@@ -298,7 +314,7 @@ func (sc *searchScratch) bestMove(w *ranking.Precedence, r ranking.Ranking, i in
 		aud.startWindow(i, true)
 	}
 	for j := i - 1; j >= 0 && d+rem < delta; j-- {
-		t := w.Margin(c, r[j])
+		t := 2*int(row[r[j]]) - m
 		d += t
 		if t < 0 {
 			rem -= t
@@ -319,7 +335,7 @@ func (sc *searchScratch) bestMove(w *ranking.Precedence, r ranking.Ranking, i in
 		aud.startWindow(i, false)
 	}
 	for j := i + 1; j < len(r) && d+rem < delta; j++ {
-		t := -w.Margin(c, r[j])
+		t := m - 2*int(row[r[j]])
 		d += t
 		if t < 0 {
 			rem -= t

@@ -52,9 +52,21 @@ func unprunedBestMove(sc *searchScratch, w *ranking.Precedence, r ranking.Rankin
 	return to, delta
 }
 
+// prunedBestMove is the descent's bestMove for the candidate at position i,
+// on its row at w's cell width.
+func prunedBestMove(sc *searchScratch, w *ranking.Precedence, r ranking.Ranking, i int) (to, delta int) {
+	n, c := w.N(), r[i]
+	w16, w32 := w.Flat()
+	if w16 != nil {
+		return bestMove(sc, w16[c*n:c*n+n], w.Rankings(), r, i)
+	}
+	return bestMove(sc, w32[c*n:c*n+n], w.Rankings(), r, i)
+}
+
 // pruneInstance draws a precedence matrix of the given kind: "plain" counts
 // random rankings, "weighted" gives each ranking a weight in 1..9 (so m is
-// the total weight), and "unanimous" repeats one ranking (optionally
+// the total weight), "wide" a weight in 70000·(1..9) (so m > 65535 and the
+// cells are int32), and "unanimous" repeats one ranking (optionally
 // weighted), so every margin is exactly ±m — the case where the bound is met
 // with equality and an off-by-one stops a sweep too early.
 func pruneInstance(kind string, n int, rng *rand.Rand) *ranking.Precedence {
@@ -71,9 +83,13 @@ func pruneInstance(kind string, n int, rng *rand.Rand) *ranking.Precedence {
 	if kind == "plain" || (kind == "unanimous" && rng.Intn(2) == 0) {
 		return ranking.MustPrecedence(p)
 	}
+	scale := 1
+	if kind == "wide" {
+		scale = 70000
+	}
 	weights := make([]int, m)
 	for k := range weights {
-		weights[k] = 1 + rng.Intn(9)
+		weights[k] = (1 + rng.Intn(9)) * scale
 	}
 	w, err := ranking.NewWeightedPrecedence(p, weights)
 	if err != nil {
@@ -101,8 +117,8 @@ func recountMass(w *ranking.Precedence, r ranking.Ranking) (up, dn []int) {
 
 // TestBestMovePruningMatchesUnpruned checks that the sweeps' early exit is
 // exact and that its bounds stay current: on random small instances —
-// constrained and unconstrained, over plain, weighted and unanimous
-// profiles — every bestMove of full descents returns the same (to, delta)
+// constrained and unconstrained, over plain, weighted, unanimous and wide
+// (int32-cell) profiles — every bestMove of full descents returns the same (to, delta)
 // as the unpruned sweep, and after every move the scratch applies, whether
 // the descent's or a perturbation's (searchScratch.move), its up and dn
 // equal a recount from the definition. Each instance descends, perturbs one
@@ -110,7 +126,7 @@ func recountMass(w *ranking.Precedence, r ranking.Ranking) (up, dn []int) {
 func TestBestMovePruningMatchesUnpruned(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
 	calls, perturbMoves := 0, 0
-	for _, kind := range []string{"plain", "weighted", "unanimous"} {
+	for _, kind := range []string{"plain", "weighted", "unanimous", "wide"} {
 		for trial := 0; trial < 40; trial++ {
 			n := 2 + rng.Intn(40)
 			w := pruneInstance(kind, n, rng)
@@ -156,7 +172,7 @@ func TestBestMovePruningMatchesUnpruned(t *testing.T) {
 				for improved := true; improved; {
 					improved = false
 					for i := 0; i < n; i++ {
-						to, delta := sc.bestMove(w, r, i)
+						to, delta := prunedBestMove(sc, w, r, i)
 						wantTo, wantDelta := unprunedBestMove(sc, w, r, i)
 						calls++
 						if to != wantTo || delta != wantDelta {

@@ -106,3 +106,53 @@ func TestProfileDigest(t *testing.T) {
 		t.Fatal("row-boundary collision")
 	}
 }
+
+// wireEntry frames an n×n matrix of wire cells under header count m.
+func wireEntry(n, m int, cells ...uint32) []byte {
+	buf := make([]byte, precedenceHeaderLen+4*len(cells))
+	copy(buf, precedenceMagic)
+	binary.LittleEndian.PutUint64(buf[4:], uint64(n))
+	binary.LittleEndian.PutUint64(buf[12:], uint64(m))
+	for i, v := range cells {
+		binary.LittleEndian.PutUint32(buf[precedenceHeaderLen+4*i:], v)
+	}
+	return buf
+}
+
+// TestUnmarshalPrecedenceRejectsNarrowingWrap: a wire cell above the
+// header m is rejected before it is narrowed to the uint16 width m = 10
+// picks. Narrowed first, W[0][1] = 65539 would read 3, and 3 + 7 = 10 would
+// pass the pair check.
+func TestUnmarshalPrecedenceRejectsNarrowingWrap(t *testing.T) {
+	if w, err := UnmarshalPrecedence(wireEntry(2, 10, 0, 65539, 7, 0)); err == nil {
+		t.Fatalf("decoded W[0][1] = %d, W[1][0] = %d under m = 10", w.At(0, 1), w.At(1, 0))
+	}
+	if _, err := UnmarshalPrecedence(wireEntry(2, 10, 0, 3, 7, 0)); err != nil {
+		t.Fatalf("the in-range entry: %v", err)
+	}
+}
+
+// TestPrecedenceWireWidths: a matrix decodes at the width its header m
+// picks — uint16 up to 65535 rankings, int32 beyond — with the same cells,
+// and re-encodes to the same bytes.
+func TestPrecedenceWireWidths(t *testing.T) {
+	for _, tc := range []struct {
+		m         int
+		cellBytes int64
+	}{{65535, 2 * 4}, {65536, 4 * 4}, {70000, 4 * 4}} {
+		data := wireEntry(2, tc.m, 0, uint32(tc.m-1), 1, 0)
+		w, err := UnmarshalPrecedence(data)
+		if err != nil {
+			t.Fatalf("m=%d: %v", tc.m, err)
+		}
+		if w.At(0, 1) != tc.m-1 || w.At(1, 0) != 1 || w.Margin(0, 1) != tc.m-2 {
+			t.Fatalf("m=%d: W[0][1] = %d, W[1][0] = %d", tc.m, w.At(0, 1), w.At(1, 0))
+		}
+		if got := w.CellBytes(); got != tc.cellBytes {
+			t.Fatalf("m=%d: CellBytes = %d, want %d", tc.m, got, tc.cellBytes)
+		}
+		if again, _ := w.MarshalBinary(); !bytes.Equal(again, data) {
+			t.Fatalf("m=%d: re-encoding differs", tc.m)
+		}
+	}
+}

@@ -80,9 +80,11 @@ func FuzzSwapDeltas(f *testing.F) {
 // decoder — the boundary every peer and disk entry crosses. It must never
 // panic, and everything it accepts must be a matrix some profile could
 // produce (zero diagonal, non-negative cells, W[a][b] + W[b][a] = m), with
-// row sums equal to its cell sums, whose canonical re-encoding is exactly
-// the input. The committed corpus in testdata/fuzz/FuzzUnmarshalPrecedence
-// holds valid entries and one of each corruption the decoder rejects.
+// row sums equal to its cell sums, stored at the width its m picks, whose
+// canonical re-encoding is exactly the input. The committed corpus in
+// testdata/fuzz/FuzzUnmarshalPrecedence holds valid entries at both widths
+// and one of each corruption the decoder rejects, among them a cell that
+// narrowing to uint16 would wrap into a valid pair (narrowing_wrap).
 func FuzzUnmarshalPrecedence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, err := UnmarshalPrecedence(data)
@@ -104,11 +106,26 @@ func FuzzUnmarshalPrecedence(f *testing.F) {
 			}
 		}
 		requireRowSums(t, w)
+		requireWidth(t, w)
 		again, _ := w.MarshalBinary()
 		if !bytes.Equal(again, data) {
 			t.Fatal("accepted entry does not re-encode to its own bytes")
 		}
 	})
+}
+
+// requireWidth checks w stores the cells at the width its ranking count
+// picks: uint16 up to 65535, int32 beyond. It holds for a matrix built or
+// decoded at its m, not for one RemoveRanking took back below 65536.
+func requireWidth(t *testing.T, w *Precedence) {
+	t.Helper()
+	want := 2 * w.Cells()
+	if w.Rankings() > math.MaxUint16 {
+		want = 4 * w.Cells()
+	}
+	if got := w.CellBytes(); got != want {
+		t.Fatalf("m=%d: CellBytes = %d, want %d", w.Rankings(), got, want)
+	}
 }
 
 // massByDefinition derives every candidate's inversion mass in r term by
@@ -133,21 +150,32 @@ func massByDefinition(w *Precedence, r Ranking) (up, dn []int) {
 // mass its definition gives and returns KemenyCost, and after every move
 // the O(span) MoveInversionMass update equals a fresh recount and returns
 // MoveDelta's cost change. Layout:
-// data[0] -> n, data[1] -> m, data[2] -> which rankings weigh MaxInt32/m
-// (bit k for ranking k; the rest weigh 1..9), data[3] -> RNG seed, then
-// (from, to) byte pairs. With every bit set the total weight is within m of
-// MaxInt32, where 2·cell no longer fits an int32.
+// data[0] -> n (low 5 bits) and the heavy weight (bit 7: MaxUint16/m
+// instead of MaxInt32/m, bit 6: one more), data[1] -> m, data[2] -> which
+// rankings weigh the heavy weight (bit k for ranking k; the rest weigh
+// 1..9), data[3] -> RNG seed, then (from, to) byte pairs. With every bit of
+// data[2] set the total weight is within m of MaxInt32, where 2·cell no
+// longer fits an int32 — or, with data[0] bit 7, at or just past 65535,
+// the last count uint16 cells hold.
 func FuzzInversionMass(f *testing.F) {
 	f.Add([]byte{5, 3, 0, 1, 0, 4, 4, 0})
 	f.Add([]byte{20, 5, 0xff, 2, 19, 0, 0, 19, 7, 7, 3, 12})
 	f.Add([]byte{2, 0, 0xff, 3, 0, 1, 1, 0})
 	f.Add([]byte{31, 7, 0x55, 4, 10, 30, 29, 1, 15, 15, 0, 30})
+	f.Add([]byte{0x80 | 20, 2, 0xff, 5, 19, 0, 0, 19, 7, 7})           // 3·21845 = 65535: uint16
+	f.Add([]byte{0xc0 | 20, 2, 0xff, 5, 19, 0, 0, 19, 7, 7})           // 3·21846 = 65538: int32
+	f.Add([]byte{0x80 | 9, 0, 0x01, 6, 0, 11, 11, 0})                  // one ranking of weight 65535
+	f.Add([]byte{0x80 | 31, 5, 0x1f, 7, 10, 32, 31, 1, 15, 15, 0, 32}) // 5·10922 + 1..9: uint16
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
 		}
 		n := 2 + int(data[0])%32
 		m := 1 + int(data[1])%6
+		heavy := math.MaxInt32 / m
+		if data[0]&0x80 != 0 {
+			heavy = math.MaxUint16/m + int(data[0]>>6&1)
+		}
 		rng := rand.New(rand.NewSource(int64(data[3])))
 		p := make(Profile, m)
 		weights := make([]int, m)
@@ -155,13 +183,14 @@ func FuzzInversionMass(f *testing.F) {
 			p[k] = Random(n, rng)
 			weights[k] = 1 + rng.Intn(9)
 			if data[2]&(1<<k) != 0 {
-				weights[k] = math.MaxInt32 / m
+				weights[k] = heavy
 			}
 		}
 		w, err := NewWeightedPrecedence(p, weights)
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireWidth(t, w)
 		r := Random(n, rng)
 		up, dn := make([]int, n), make([]int, n)
 		if got, want := w.InversionMass(r, up, dn), w.KemenyCost(r); got != want {

@@ -136,3 +136,52 @@ func TestPrecedenceClone(t *testing.T) {
 		t.Fatalf("clone m=%d, original m=%d; want 3 and 2", c.Rankings(), w.Rankings())
 	}
 }
+
+// TestAddRankingWidensPastUint16: the AddRanking that takes m from 65535 to
+// 65536 widens the uint16 cells to int32, landing on the fresh build over
+// the 65536 rankings; removing that ranking restores the 65535-ranking
+// cells and keeps the int32 width.
+func TestAddRankingWidensPastUint16(t *testing.T) {
+	const n, m = 4, 65535
+	rng := rand.New(rand.NewSource(29))
+	p := make(Profile, m+1)
+	for i := range p {
+		p[i] = Random(n, rng)
+	}
+	// Every ranking puts 0 above 1, so W[1][0] is the narrow maximum 65535
+	// before the add and 65536 after it.
+	for _, r := range p {
+		if pos := r.Positions(); pos[1] < pos[0] {
+			r[pos[0]], r[pos[1]] = 1, 0
+		}
+	}
+	w := MustPrecedence(p[:m])
+	before := MustPrecedence(p[:m])
+	if got := w.CellBytes(); got != 2*n*n {
+		t.Fatalf("m=%d: CellBytes = %d, want uint16 cells", m, got)
+	}
+	if err := w.AddRanking(p[m]); err != nil {
+		t.Fatal(err)
+	}
+	fresh := MustPrecedence(p)
+	requireSameMatrix(t, w, fresh)
+	requireRowSums(t, w)
+	if w.At(1, 0) != m+1 {
+		t.Fatalf("W[1][0] = %d, want %d", w.At(1, 0), m+1)
+	}
+	if got := w.CellBytes(); got != 4*n*n || fresh.CellBytes() != got {
+		t.Fatalf("after AddRanking: CellBytes = %d, fresh build %d, want int32 cells", got, fresh.CellBytes())
+	}
+	r := Random(n, rng)
+	if w.KemenyCost(r) != fresh.KemenyCost(r) || w.LowerBound() != fresh.LowerBound() {
+		t.Fatal("widened matrix disagrees with the fresh build on KemenyCost or LowerBound")
+	}
+	if err := w.RemoveRanking(p[m]); err != nil {
+		t.Fatal(err)
+	}
+	requireSameMatrix(t, w, before)
+	requireRowSums(t, w)
+	if got := w.CellBytes(); got != 4*n*n {
+		t.Fatalf("after RemoveRanking: CellBytes = %d, want the int32 width kept", got)
+	}
+}

@@ -19,20 +19,54 @@ var DefaultWorkers int
 // ABOVE a. Consequently, placing a above b in a consensus ranking incurs
 // W[a][b] pairwise disagreements with the profile.
 //
-// The matrix is stored densely in row-major order as a flat int32 buffer —
-// half the cache footprint of the int layout, which matters because every
-// solver (Kemeny local search, branch and bound, Schulze, Copeland) streams
-// over its rows. For every pair a != b, W[a][b] + W[b][a] == |R|.
+// The matrix is stored densely in row-major order as one flat buffer of
+// cells no wider than its counts need: uint16 while m ≤ 65535, int32 beyond
+// (a cell never exceeds m). Every solver (Kemeny local search, branch and
+// bound, Schulze, Copeland) streams over its rows, so the half-width cells
+// halve the bytes each sweep reads. For every pair a != b,
+// W[a][b] + W[b][a] == |R|.
 //
 // Each row's sum is kept beside the cells: RowSum(a) = Σ_r pos_r(a), the
 // (weighted) count of candidates ranked above a, which every constructor and
 // patch derives from positions in O(n) per ranking. The Borda seed of every
 // Kemeny solve then costs a sort instead of an O(n²) pass.
 type Precedence struct {
-	n    int
-	m    int // number of base rankings summarised
-	w    []int32
+	n int
+	m int // number of base rankings summarised
+	// Exactly one of w16 and w32 holds the cells: w16 from a construction or
+	// decode with m ≤ maxNarrow, w32 otherwise. AddRanking widens w16 to w32
+	// when m passes maxNarrow; nothing narrows.
+	w16  []uint16
+	w32  []int32
 	rows []int // rows[a] = Σ_b W[a][b]
+}
+
+// Cell is the constraint of the two cell widths. Each kernel over the cells
+// has one generic body, instantiated once per width; a method picks the
+// width once per call, never per cell.
+type Cell interface{ ~uint16 | ~int32 }
+
+// maxNarrow is the largest ranking count a uint16 matrix holds.
+const maxNarrow = math.MaxUint16
+
+// newSized allocates an n-candidate matrix for m rankings at the width m
+// needs, with zero cells and row sums.
+func newSized(n, m int) *Precedence {
+	w := &Precedence{n: n, m: m, rows: make([]int, n)}
+	if m <= maxNarrow {
+		w.w16 = make([]uint16, n*n)
+	} else {
+		w.w32 = make([]int32, n*n)
+	}
+	return w
+}
+
+// Flat returns the cells at the matrix's width, row-major (W[a][b] at index
+// a·N()+b): exactly one of the two slices is non-nil. It aliases the
+// matrix, so a caller must not write to it. A hot loop outside this package
+// calls Flat once and hands the slice to a kernel generic over Cell.
+func (w *Precedence) Flat() ([]uint16, []int32) {
+	return w.w16, w.w32
 }
 
 // NewPrecedence computes the precedence matrix of profile p, sharding the
@@ -64,11 +98,26 @@ func MustPrecedence(p Profile) *Precedence {
 }
 
 func newPrecedenceUnchecked(p Profile, workers int) *Precedence {
+	return build(p, nil, len(p), workers)
+}
+
+// build accumulates profile p (weighted when weights is non-nil, m being
+// its total weight) into a matrix of m's width, cells and row sums.
+func build(p Profile, weights []int, m, workers int) *Precedence {
 	n := p.N()
-	pr := &Precedence{n: n, m: len(p), w: make([]int32, n*n), rows: make([]int, n)}
-	buildShards(pr.w, p, nil, n, sizeWorkers(workers, n, len(p)))
-	for _, r := range p {
-		addRowSums(pr.rows, r, 1)
+	pr := newSized(n, m)
+	workers = sizeWorkers(workers, n, len(p))
+	if pr.w16 != nil {
+		buildShards(pr.w16, p, weights, n, workers)
+	} else {
+		buildShards(pr.w32, p, weights, n, workers)
+	}
+	for i, r := range p {
+		wt := 1
+		if weights != nil {
+			wt = weights[i]
+		}
+		addRowSums(pr.rows, r, wt)
 	}
 	return pr
 }
@@ -111,13 +160,7 @@ func NewWeightedPrecedenceWorkers(p Profile, weights []int, workers int) (*Prece
 	if total > math.MaxInt32 {
 		return nil, fmt.Errorf("ranking: total weight %d overflows the int32 cell size", total)
 	}
-	n := p.N()
-	pr := &Precedence{n: n, m: int(total), w: make([]int32, n*n), rows: make([]int, n)}
-	buildShards(pr.w, p, weights, n, sizeWorkers(workers, n, len(p)))
-	for i, r := range p {
-		addRowSums(pr.rows, r, weights[i])
-	}
-	return pr, nil
+	return build(p, weights, int(total), workers), nil
 }
 
 // sizeWorkers resolves the construction worker count. An explicit request
@@ -153,21 +196,21 @@ func sizeWorkers(requested, n, m int) int {
 // per-worker partial matrices that are summed into dst at the end. Integer
 // addition commutes, so the result is identical for every worker count and
 // schedule.
-func buildShards(dst []int32, p Profile, weights []int, n, workers int) {
+func buildShards[T Cell](dst []T, p Profile, weights []int, n, workers int) {
 	if workers <= 1 {
 		accumulateShard(dst, p, weights, n)
 		return
 	}
-	partials := make([][]int32, workers)
+	partials := make([][]T, workers)
 	partials[0] = dst
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
 		lo, hi := shardBounds(len(p), workers, k)
 		if k > 0 {
-			partials[k] = make([]int32, n*n)
+			partials[k] = make([]T, n*n)
 		}
 		wg.Add(1)
-		go func(buf []int32, lo, hi int) {
+		go func(buf []T, lo, hi int) {
 			defer wg.Done()
 			var wts []int
 			if weights != nil {
@@ -191,27 +234,19 @@ func shardBounds(m, workers, k int) (lo, hi int) {
 	return m * k / workers, m * (k + 1) / workers
 }
 
-// accumulateShard adds each ranking's pairwise precedences into w. The kernel
-// is the branch-free upper-triangle form: position i outranks position j for
-// every i < j, and W[a][b] counts rankings placing b above a, so pair (i, j)
-// increments exactly W[r[j]][r[i]] — half the iterations of the full n^2
-// position-compare loop and no per-pair branch. For fixed j all writes land
-// in row r[j], one cache-resident stripe of 4n bytes.
-func accumulateShard(w []int32, p Profile, weights []int, n int) {
+// accumulateShard adds each ranking's pairwise precedences, with its weight,
+// into w (patchRanking per ranking). A shard's sums never exceed the whole
+// profile's m, so they fit the width m chose.
+func accumulateShard[T Cell](w []T, p Profile, weights []int, n int) {
 	for idx, r := range p {
-		wt := int32(1)
+		wt := T(1)
 		if weights != nil {
-			wt = int32(weights[idx])
-			if wt == 0 {
+			if weights[idx] == 0 {
 				continue
 			}
+			wt = T(weights[idx])
 		}
-		for j := 1; j < n; j++ {
-			row := w[r[j]*n : r[j]*n+n]
-			for _, b := range r[:j] {
-				row[b] += wt
-			}
-		}
+		patchRanking(w, r, n, wt)
 	}
 }
 
@@ -219,13 +254,15 @@ func accumulateShard(w []int32, p Profile, weights []int, n int) {
 // RemoveRanking) never affects the other — the copy-on-write primitive
 // behind sharing one matrix between a cache tier and a mutable engine.
 func (w *Precedence) Clone() *Precedence {
-	return &Precedence{n: w.n, m: w.m, w: slices.Clone(w.w), rows: slices.Clone(w.rows)}
+	return &Precedence{n: w.n, m: w.m, w16: slices.Clone(w.w16), w32: slices.Clone(w.w32), rows: slices.Clone(w.rows)}
 }
 
 // AddRanking folds one more base ranking into w in O(n²) — the incremental
 // alternative to rebuilding the whole matrix in O(n²·m). The result is
 // bitwise identical to NewPrecedence over the extended profile (integer
 // addition commutes, exactly the invariant the construction shards rely on).
+// The ranking that takes m past 65535 first widens the cells to int32, one
+// O(n²) copy.
 func (w *Precedence) AddRanking(r Ranking) error {
 	if len(r) != w.n {
 		return fmt.Errorf("ranking: AddRanking got %d candidates, matrix has %d", len(r), w.n)
@@ -236,8 +273,14 @@ func (w *Precedence) AddRanking(r Ranking) error {
 	if w.m >= math.MaxInt32 {
 		return fmt.Errorf("ranking: %d rankings overflow the int32 cell size", w.m+1)
 	}
-	patchRanking(w.w, r, w.n, 1)
-	addRowSums(w.rows, r, 1)
+	if w.w16 != nil && w.m == maxNarrow {
+		w.w32 = make([]int32, len(w.w16))
+		for i, v := range w.w16 {
+			w.w32[i] = int32(v)
+		}
+		w.w16 = nil
+	}
+	w.patch(r, 1)
 	w.m++
 	return nil
 }
@@ -245,8 +288,9 @@ func (w *Precedence) AddRanking(r Ranking) error {
 // RemoveRanking subtracts one base ranking's contribution from w in O(n²).
 // The caller must pass a ranking the matrix actually aggregates (w does not
 // hold the profile, so it cannot verify membership itself — removing a
-// ranking never added leaves negative cells). Removing the exact rankings
-// previously added, in any order, restores the matrix bitwise.
+// ranking never added leaves cells out of range). Removing the exact
+// rankings previously added, in any order, restores the matrix bitwise. It
+// keeps the matrix's width.
 func (w *Precedence) RemoveRanking(r Ranking) error {
 	if len(r) != w.n {
 		return fmt.Errorf("ranking: RemoveRanking got %d candidates, matrix has %d", len(r), w.n)
@@ -257,16 +301,34 @@ func (w *Precedence) RemoveRanking(r Ranking) error {
 	if w.m == 0 {
 		return fmt.Errorf("ranking: RemoveRanking on an empty matrix")
 	}
-	patchRanking(w.w, r, w.n, -1)
-	addRowSums(w.rows, r, -1)
+	w.patch(r, -1)
 	w.m--
 	return nil
 }
 
-// patchRanking applies one ranking's upper-triangle contribution to w with
-// weight wt (±1) — the same kernel shape as accumulateShard, specialised to
-// a single ranking.
-func patchRanking(w []int32, r Ranking, n int, wt int32) {
+// patch adds (sign 1) or subtracts (sign −1) one ranking's contribution to
+// the cells and the row sums. A uint16 cell takes the −1 as 0xFFFF, whose
+// wrapping addition subtracts one.
+func (w *Precedence) patch(r Ranking, sign int) {
+	if w.w16 != nil {
+		patchRanking(w.w16, r, w.n, uint16(sign))
+	} else {
+		patchRanking(w.w32, r, w.n, int32(sign))
+	}
+	addRowSums(w.rows, r, sign)
+}
+
+// patchRanking adds one ranking's pairwise precedences, with weight wt, into
+// w. The kernel is the branch-free upper-triangle form: position i outranks
+// position j for every i < j, and W[a][b] counts rankings placing b above
+// a, so pair (i, j) increments exactly W[r[j]][r[i]] — half the iterations
+// of the full n^2 position-compare loop and no per-pair branch. For fixed j
+// all writes land in row r[j], one cache-resident stripe. It stays out of
+// line: inlined into accumulateShard, its loop reloaded two spilled values
+// from the stack on every cell.
+//
+//go:noinline
+func patchRanking[T Cell](w []T, r Ranking, n int, wt T) {
 	for j := 1; j < n; j++ {
 		row := w[r[j]*n : r[j]*n+n]
 		for _, b := range r[:j] {
@@ -278,26 +340,36 @@ func patchRanking(w []int32, r Ranking, n int, wt int32) {
 // N returns the number of candidates.
 func (w *Precedence) N() int { return w.n }
 
-// Cells returns the matrix's storage footprint in int32 cells (n²) — the
-// admission cost a memory-bounded matrix cache charges for holding w.
+// Cells returns the matrix's cell count (n²), whatever their width — the
+// admission cost a cell-budgeted matrix cache charges for holding w.
 func (w *Precedence) Cells() int64 { return int64(w.n) * int64(w.n) }
+
+// CellBytes returns the resident bytes of w's cells at their width: 2n² for
+// uint16 cells, 4n² for int32 ones.
+func (w *Precedence) CellBytes() int64 {
+	if w.w16 != nil {
+		return 2 * w.Cells()
+	}
+	return 4 * w.Cells()
+}
 
 // Rankings returns the (weighted) number of base rankings summarised.
 func (w *Precedence) Rankings() int { return w.m }
 
 // At returns W[a][b]: how many base rankings place b above a, i.e. the
 // disagreement cost of ordering a above b in the consensus.
-func (w *Precedence) At(a, b int) int { return int(w.w[a*w.n+b]) }
+func (w *Precedence) At(a, b int) int {
+	if w.w16 != nil {
+		return int(w.w16[a*w.n+b])
+	}
+	return int(w.w32[a*w.n+b])
+}
 
 // Margin returns W[a][b] - W[b][a]: the Kemeny-cost change of ordering a
 // above b instead of b above a. By the pair invariant W[a][b] + W[b][a] = m
 // it is 2·W[a][b] - m, one read from row a instead of a second, column-wise
 // read from row b.
-func (w *Precedence) Margin(a, b int) int { return 2*int(w.w[a*w.n+b]) - w.m }
-
-// CostAbove is a readability alias for At: the number of profile
-// disagreements incurred by ranking a above b.
-func (w *Precedence) CostAbove(a, b int) int { return int(w.w[a*w.n+b]) }
+func (w *Precedence) Margin(a, b int) int { return 2*w.At(a, b) - w.m }
 
 // KemenyCost returns the total pairwise disagreement between ranking r and
 // the profile summarised by w: sum over ordered pairs (a above b) of W[a][b].
@@ -306,9 +378,16 @@ func (w *Precedence) KemenyCost(r Ranking) int {
 	if len(r) != w.n {
 		panic("ranking: KemenyCost ranking length mismatch")
 	}
-	cost := 0
-	for i := 0; i < len(r); i++ {
-		row := w.w[r[i]*w.n : r[i]*w.n+w.n]
+	if w.w16 != nil {
+		return kemenyCost(w.w16, r)
+	}
+	return kemenyCost(w.w32, r)
+}
+
+func kemenyCost[T Cell](w []T, r Ranking) int {
+	n, cost := len(r), 0
+	for i, a := range r {
+		row := w[a*n : a*n+n]
 		for _, b := range r[i+1:] {
 			cost += int(row[b])
 		}
@@ -333,9 +412,16 @@ func (w *Precedence) InversionMass(r Ranking, up, dn []int) int {
 		panic("ranking: InversionMass length mismatch")
 	}
 	clear(up)
-	cost := 0
+	if w.w16 != nil {
+		return inversionMass(w.w16, w.m, r, up, dn)
+	}
+	return inversionMass(w.w32, w.m, r, up, dn)
+}
+
+func inversionMass[T Cell](w []T, m int, r Ranking, up, dn []int) int {
+	n, cost := len(r), 0
 	for i, a := range r {
-		rowCost, mass := inversionRow(w.w[a*w.n:a*w.n+w.n], r[i+1:], up, w.m)
+		rowCost, mass := inversionRow(w[a*n:a*n+n], r[i+1:], up, m)
 		cost += rowCost
 		dn[a] = mass
 	}
@@ -350,7 +436,7 @@ func (w *Precedence) InversionMass(r Ranking, up, dn []int) int {
 // slower at n = 990 (2-CPU Intel Xeon, go1.24).
 //
 //go:noinline
-func inversionRow(row []int32, below Ranking, up []int, m int) (cost, mass int) {
+func inversionRow[T Cell](row []T, below Ranking, up []int, m int) (cost, mass int) {
 	for _, b := range below {
 		cell := int(row[b])
 		cost += cell
@@ -369,10 +455,16 @@ func inversionRow(row []int32, below Ranking, up []int, m int) (cost, mass int) 
 // afterwards. Each candidate y the moved candidate x crosses flips one pair,
 // whose term leaves x's and y's sums on one side and enters them on the
 // other.
-func (w *Precedence) MoveInversionMass(r Ranking, up, dn []int, from, to int) (delta int) {
+func (w *Precedence) MoveInversionMass(r Ranking, up, dn []int, from, to int) int {
 	x := r[from]
-	xrow := w.w[x*w.n : x*w.n+w.n]
-	m := w.m
+	if w.w16 != nil {
+		return moveInversionMass(w.w16[x*w.n:x*w.n+w.n], w.m, r, up, dn, from, to)
+	}
+	return moveInversionMass(w.w32[x*w.n:x*w.n+w.n], w.m, r, up, dn, from, to)
+}
+
+func moveInversionMass[T Cell](xrow []T, m int, r Ranking, up, dn []int, from, to int) (delta int) {
+	x := r[from]
 	if to < from {
 		// x moves up past each y: (y above x) becomes (x above y).
 		for _, y := range r[to:from] {
@@ -404,26 +496,32 @@ func (w *Precedence) MoveInversionMass(r Ranking, up, dn []int, from, to int) (d
 // for adjacent-transposition neighbourhoods, exposed so cost-tracking loops
 // over swaps never pay an O(n^2) KemenyCost recomputation.
 func (w *Precedence) AdjacentSwapDelta(r Ranking, i int) int {
-	x, y := r[i], r[i+1]
-	return int(w.w[y*w.n+x]) - int(w.w[x*w.n+y])
+	return -w.Margin(r[i], r[i+1])
 }
 
 // MoveDelta returns, in O(|from-to|), the Kemeny-cost change of
 // r.MoveTo(from, to): the moved candidate flips its pairwise order against
 // exactly the candidates it crosses.
 func (w *Precedence) MoveDelta(r Ranking, from, to int) int {
+	if w.w16 != nil {
+		return moveDelta(w.w16, w.n, r, from, to)
+	}
+	return moveDelta(w.w32, w.n, r, from, to)
+}
+
+func moveDelta[T Cell](w []T, n int, r Ranking, from, to int) int {
 	c := r[from]
-	crow := w.w[c*w.n : c*w.n+w.n]
+	crow := w[c*n : c*n+n]
 	delta := 0
 	if from < to {
 		// c moves down past r[from+1..to]: (c above y) becomes (y above c).
 		for _, y := range r[from+1 : to+1] {
-			delta += int(w.w[y*w.n+c]) - int(crow[y])
+			delta += int(w[y*n+c]) - int(crow[y])
 		}
 	} else {
 		// c moves up past r[to..from-1]: (y above c) becomes (c above y).
 		for _, y := range r[to:from] {
-			delta += int(crow[y]) - int(w.w[y*w.n+c])
+			delta += int(crow[y]) - int(w[y*n+c])
 		}
 	}
 	return delta
@@ -451,24 +549,27 @@ func (w *Precedence) Borda() Ranking {
 // ranking: for each unordered pair the consensus must pay at least
 // min(W[a][b], W[b][a]) disagreements.
 func (w *Precedence) LowerBound() int {
+	if w.w16 != nil {
+		return lowerBound(w.w16, w.n)
+	}
+	return lowerBound(w.w32, w.n)
+}
+
+func lowerBound[T Cell](w []T, n int) int {
 	lb := 0
-	for a := 0; a < w.n; a++ {
-		for b := a + 1; b < w.n; b++ {
-			ab, ba := w.w[a*w.n+b], w.w[b*w.n+a]
-			if ab < ba {
-				lb += int(ab)
-			} else {
-				lb += int(ba)
-			}
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			lb += int(min(w[a*n+b], w[b*n+a]))
 		}
 	}
 	return lb
 }
 
 // MajorityPrefers reports whether strictly more base rankings place a above b
-// than b above a.
+// than b above a: W[b][a] > W[a][b], which the pair invariant makes
+// Margin(a, b) < 0.
 func (w *Precedence) MajorityPrefers(a, b int) bool {
-	return w.w[b*w.n+a] > w.w[a*w.n+b]
+	return w.Margin(a, b) < 0
 }
 
 // CondorcetOrder returns a ranking ordering candidates by strict pairwise

@@ -28,8 +28,8 @@ type Store interface {
 }
 
 // Codec serialises a tier's values for a Store — the serving layer uses
-// JSON for consensus results and the flat-int32 wire form for precedence
-// matrices.
+// JSON for consensus results and the flat uint32 wire form (MRW1) for
+// precedence matrices.
 type Codec[V any] struct {
 	// Encode returns the byte form of a value.
 	Encode func(V) ([]byte, error)

@@ -54,9 +54,9 @@ func (r *result) validate() error {
 	return nil
 }
 
-// matrixCodec serialises precedence matrices in ranking's flat-int32 wire
-// form (MarshalBinary / UnmarshalPrecedence) — one linear pass each way, and
-// the persisted entry is exactly as compact as the live matrix.
+// matrixCodec serialises precedence matrices in ranking's MRW1 wire form
+// (MarshalBinary / UnmarshalPrecedence): flat uint32 cells whatever the
+// live width, one linear pass each way.
 func matrixCodec() cache.Codec[*ranking.Precedence] {
 	return cache.Codec[*ranking.Precedence]{
 		Encode: (*ranking.Precedence).MarshalBinary,

@@ -96,7 +96,8 @@ type Config struct {
 	// The caller keeps ownership: close the fleet after Server.Close.
 	Fleet *fleet.Fleet
 	// PrecCacheCells budgets the precedence-matrix tier in matrix cells (a
-	// profile over n candidates costs n² cells ≈ 4n² bytes). Default
+	// profile over n candidates costs n² cells: 2n² bytes while it has at
+	// most 65535 rankings, 4n² beyond). Default
 	// DefaultPrecCacheCells; negative disables storage (builds still
 	// coalesce).
 	PrecCacheCells int64
@@ -161,8 +162,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// DefaultPrecCacheCells is the default precedence-tier budget: 4M int32
-// cells ≈ 16 MiB, room for ~16 n=500 matrices or ~1100 n=60 ones.
+// DefaultPrecCacheCells is the default precedence-tier budget: 4M cells,
+// room for ~16 n=500 matrices or ~1100 n=60 ones — 16 MiB at the int32
+// width, 8 MiB for the uint16 matrices of profiles with at most 65535
+// rankings.
 const DefaultPrecCacheCells = 4 << 20
 
 // Errors the admission layer maps to HTTP statuses.
@@ -274,9 +277,11 @@ func New(cfg Config) (*Server, error) {
 		cache: cache.New(cache.Config[*result]{
 			Name: "result", Budget: int64(cfg.CacheSize), Size: resultSizer,
 		}),
+		// The matrix tier budgets cells; its bytes gauge reads the cells
+		// at their width (uint16 while m ≤ 65535, int32 beyond).
 		prec: cache.New(cache.Config[*ranking.Precedence]{
 			Name: "matrix", Budget: cfg.PrecCacheCells,
-			Cost: (*ranking.Precedence).Cells, Size: matrixSizer,
+			Cost: (*ranking.Precedence).Cells, Size: (*ranking.Precedence).CellBytes,
 		}),
 		slots:     make(chan struct{}, cfg.Workers),
 		quit:      make(chan struct{}),
@@ -372,9 +377,6 @@ func resultSizer(r *result) int64 {
 	}
 	return b
 }
-
-// matrixSizer prices a resident precedence matrix: its cells are int32.
-func matrixSizer(w *ranking.Precedence) int64 { return 4 * w.Cells() }
 
 // initObs builds the metric registry: every former /statz counter plus the
 // new histogram and model families. Counters owned by the cache tiers are
