@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # demo_fleet.sh — guided three-node fleet session (DESIGN.md §13): boot
-# three peered manirankd replicas, show one request computed once and
-# served cache-warm from every node via peer fetch, then kill the replica
-# that built it and show the survivors still answering. See
+# three peered manirankd replicas, send one request to every node twice
+# and show the second pass served cache-warm everywhere with one matrix
+# build ring-wide, then kill the replica that built it and show the
+# survivors still answering. See
 # examples/serving/README.md ("Running a fleet") for the walkthrough.
 set -euo pipefail
 
@@ -60,14 +61,15 @@ REQ='{
 }'
 
 echo
-echo "== 1. POST to node 0 (cold: one solve, one matrix build somewhere in the ring) =="
-curl -sf -X POST "${URLS[0]}/v1/aggregate" -H 'Content-Type: application/json' -d "$REQ"
-echo
-sleep 0.5 # let the background push home the result with its ring owner
+echo "== 1. the request to every node once: each reads it from a peer or solves it =="
+for i in 0 1 2; do
+  curl -sf -X POST "${URLS[$i]}/v1/aggregate" -H 'Content-Type: application/json' -d "$REQ"
+  echo
+done
 
 echo
-echo "== 2. the SAME request to nodes 1 and 2: cached:true via peer fetch, no recompute =="
-for i in 1 2; do
+echo "== 2. the SAME request to every node again: cached:true everywhere, one ranking =="
+for i in 0 1 2; do
   curl -sf -X POST "${URLS[$i]}/v1/aggregate" -H 'Content-Type: application/json' -d "$REQ"
   echo
 done
@@ -97,4 +99,4 @@ for i in 0 1 2; do
   echo "   node $i: HTTP $CODE, $ALIVE of 3 nodes"
 done
 echo
-echo "fleet demo done: one build ring-wide, peer-fetched everywhere, graceful degradation"
+echo "fleet demo done: one build ring-wide, served from cache everywhere, graceful degradation"

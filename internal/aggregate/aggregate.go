@@ -222,24 +222,6 @@ func KemenyCtx(ctx context.Context, w *ranking.Precedence, opts kemeny.Options) 
 	return kemeny.HeuristicSearch(ctx, w, opts)
 }
 
-// PickAPerm returns the base ranking closest to the whole profile (minimum
-// total Kendall tau distance), the Schalekamp & van Zuylen pick-a-perm
-// 2-approximation of Kemeny.
-func PickAPerm(p ranking.Profile) (ranking.Ranking, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	w := ranking.MustPrecedence(p)
-	best, bestCost := -1, 0
-	for i, r := range p {
-		c := w.KemenyCost(r)
-		if best < 0 || c < bestCost {
-			best, bestCost = i, c
-		}
-	}
-	return p[best].Clone(), nil
-}
-
 // PickFairestPerm returns the base ranking with the smallest maximum
 // ARP/IRP violation over table t — the paper's Pick-Fairest-Perm baseline
 // (Section IV-B). Ties break toward the earlier ranking.

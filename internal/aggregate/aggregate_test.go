@@ -260,3 +260,21 @@ func TestBordaWMatchesBorda(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// PickAPerm returns the base ranking closest to the whole profile (minimum
+// total Kendall tau distance), the Schalekamp & van Zuylen pick-a-perm
+// 2-approximation of Kemeny.
+func PickAPerm(p ranking.Profile) (ranking.Ranking, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	w := ranking.MustPrecedence(p)
+	best, bestCost := -1, 0
+	for i, r := range p {
+		c := w.KemenyCost(r)
+		if best < 0 || c < bestCost {
+			best, bestCost = i, c
+		}
+	}
+	return p[best].Clone(), nil
+}

@@ -6,11 +6,11 @@
 // owner among the nodes currently believed alive. The Fleet type layers the
 // operational half on top of the pure ring: liveness probing with a small
 // hysteresis state machine, an epoch counter that advances whenever the
-// alive set changes (the hook for bounded re-owned-key warming), and the
-// HTTP transport for the peer protocol — hedged, timeout-bounded GETs for
-// result/matrix reads, a POST that asks a digest's owner to build a matrix
-// under its own single-flight, and PUTs that push entries to their owner
-// after local compute or on membership change.
+// alive set changes, and the HTTP transport for the peer protocol — hedged,
+// timeout-bounded GETs for result/matrix reads (a non-owner reads a digest's
+// owner, an owner reads its runner-up) and a POST that asks a digest's owner
+// to build a matrix under its own single-flight. No peer writes an entry
+// into another.
 //
 // Every transport error degrades to local compute at the call site: a dead
 // or slow peer can cost one bounded fetch timeout, never a failed request.
@@ -76,9 +76,6 @@ type Config struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one /healthz probe (default 500ms).
 	ProbeTimeout time.Duration
-	// WarmLimit caps how many re-owned keys a node pushes to new owners
-	// after a membership change (default 256; < 0 disables warming).
-	WarmLimit int
 	// Client is the HTTP client for all peer traffic; a default client
 	// is used when nil.
 	Client *http.Client
@@ -101,7 +98,6 @@ type Fleet struct {
 	mu        sync.Mutex
 	namespace string
 	peers     map[string]*peerState
-	listeners []func()
 
 	epoch  atomic.Uint64
 	stop   chan struct{}
@@ -130,9 +126,6 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	if cfg.ProbeTimeout == 0 {
 		cfg.ProbeTimeout = 500 * time.Millisecond
-	}
-	if cfg.WarmLimit == 0 {
-		cfg.WarmLimit = 256
 	}
 	client := cfg.Client
 	if client == nil {
@@ -179,15 +172,6 @@ func (f *Fleet) Self() string { return f.cfg.Self }
 // Nodes returns the full configured membership (alive or not), sorted.
 func (f *Fleet) Nodes() []string { return append([]string(nil), f.nodes...) }
 
-// WarmLimit returns the configured re-owned-key warming cap (0 when
-// warming is disabled).
-func (f *Fleet) WarmLimit() int {
-	if f.cfg.WarmLimit < 0 {
-		return 0
-	}
-	return f.cfg.WarmLimit
-}
-
 // SetNamespace installs the cache namespace stamped on every outgoing peer
 // request and checked by this node's handlers. The service layer calls it
 // once at startup with CacheNamespace(engineVersion).
@@ -205,16 +189,8 @@ func (f *Fleet) Namespace() string {
 }
 
 // Epoch returns the membership epoch: it starts at 0 and advances every
-// time the alive set changes. Cache-warming and tests watch it.
+// time the alive set changes. /statz, /metricsz and tests read it.
 func (f *Fleet) Epoch() uint64 { return f.epoch.Load() }
-
-// OnChange registers fn to run (on its own goroutine) after every alive-set
-// change. Registration order is preserved per event.
-func (f *Fleet) OnChange(fn func()) {
-	f.mu.Lock()
-	f.listeners = append(f.listeners, fn)
-	f.mu.Unlock()
-}
 
 // alive reports whether node is currently believed alive. Self is always
 // alive from its own point of view.
@@ -271,7 +247,8 @@ func (f *Fleet) Route(key string) (owner string, self bool) {
 }
 
 // fetchTargets returns the alive non-self nodes to try for key, best owner
-// first, at most two (primary + hedge).
+// first, at most two (primary + hedge). For a key this node owns, the first
+// is the runner-up: the node that owns key whenever this one is dead.
 func (f *Fleet) fetchTargets(key string) []string {
 	f.mu.Lock()
 	ranked := Owners(f.nodes, key, len(f.nodes), f.aliveLocked)
@@ -289,8 +266,8 @@ func (f *Fleet) fetchTargets(key string) []string {
 	return out
 }
 
-// MarkAlive forces node alive. Exported for tests and the warming path;
-// the probe loop normally drives these transitions.
+// MarkAlive forces node alive. Exported for tests; the probe loop and
+// fetch outcomes normally drive these transitions.
 func (f *Fleet) MarkAlive(node string) { f.recordSuccess(node) }
 
 // MarkDead forces node dead immediately, bypassing the failure threshold.
@@ -348,14 +325,6 @@ func (f *Fleet) membershipChanged(node string, alive bool) {
 		}
 		f.cfg.Logger.Printf("fleet: peer %s marked %s (epoch %d)", node, verdict, f.Epoch())
 	}
-	f.mu.Lock()
-	fns := append([]func(){}, f.listeners...)
-	f.mu.Unlock()
-	go func() {
-		for _, fn := range fns {
-			fn()
-		}
-	}()
 }
 
 func (f *Fleet) probeLoop() {
@@ -416,12 +385,14 @@ type fetchOutcome struct {
 	err     error
 }
 
-// Fetch performs a hedged, timeout-bounded read of digest from its owner
-// (kind is KindResults or KindMatrices). It returns (payload, true, nil) on
-// a peer hit, (nil, false, nil) on an authoritative peer miss (404), and a
-// non-nil error when no leg produced a verdict — the caller computes
-// locally in every non-hit case. Transport errors feed the liveness state
-// machine; misses and namespace rejections do not.
+// Fetch performs a hedged, timeout-bounded read of digest from the first
+// alive node other than this one in rendezvous order — its owner, or its
+// runner-up when this node owns it (kind is KindResults or KindMatrices).
+// It returns (payload, true, nil) on a peer hit, (nil, false, nil) on an
+// authoritative peer miss (404), and a non-nil error when no leg produced a
+// verdict — the caller computes locally in every non-hit case. Transport
+// errors feed the liveness state machine; misses and namespace rejections
+// do not.
 func (f *Fleet) Fetch(ctx context.Context, kind, digest string) ([]byte, bool, error) {
 	targets := f.fetchTargets(digest)
 	if len(targets) == 0 {
@@ -540,35 +511,6 @@ func (f *Fleet) BuildMatrix(ctx context.Context, owner, digest string, profile [
 		return nil, fmt.Errorf("fleet: peer build %s on %s: status %d", digest, owner, resp.StatusCode)
 	}
 	return io.ReadAll(resp.Body)
-}
-
-// Push writes an already-encoded cache entry to node so the digest's owner
-// holds it for the rest of the ring (after a local compute on a non-owner,
-// or during re-owned-key warming). Best effort: the caller already has the
-// value, so errors only inform liveness.
-func (f *Fleet) Push(ctx context.Context, node, kind, digest string, payload []byte) error {
-	ctx, cancel := context.WithTimeout(ctx, f.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, f.peerURL(node, kind, digest), bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set(NamespaceHeader, f.Namespace())
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := f.client.Do(req)
-	if err != nil {
-		if ctx.Err() == nil {
-			f.recordFailure(node)
-		}
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	f.recordSuccess(node)
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fleet: push %s/%s to %s: status %d", kind, digest, node, resp.StatusCode)
-	}
-	return nil
 }
 
 func (f *Fleet) peerURL(node, kind, digest string) string {

@@ -52,19 +52,23 @@ func TestLivenessThresholdAndEpoch(t *testing.T) {
 	}
 }
 
-func TestOnChangeFiresPerTransition(t *testing.T) {
+// Every alive-set transition advances the epoch exactly once; a repeated
+// verdict is no transition.
+func TestEpochAdvancesPerTransition(t *testing.T) {
 	f := newTestFleet(t, "http://self", "http://peer")
-	var fired atomic.Int32
-	f.OnChange(func() { fired.Add(1) })
-	f.MarkDead("http://peer")
-	f.MarkDead("http://peer") // no-op: already dead
-	f.MarkAlive("http://peer")
-	deadline := time.Now().Add(2 * time.Second)
-	for fired.Load() != 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := fired.Load(); got != 2 {
-		t.Fatalf("OnChange fired %d times, want 2", got)
+	for i, step := range []struct {
+		mark  func(string)
+		epoch uint64
+	}{
+		{f.MarkDead, 1},
+		{f.MarkDead, 1}, // no-op: already dead
+		{f.MarkAlive, 2},
+		{f.MarkAlive, 2}, // no-op: already alive
+	} {
+		step.mark("http://peer")
+		if got := f.Epoch(); got != step.epoch {
+			t.Fatalf("step %d: epoch %d, want %d", i, got, step.epoch)
+		}
 	}
 }
 
@@ -168,29 +172,66 @@ func TestFetchErrorDegradesAndFeedsLiveness(t *testing.T) {
 	}
 }
 
-func TestBuildMatrixPostsProfileAndPushRoundTrips(t *testing.T) {
+func TestBuildMatrixPostsProfile(t *testing.T) {
 	var gotBody atomic.Value
 	srv := peerServer(t, func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodPost:
-			b := make([]byte, r.ContentLength)
-			r.Body.Read(b)
-			gotBody.Store(string(b))
-			w.Write([]byte("matrix-bytes"))
-		case http.MethodPut:
-			w.WriteHeader(http.StatusNoContent)
-		}
+		b := make([]byte, r.ContentLength)
+		r.Body.Read(b)
+		gotBody.Store(r.Method + " " + string(b))
+		w.Write([]byte("matrix-bytes"))
 	})
 	f := newTestFleet(t, "http://self", srv.URL)
 	out, err := f.BuildMatrix(context.Background(), srv.URL, "d1", []byte(`{"profile":[[0,1]]}`))
 	if err != nil || string(out) != "matrix-bytes" {
 		t.Fatalf("BuildMatrix = (%q, %v)", out, err)
 	}
-	if b := gotBody.Load(); b != `{"profile":[[0,1]]}` {
-		t.Fatalf("owner saw body %v", b)
+	if b := gotBody.Load(); b != `POST {"profile":[[0,1]]}` {
+		t.Fatalf("owner saw %v", b)
 	}
-	if err := f.Push(context.Background(), srv.URL, KindResults, "d1", []byte("entry")); err != nil {
-		t.Fatalf("Push: %v", err)
+}
+
+// For a key this node owns, Fetch reads the runner-up: the node that owned
+// the key while this one was dead.
+func TestFetchSelfOwnedReadsRunnerUp(t *testing.T) {
+	var hits [2]atomic.Int32
+	srvs := make([]*httptest.Server, 2)
+	for i := range srvs {
+		srvs[i] = peerServer(t, func(w http.ResponseWriter, r *http.Request) {
+			hits[i].Add(1)
+			w.Write([]byte("entry"))
+		})
+	}
+	// Unhedged: the one read must land on the runner-up alone.
+	f, err := New(Config{Self: "http://self", Peers: []string{srvs[0].URL, srvs[1].URL},
+		ProbeInterval: -1, HedgeDelay: -1, FetchTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	nodes := []string{"http://self", srvs[0].URL, srvs[1].URL}
+	key := ""
+	for _, k := range digests(50) {
+		if _, self := f.Route(k); self {
+			key = k
+			break
+		}
+	}
+	if key == "" {
+		t.Fatal("no self-owned key in 50 digests")
+	}
+	payload, found, err := f.Fetch(context.Background(), KindResults, key)
+	if err != nil || !found || string(payload) != "entry" {
+		t.Fatalf("Fetch = (%q, %v, %v)", payload, found, err)
+	}
+	runnerUp := Owners(nodes, key, 2, nil)[1]
+	for i, srv := range srvs {
+		want := int32(0)
+		if srv.URL == runnerUp {
+			want = 1
+		}
+		if got := hits[i].Load(); got != want {
+			t.Fatalf("peer %d (%s) served %d reads, want %d (runner-up %s)", i, srv.URL, got, want, runnerUp)
+		}
 	}
 }
 

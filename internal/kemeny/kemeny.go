@@ -3,7 +3,6 @@
 // this reproduction's substitute for the IBM CPLEX integer-program solver the
 // paper uses (see DESIGN.md, Substitutions):
 //
-//   - ExactDP: Held-Karp style subset dynamic program, exact for n <= 16.
 //   - BranchAndBound: depth-first search over prefixes with an admissible
 //     pairwise lower bound, incumbent pruning, and — when constraints are
 //     given — fairness-feasibility pruning. Exact; practical for small and
@@ -26,7 +25,6 @@ package kemeny
 
 import (
 	"context"
-	"fmt"
 
 	"manirank/internal/attribute"
 	"manirank/internal/fairness"
@@ -62,59 +60,6 @@ type Result struct {
 	Optimal bool
 	// Nodes is the number of search nodes expanded.
 	Nodes int64
-}
-
-// ExactDP solves unconstrained Kemeny exactly with a subset dynamic program
-// in O(2^n * n^2) time and O(2^n) space. It errors for n > 16 — use
-// BranchAndBound there.
-func ExactDP(w *ranking.Precedence) (ranking.Ranking, int, error) {
-	n := w.N()
-	if n > 16 {
-		return nil, 0, fmt.Errorf("kemeny: ExactDP supports n <= 16, got %d", n)
-	}
-	if n == 0 {
-		return ranking.Ranking{}, 0, nil
-	}
-	size := 1 << n
-	const inf = int(^uint(0) >> 1)
-	cost := make([]int, size)
-	choice := make([]int8, size)
-	for s := 1; s < size; s++ {
-		cost[s] = inf
-	}
-	for s := 0; s < size; s++ {
-		if cost[s] == inf {
-			continue
-		}
-		for x := 0; x < n; x++ {
-			if s&(1<<x) != 0 {
-				continue
-			}
-			// Appending x to the prefix set s places x above every candidate
-			// outside s (except x itself).
-			add := 0
-			for y := 0; y < n; y++ {
-				if y != x && s&(1<<y) == 0 {
-					add += w.At(x, y)
-				}
-			}
-			ns := s | 1<<x
-			if c := cost[s] + add; c < cost[ns] {
-				cost[ns] = c
-				choice[ns] = int8(x)
-			}
-		}
-	}
-	// Reconstruct from the back: choice[s] is the last (lowest) element of
-	// the prefix set s, i.e. the candidate at position |s|-1.
-	r := make(ranking.Ranking, n)
-	s := size - 1
-	for i := n - 1; i >= 0; i-- {
-		x := int(choice[s])
-		r[i] = x
-		s &^= 1 << x
-	}
-	return r, cost[size-1], nil
 }
 
 // bbState carries the mutable search state of BranchAndBound.

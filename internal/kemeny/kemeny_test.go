@@ -1,6 +1,7 @@
 package kemeny
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -203,4 +204,57 @@ func TestLeafFairnessMatchesAudit(t *testing.T) {
 			t.Fatalf("returned ranking violates constraint: ARP %v > %v", fairness.ARP(res.Ranking, a), delta)
 		}
 	}
+}
+
+// ExactDP solves unconstrained Kemeny exactly with a subset dynamic program
+// in O(2^n * n^2) time and O(2^n) space: an independent exact reference the
+// branch-and-bound tests check against. It errors for n > 16.
+func ExactDP(w *ranking.Precedence) (ranking.Ranking, int, error) {
+	n := w.N()
+	if n > 16 {
+		return nil, 0, fmt.Errorf("kemeny: ExactDP supports n <= 16, got %d", n)
+	}
+	if n == 0 {
+		return ranking.Ranking{}, 0, nil
+	}
+	size := 1 << n
+	const inf = int(^uint(0) >> 1)
+	cost := make([]int, size)
+	choice := make([]int8, size)
+	for s := 1; s < size; s++ {
+		cost[s] = inf
+	}
+	for s := 0; s < size; s++ {
+		if cost[s] == inf {
+			continue
+		}
+		for x := 0; x < n; x++ {
+			if s&(1<<x) != 0 {
+				continue
+			}
+			// Appending x to the prefix set s places x above every candidate
+			// outside s (except x itself).
+			add := 0
+			for y := 0; y < n; y++ {
+				if y != x && s&(1<<y) == 0 {
+					add += w.At(x, y)
+				}
+			}
+			ns := s | 1<<x
+			if c := cost[s] + add; c < cost[ns] {
+				cost[ns] = c
+				choice[ns] = int8(x)
+			}
+		}
+	}
+	// Reconstruct from the back: choice[s] is the last (lowest) element of
+	// the prefix set s, i.e. the candidate at position |s|-1.
+	r := make(ranking.Ranking, n)
+	s := size - 1
+	for i := n - 1; i >= 0; i-- {
+		x := int(choice[s])
+		r[i] = x
+		s &^= 1 << x
+	}
+	return r, cost[size-1], nil
 }

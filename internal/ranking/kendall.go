@@ -22,25 +22,6 @@ func KendallTau(a, b Ranking) int {
 	return countInversions(seq, buf)
 }
 
-// KendallTauNaive is the O(n^2) reference implementation used to cross-check
-// the merge-count version in tests.
-func KendallTauNaive(a, b Ranking) int {
-	if len(a) != len(b) {
-		panic("ranking: KendallTauNaive on rankings of different lengths")
-	}
-	posA := a.Positions()
-	posB := b.Positions()
-	d := 0
-	for x := 0; x < len(a); x++ {
-		for y := x + 1; y < len(a); y++ {
-			if (posA[x] < posA[y]) != (posB[x] < posB[y]) {
-				d++
-			}
-		}
-	}
-	return d
-}
-
 // countInversions counts pairs i<j with s[i] > s[j], destroying s. buf must
 // have len(s).
 func countInversions(s, buf []int) int {

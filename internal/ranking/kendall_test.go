@@ -135,3 +135,22 @@ func BenchmarkKendallTauNaive1000(b *testing.B) {
 		KendallTauNaive(x, y)
 	}
 }
+
+// KendallTauNaive is the O(n^2) reference implementation the merge-count
+// KendallTau is cross-checked against.
+func KendallTauNaive(a, b Ranking) int {
+	if len(a) != len(b) {
+		panic("ranking: KendallTauNaive on rankings of different lengths")
+	}
+	posA := a.Positions()
+	posB := b.Positions()
+	d := 0
+	for x := 0; x < len(a); x++ {
+		for y := x + 1; y < len(a); y++ {
+			if (posA[x] < posA[y]) != (posB[x] < posB[y]) {
+				d++
+			}
+		}
+	}
+	return d
+}

@@ -41,7 +41,7 @@ func TestCacheDoFetchOutcomes(t *testing.T) {
 		t.Fatalf("peer error should compute: v=%v err=%v", v, err)
 	}
 	if _, _, _, err := c.DoFetch(ctx, "aa04", func(context.Context) (any, bool, error) {
-		return nil, false, ErrNotAsked // self-owned: never asked
+		return nil, false, ErrNotAsked // no live peer: never asked
 	}, compute); err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func (c Counters) BuildsSkipped() uint64 {
 }
 
 // ErrNotAsked is what a FetchFunc returns when it consulted no peer at all
-// (self-owned key, no live peer): the tier counts nothing and computes.
+// (no live peer): the tier counts nothing and computes.
 var ErrNotAsked = errors.New("cache: no peer asked")
 
 // FetchFunc is the fleet hook DoFetch tries after memory and disk miss and
@@ -523,9 +523,8 @@ func (t *Tier[V]) Peek(ctx context.Context, key string) (V, bool) {
 
 // Put admits value under key and writes it through to the
 // persistent store — the path every fresh value takes: a computation, a
-// peer fetch, a fleet push (a non-owner computed this key, or a membership
-// change re-homed it here), or a matrix the serving layer patched
-// incrementally rather than built. A value too costly for memory is still
+// peer fetch, or a matrix the serving layer patched incrementally rather
+// than built. A value too costly for memory is still
 // persisted: disk capacity is not budget-bounded, and restoring it still
 // skips its computation. Nothing is stored or persisted when the budget is
 // off. The caller must key by the digest of what value actually summarises
@@ -545,8 +544,7 @@ func (t *Tier[V]) Put(ctx context.Context, key string, value V) {
 	}
 }
 
-// Keys returns the keys of every in-memory entry, in no particular order —
-// the enumeration re-owned-key warming walks after a membership change.
+// Keys returns the keys of every in-memory entry, in no particular order.
 func (t *Tier[V]) Keys() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()

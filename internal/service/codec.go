@@ -13,8 +13,9 @@ import (
 // resultCodec serialises cached consensus results for the persistent tier as
 // JSON — the same wire shape the HTTP response embeds, so a restored entry is
 // byte-equivalent to what the original request would have answered. Decode
-// is a trust boundary (peer pushes, owner reads and disk restores all pass
-// through it), so it rejects any result no solve could have produced.
+// is a trust boundary (peer reads and disk restores both pass through it),
+// so it rejects any result no solve could have produced; a peer read is
+// further checked against the request it answers (resultFetch).
 func resultCodec() cache.Codec[*result] {
 	return cache.Codec[*result]{
 		Encode: func(r *result) ([]byte, error) { return json.Marshal(r) },

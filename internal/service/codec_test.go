@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzResultCodec drives the result tier's decoder — the boundary that peer
-// pushes, owner reads and disk restores all cross — with arbitrary bytes. It
+// reads and disk restores both cross — with arbitrary bytes. It
 // must never panic, every value it accepts must be a permutation solved by a
 // served method, and an accepted value must survive an encode/decode round
 // trip unchanged. The seed corpus lives in testdata/fuzz/FuzzResultCodec.

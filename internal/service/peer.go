@@ -16,29 +16,28 @@ import (
 
 // This file is the serving side of the fleet (DESIGN.md §13): the
 // /internal/v1/peer/{results|matrices}/{digest} handlers a replica answers
-// ring mates on, the cache fetch hooks that consult a digest's rendezvous
-// owner before computing locally, the after-compute push that homes a
-// non-owner's result with its owner, and the bounded re-owned-key warming
-// that runs on membership change.
+// ring mates on, and the cache fetch hooks a replica runs before computing
+// locally. Entries move between replicas only by being read: a non-owner
+// reads a digest from its rendezvous owner, and an owner that misses reads
+// it from its runner-up — the node that held the digest while this one was
+// away. A result computed on a non-owner stays there.
 //
 // The peer API is internal by construction — it trusts its callers the way
 // the file store trusts the filesystem — with two cheap integrity gates:
 // every request carries the sender's cache namespace (412 on mismatch, so
 // replicas on different engine versions can never exchange entries), and a
 // posted profile must hash to the digest it claims (400 otherwise), so a
-// confused client cannot poison the matrix tier.
-
-// peerPushConcurrency bounds concurrent background pushes (after-compute
-// homing and re-owned-key warming share the budget).
-const peerPushConcurrency = 4
+// confused client cannot poison the matrix tier. What a peer answers is
+// vetted too: an entry must decode and fit the request that asked for it,
+// or the read counts as a peer error and the node computes locally.
 
 // handlePeer serves the peer cache protocol:
 //
 //	GET  /internal/v1/peer/{kind}/{digest}  -> 200 entry bytes | 404 authoritative miss
-//	PUT  /internal/v1/peer/{kind}/{digest}  -> 204 entry admitted
 //	POST /internal/v1/peer/matrices/{digest} (profile JSON) -> 200 matrix bytes,
 //	     built under this node's single-flight — the per-ring single-compute path.
 //
+// Any other method answers 405: no peer can write an entry into this node.
 // Reads go through Peek, which serves memory and disk without moving this
 // node's own hit/miss counters: a peer's traffic is accounted on the peer.
 func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
@@ -58,71 +57,35 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch {
-	case kind == fleet.KindResults:
-		if !servePeerEntry(w, r, digest, s.cfg.MaxBodyBytes, s.cache, resultCodec(), checkPushedResult) {
-			http.Error(w, "use GET or PUT", http.StatusMethodNotAllowed)
-		}
+	case kind != fleet.KindResults && kind != fleet.KindMatrices:
+		http.NotFound(w, r)
 	case kind == fleet.KindMatrices && r.Method == http.MethodPost:
 		s.handlePeerBuild(w, r, digest)
-	case kind == fleet.KindMatrices:
-		if !servePeerEntry(w, r, digest, s.cfg.MaxBodyBytes, s.prec, matrixCodec(), nil) {
-			http.Error(w, "use GET, PUT, or POST", http.StatusMethodNotAllowed)
-		}
+	case r.Method != http.MethodGet:
+		http.Error(w, "peer entries are read-only: use GET", http.StatusMethodNotAllowed)
+	case kind == fleet.KindResults:
+		servePeerEntry(w, r, digest, s.cache, resultCodec())
 	default:
+		servePeerEntry(w, r, digest, s.prec, matrixCodec())
+	}
+}
+
+// servePeerEntry answers a ring mate's GET with the entry from memory or
+// disk, or 404 on an authoritative miss.
+func servePeerEntry[V any](w http.ResponseWriter, r *http.Request, digest string,
+	tier *cache.Tier[V], codec cache.Codec[V]) {
+	v, ok := tier.Peek(r.Context(), digest)
+	if !ok {
 		http.NotFound(w, r)
+		return
 	}
-}
-
-// servePeerEntry answers a ring mate's GET (the entry from memory or disk,
-// 404 on an authoritative miss) or PUT (admit a pushed entry once it decodes
-// and, when check is non-nil, passes check) on tier. It reports false,
-// having written nothing, for any other method.
-func servePeerEntry[V any](w http.ResponseWriter, r *http.Request, digest string, maxBody int64,
-	tier *cache.Tier[V], codec cache.Codec[V], check func(V) error) bool {
-	switch r.Method {
-	case http.MethodGet:
-		v, ok := tier.Peek(r.Context(), digest)
-		if !ok {
-			http.NotFound(w, r)
-			return true
-		}
-		data, err := codec.Encode(v)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return true
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(data)
-	case http.MethodPut:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return true
-		}
-		v, err := codec.Decode(body)
-		if err == nil && check != nil {
-			err = check(v)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return true
-		}
-		tier.Put(r.Context(), digest, v)
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		return false
+	data, err := codec.Encode(v)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	return true
-}
-
-// checkPushedResult vets a result a peer pushed or is about to be pushed:
-// partial results are never cached locally, and the same rule holds for
-// pushed entries regardless of what the sender thought.
-func checkPushedResult(res *result) error {
-	if res.Partial {
-		return errors.New("partial results are not cacheable")
-	}
-	return nil
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(data)
 }
 
 // handlePeerBuild builds (or serves) the precedence matrix of the posted
@@ -151,9 +114,13 @@ func (s *Server) handlePeerBuild(w http.ResponseWriter, r *http.Request, digest 
 		return
 	}
 	// The owner's tier sees its shard's demand here exactly as if the
-	// request had arrived on its own front door, popularity model included.
+	// request had arrived on its own front door, popularity model and
+	// runner-up read included. The read is plain: this node is the builder,
+	// and two nodes whose views of the owner disagree must never post builds
+	// to each other.
 	s.cheMatrix.Observe(digest)
-	m, _, _, err := s.prec.Do(r.Context(), digest, func() (*ranking.Precedence, bool, error) {
+	fetch := peerFetch(s.fleet, fleet.KindMatrices, digest, matrixCodec(), matrixFits(profile), nil)
+	m, _, _, err := s.prec.DoFetch(r.Context(), digest, fetch, func() (*ranking.Precedence, bool, error) {
 		m, err := ranking.NewPrecedence(profile)
 		return m, true, err
 	})
@@ -171,51 +138,67 @@ func (s *Server) handlePeerBuild(w http.ResponseWriter, r *http.Request, digest 
 }
 
 // peerFetch returns a tier's fleet hook for digest, or nil without a
-// fleet. The hook asks the digest's owner (hedged to the runner-up) only
-// when this node does not own the digest itself; onMiss, when non-nil,
-// turns the owner's authoritative miss into the payload it returns.
-func peerFetch[V any](f *fleet.Fleet, kind, digest string, codec cache.Codec[V],
+// fleet. The hook reads digest from the first alive node other than this
+// one in rendezvous order (hedged to the next): the owner when this node
+// does not own digest, and otherwise the runner-up, which owned digest
+// whenever this node was dead. fits vets a decoded entry against the
+// request; a misfit counts as a peer error. onMiss, when non-nil, turns a
+// non-owner's authoritative miss into the payload it returns; an owner that
+// misses computes locally.
+func peerFetch[V any](f *fleet.Fleet, kind, digest string, codec cache.Codec[V], fits func(V) error,
 	onMiss func(ctx context.Context, owner string) ([]byte, error)) cache.FetchFunc[V] {
 	if f == nil {
 		return nil
 	}
 	return func(ctx context.Context) (v V, found bool, err error) {
 		owner, self := f.Route(digest)
-		if self {
-			return v, false, cache.ErrNotAsked
-		}
 		payload, found, err := f.Fetch(ctx, kind, digest)
 		switch {
 		case errors.Is(err, fleet.ErrNoPeer):
 			return v, false, cache.ErrNotAsked
 		case err != nil:
 			return v, false, err
-		case !found && onMiss == nil:
+		case !found && (self || onMiss == nil):
 			return v, false, nil
 		case !found:
 			if payload, err = onMiss(ctx, owner); err != nil {
 				return v, false, err
 			}
 		}
-		v, err = codec.Decode(payload)
+		if v, err = codec.Decode(payload); err == nil {
+			err = fits(v)
+		}
 		return v, err == nil, err
 	}
 }
 
-// resultFetch returns the result tier's fleet hook for digest: a plain
-// owner read, stopping at an authoritative miss.
-func (s *Server) resultFetch(digest string) cache.FetchFunc[*result] {
-	return peerFetch(s.fleet, fleet.KindResults, digest, resultCodec(), nil)
+// resultFetch returns the result tier's fleet hook for pb: a plain peer
+// read, stopping at an authoritative miss, that admits only a complete
+// result ranking pb's candidates under pb's method.
+func (s *Server) resultFetch(pb *problem) cache.FetchFunc[*result] {
+	return peerFetch(s.fleet, fleet.KindResults, pb.digest, resultCodec(), func(r *result) error {
+		switch {
+		case r.Partial:
+			return errors.New("service: peer result is partial")
+		case len(r.Ranking) != pb.profile.N():
+			return fmt.Errorf("service: peer result ranks %d candidates, the request has %d",
+				len(r.Ranking), pb.profile.N())
+		case r.Method != pb.method.String():
+			return fmt.Errorf("service: peer result is for method %q, not %q", r.Method, pb.method)
+		}
+		return nil
+	}, nil)
 }
 
-// matrixFetch returns the matrix tier's fleet hook for pb. Where the result
-// hook stops at an authoritative miss, the matrix hook escalates: on a 404
+// matrixFetch returns the matrix tier's fleet hook for pb, admitting only a
+// matrix over pb's candidate and ranking counts. Where the result hook stops
+// at an authoritative miss, a non-owner's matrix hook escalates: on a 404
 // from the owner it POSTs the profile so the OWNER builds (under its own
 // single-flight) and returns the serialized matrix — per-node single-flight
 // extended into per-ring single-compute. Every failure degrades to a local
 // build.
 func (s *Server) matrixFetch(pb *problem) cache.FetchFunc[*ranking.Precedence] {
-	return peerFetch(s.fleet, fleet.KindMatrices, pb.profDigest, matrixCodec(),
+	return peerFetch(s.fleet, fleet.KindMatrices, pb.profDigest, matrixCodec(), matrixFits(pb.profile),
 		func(ctx context.Context, owner string) ([]byte, error) {
 			profJSON, err := json.Marshal(pb.profile)
 			if err != nil {
@@ -225,99 +208,15 @@ func (s *Server) matrixFetch(pb *problem) cache.FetchFunc[*ranking.Precedence] {
 		})
 }
 
-// pushResult homes a locally computed result with its ring owner in the
-// background, so the next node that misses on this digest finds it where
-// the ring says to look. Best effort and bounded: when the push budget is
-// saturated the entry simply stays local (write-through still persisted it
-// here).
-func (s *Server) pushResult(digest string, res *result) {
-	if s.fleet == nil || res.Partial {
-		return
-	}
-	owner, self := s.fleet.Route(digest)
-	if self {
-		return
-	}
-	data, err := resultCodec().Encode(res)
-	if err != nil {
-		return
-	}
-	select {
-	case s.pushSem <- struct{}{}:
-	default:
-		return // saturated: skip, never block a request path
-	}
-	go func() {
-		defer func() { <-s.pushSem }()
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DefaultDeadline)
-		defer cancel()
-		s.fleet.Push(ctx, owner, fleet.KindResults, digest, data)
-	}()
-}
-
-// warmReowned runs after every membership change: it walks this node's
-// resident keys in both tiers and pushes the entries whose rendezvous owner
-// is now a DIFFERENT alive node to that owner, capped at the fleet's
-// WarmLimit and bounded by the shared push budget. This is the stampede
-// protection: when a node joins (or a dead one returns), the keys it now
-// owns arrive as pushed entries from the replicas that served them so far,
-// instead of every one being rebuilt on first touch; when a node dies, its
-// keys re-home to runners-up the same way from wherever they are resident.
-func (s *Server) warmReowned() {
-	f := s.fleet
-	limit := f.WarmLimit()
-	if limit <= 0 {
-		return
-	}
-	epoch := f.Epoch()
-	warmed := 0
-	push := func(kind, key string, encode func() ([]byte, bool)) bool {
-		if warmed >= limit {
-			return false
+// matrixFits returns the check a peer's matrix for profile must pass: the
+// profile's candidate and ranking counts.
+func matrixFits(profile ranking.Profile) func(*ranking.Precedence) error {
+	return func(w *ranking.Precedence) error {
+		if w.N() != profile.N() || w.Rankings() != len(profile) {
+			return fmt.Errorf("service: peer matrix is %d candidates × %d rankings, the profile %d × %d",
+				w.N(), w.Rankings(), profile.N(), len(profile))
 		}
-		owner, self := f.Route(key)
-		if self {
-			return true
-		}
-		data, ok := encode()
-		if !ok {
-			return true
-		}
-		warmed++
-		s.peerWarms.Inc()
-		s.pushSem <- struct{}{} // block: warming is background work, shedding it defeats it
-		go func() {
-			defer func() { <-s.pushSem }()
-			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DefaultDeadline)
-			defer cancel()
-			f.Push(ctx, owner, kind, key, data)
-		}()
-		return true
-	}
-	warmTier(s.prec, fleet.KindMatrices, matrixCodec(), nil, push)
-	warmTier(s.cache, fleet.KindResults, resultCodec(), checkPushedResult, push)
-	if warmed > 0 {
-		s.log.Info("fleet warm push", "epoch", epoch, "entries", warmed, "limit", limit)
-	}
-}
-
-// warmTier offers each of tier's resident entries to push, encoded on
-// demand and skipped when check (if non-nil) rejects it, until push stops
-// accepting entries.
-func warmTier[V any](tier *cache.Tier[V], kind string, codec cache.Codec[V], check func(V) error,
-	push func(kind, key string, encode func() ([]byte, bool)) bool) {
-	ctx := context.Background()
-	for _, key := range tier.Keys() {
-		if !push(kind, key, func() ([]byte, bool) {
-			v, ok := tier.Peek(ctx, key)
-			if !ok || (check != nil && check(v) != nil) {
-				return nil, false
-			}
-			data, err := codec.Encode(v)
-			return data, err == nil
-		}) {
-			return
-		}
+		return nil
 	}
 }
 

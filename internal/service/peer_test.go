@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +19,8 @@ import (
 	"time"
 
 	"manirank/internal/fleet"
+	"manirank/internal/mallows"
+	"manirank/internal/ranking"
 )
 
 // fleetHarnessNode is one in-process replica of a test fleet: its own
@@ -310,18 +316,21 @@ func TestFleetKillOwnerUnderLoad(t *testing.T) {
 	}
 }
 
-// TestFleetWarmReowned: when a dead replica returns, the replicas that
-// absorbed its key range push the re-owned entries back — the returning
-// node starts warm instead of stampeding the ring with first-touch builds.
-func TestFleetWarmReowned(t *testing.T) {
+// TestFleetRejoinPullsFromRunnerUp: when a dead replica returns empty, the
+// digests it owns again are read from the replica that owned them while it
+// was away — the returning node answers them as peer hits instead of
+// re-solving and rebuilding each on first touch.
+func TestFleetRejoinPullsFromRunnerUp(t *testing.T) {
 	nodes := newFleetHarness(t, 2, -1)
 	a, b := nodes[0], nodes[1]
 	a.ring.MarkDead(b.url)
 
 	// With B dead, A computes and keeps everything locally (half those keys
 	// rendezvous-route to B when it is alive).
-	for i := 0; i < 12; i++ {
-		if status, _ := post(t, a.url, testRequest("borda", int64(200+i))); status != http.StatusOK {
+	reqs := make([]*AggregateRequest, 12)
+	for i := range reqs {
+		reqs[i] = testRequest("borda", int64(200+i))
+		if status, _ := post(t, a.url, reqs[i]); status != http.StatusOK {
 			t.Fatalf("request %d failed", i)
 		}
 	}
@@ -329,26 +338,176 @@ func TestFleetWarmReowned(t *testing.T) {
 		t.Fatal("B holds entries before returning")
 	}
 
-	a.ring.MarkAlive(b.url) // membership change: A's OnChange warms B
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if len(b.srv.cache.Keys())+len(b.srv.prec.Keys()) > 0 {
-			break
+	a.ring.MarkAlive(b.url)
+	owned := 0
+	for i, req := range reqs {
+		if full, _ := Digests(req); ownerIndex(nodes, full) != 1 {
+			continue
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("no entries warmed to the returning replica")
+		owned++
+		status, out := post(t, b.url, req)
+		if status != http.StatusOK || !out.Cached {
+			t.Fatalf("request %d on its returning owner: status=%d cached=%v", i, status, out != nil && out.Cached)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	if a.srv.peerWarms.Value() == 0 {
-		t.Fatal("warm-push counter did not move")
+	if owned == 0 {
+		t.Fatal("B owns none of the 12 digests")
+	}
+	st := b.srv.cache.Stats()
+	if st.PeerHits != uint64(owned) || st.Builds != 0 {
+		t.Fatalf("B: result peer hits %d, solves %d; want %d and 0", st.PeerHits, st.Builds, owned)
+	}
+	if builds := b.srv.prec.Stats().Builds; builds != 0 {
+		t.Fatalf("B built %d matrices for digests A already held", builds)
+	}
+}
+
+// TestFleetOwnerBuildReadsRunnerUp: a build a non-owner posts to a returning
+// owner is served from the runner-up's copy, not rebuilt: the owner reads
+// before it builds on the POST path too.
+func TestFleetOwnerBuildReadsRunnerUp(t *testing.T) {
+	nodes := newFleetHarness(t, 3, -1)
+	a, b, c := nodes[0], nodes[1], nodes[2]
+	urls := []string{a.url, b.url, c.url}
+	var seeds []int64
+	for seed := int64(300); len(seeds) < 3 && seed < 400; seed++ {
+		_, prof := Digests(testRequest("borda", seed))
+		if ranked := fleet.Owners(urls, prof, 2, nil); ranked[0] == b.url && ranked[1] == a.url {
+			seeds = append(seeds, seed)
+		}
+	}
+	if len(seeds) == 0 {
+		t.Fatal("no profile in 100 seeds that B owns with A as runner-up")
+	}
+
+	// While B is away, A owns these profiles and builds their matrices.
+	a.ring.MarkDead(b.url)
+	c.ring.MarkDead(b.url)
+	for _, seed := range seeds {
+		if status, _ := post(t, a.url, testRequest("borda", seed)); status != http.StatusOK {
+			t.Fatalf("seed %d on A failed", seed)
+		}
+	}
+	a.ring.MarkAlive(b.url)
+	c.ring.MarkAlive(b.url)
+
+	// Another method from C: C misses the matrix and posts B, which reads A.
+	for _, seed := range seeds {
+		if status, _ := post(t, c.url, testRequest("copeland", seed)); status != http.StatusOK {
+			t.Fatalf("seed %d on C failed", seed)
+		}
+	}
+	if st := b.srv.prec.Stats(); st.Builds != 0 || st.PeerHits != uint64(len(seeds)) {
+		t.Fatalf("B: matrix builds %d, peer hits %d; want 0 and %d", st.Builds, st.PeerHits, len(seeds))
+	}
+	var builds uint64
+	for _, nd := range nodes {
+		builds += nd.srv.prec.Stats().Builds
+	}
+	if builds != uint64(len(seeds)) {
+		t.Fatalf("fleet-wide matrix builds = %d, want %d (one per profile)", builds, len(seeds))
+	}
+}
+
+// TestFleetRejectsMisfitPeerEntry: a peer read is checked against the
+// request it answers. A well-formed entry for the wrong problem — a
+// permutation of the wrong length, another method's result, a partial
+// result, a matrix over other candidate or ranking counts — counts as a
+// peer error; the node answers with its own solve and admits nothing from
+// the peer.
+func TestFleetRejectsMisfitPeerEntry(t *testing.T) {
+	req := testRequest("kemeny", 61)
+	full, prof := Digests(req)
+	_, ref := newTestServer(t, Config{})
+	status, want := post(t, ref.URL, req)
+	if status != http.StatusOK {
+		t.Fatalf("reference solve: status %d", status)
+	}
+	matrix := func(n, m int) string {
+		w, err := ranking.NewPrecedence(mallows.MustNew(ranking.New(n), 0.5).
+			SampleProfile(m, rand.New(rand.NewSource(1))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := w.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	entry := func(r ranking.Ranking, method string, partial bool) string {
+		data, err := json.Marshal(&result{Ranking: r, Method: method, Partial: partial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	type misfit struct{ name, kind, body string }
+	for _, tc := range []misfit{
+		{"short ranking", fleet.KindResults, entry(ranking.New(19), "kemeny", false)},
+		{"other method", fleet.KindResults, entry(want.Ranking, "borda", false)},
+		{"partial", fleet.KindResults, entry(want.Ranking, "kemeny", true)},
+		{"other n", fleet.KindMatrices, matrix(19, 12)},
+		{"other m", fleet.KindMatrices, matrix(20, 11)},
+	} {
+		peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !strings.HasPrefix(r.URL.Path, fleet.PathPrefix+tc.kind+"/") {
+				http.NotFound(w, r)
+				return
+			}
+			io.WriteString(w, tc.body)
+		}))
+		t.Cleanup(peer.Close)
+		// The misfit must be caught both where this node reads the peer as
+		// the digests' owner and where it reads the peer as its runner-up.
+		for _, selfOwns := range []bool{false, true} {
+			self := ""
+			for i := 0; self == ""; i++ {
+				cand := fmt.Sprintf("http://self-%d.invalid", i)
+				nodes := []string{cand, peer.URL}
+				if (fleet.Owner(nodes, full, nil) == cand) == selfOwns && (fleet.Owner(nodes, prof, nil) == cand) == selfOwns {
+					self = cand
+				}
+			}
+			t.Run(fmt.Sprintf("%s/self_owns=%v", tc.name, selfOwns), func(t *testing.T) {
+				ring, err := fleet.New(fleet.Config{
+					Self: self, Peers: []string{peer.URL},
+					ProbeInterval: -1, HedgeDelay: -1, FetchTimeout: 3 * time.Second,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(ring.Close)
+				srv, ts := newTestServer(t, Config{Fleet: ring})
+
+				status, out := post(t, ts.URL, req)
+				if status != http.StatusOK || out.Cached || !slices.Equal(out.Ranking, want.Ranking) {
+					t.Fatalf("status=%d response=%+v, want the local solve %v", status, out, want.Ranking)
+				}
+				tier := srv.cache.Stats()
+				if tc.kind == fleet.KindMatrices {
+					tier = srv.prec.Stats()
+				}
+				if tier.PeerErrors != 1 || tier.PeerHits != 0 {
+					t.Fatalf("%s tier: peer errors %d, peer hits %d; want 1 and 0", tc.kind, tier.PeerErrors, tier.PeerHits)
+				}
+				ctx := context.Background()
+				if res, ok := srv.cache.Peek(ctx, full); !ok || !slices.Equal(res.Ranking, want.Ranking) || res.Method != "kemeny" {
+					t.Fatalf("result tier holds %+v", res)
+				}
+				if w, ok := srv.prec.Peek(ctx, prof); !ok || w.N() != 20 || w.Rankings() != 12 {
+					t.Fatal("matrix tier does not hold the profile's own matrix")
+				}
+			})
+		}
 	}
 }
 
 // TestPeerHandlerGates: the peer API's two integrity gates — the cache
 // namespace header (412: replicas on different engine versions must never
 // exchange entries) and the posted-profile digest check (400: a confused
-// sender cannot poison the matrix tier under a key it doesn't hash to).
+// sender cannot poison the matrix tier under a key it doesn't hash to) —
+// and its one rule for writes: there are none.
 func TestPeerHandlerGates(t *testing.T) {
 	nodes := newFleetHarness(t, 1, -1)
 	base := nodes[0].url + fleet.PathPrefix + fleet.KindResults + "/abcd"
@@ -405,9 +564,21 @@ func TestPeerHandlerGates(t *testing.T) {
 		t.Fatalf("poisoning attempt triggered %d builds", builds)
 	}
 
-	// PUT junk results: neither may be admitted under the digest.
-	for _, body := range []string{`{}`, `{"ranking":[0,0,7],"method":"borda"}`} {
-		preq, err := http.NewRequest(http.MethodPut, base, strings.NewReader(body))
+	// The peer API is read-only: PUT answers 405 on both kinds, even with a
+	// well-formed entry, and admits nothing.
+	w, err := ranking.NewPrecedence(ranking.Profile{{0, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mblob, err := w.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind, body := range map[string]string{
+		fleet.KindResults:  `{"ranking":[0,1,2],"method":"borda"}`,
+		fleet.KindMatrices: string(mblob),
+	} {
+		preq, err := http.NewRequest(http.MethodPut, nodes[0].url+fleet.PathPrefix+kind+"/abcd", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,11 +589,15 @@ func TestPeerHandlerGates(t *testing.T) {
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("junk result %s: status %d, want 400", body, resp.StatusCode)
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("PUT %s: status %d, want 405", kind, resp.StatusCode)
 		}
-		if _, ok := nodes[0].srv.cache.Peek(context.Background(), "abcd"); ok {
-			t.Fatalf("junk result %s was admitted", body)
-		}
+	}
+	ctx := context.Background()
+	if _, ok := nodes[0].srv.cache.Peek(ctx, "abcd"); ok {
+		t.Fatal("a PUT result was admitted")
+	}
+	if _, ok := nodes[0].srv.prec.Peek(ctx, "abcd"); ok {
+		t.Fatal("a PUT matrix was admitted")
 	}
 }

@@ -90,9 +90,10 @@ type Config struct {
 	// Zero leaves the disk tier unbounded (the pre-fleet behaviour).
 	DiskBudgetBytes int64
 	// Fleet, when non-nil, shards both cache tiers across the configured
-	// replica set by rendezvous hashing (DESIGN.md §13): local misses
-	// peer-fetch from the digest's owner before computing, matrix builds
-	// route to the owner, and the /internal/v1/peer/ handlers are mounted.
+	// replica set by rendezvous hashing (DESIGN.md §13): a local miss reads
+	// the digest from its owner before computing (an owner reads its
+	// runner-up), a non-owner's matrix build routes to the owner, and the
+	// read-only /internal/v1/peer/ handlers are mounted.
 	// The caller keeps ownership: close the fleet after Server.Close.
 	Fleet *fleet.Fleet
 	// PrecCacheCells budgets the precedence-matrix tier in matrix cells (a
@@ -245,11 +246,7 @@ type Server struct {
 	sessionOps  map[string]*obs.Counter   // session operations by op
 	closeOnce   sync.Once
 
-	// Fleet peering (peer.go): nil on a single node. pushSem bounds the
-	// background pushes (after-compute homing + re-owned warming).
-	fleet           *fleet.Fleet
-	pushSem         chan struct{}
-	peerWarms       *obs.Counter // entries pushed by re-owned-key warming
+	fleet           *fleet.Fleet // fleet peering (peer.go): nil on a single node
 	snapshotFlushes *obs.Counter // background snapshot ticks completed
 }
 
@@ -292,7 +289,6 @@ func New(cfg Config) (*Server, error) {
 		cheMatrix: obs.NewCheEstimator(),
 		sessions:  make(map[string]*session),
 		fleet:     cfg.Fleet,
-		pushSem:   make(chan struct{}, peerPushConcurrency),
 	}
 	s.initObs()
 	if cfg.CacheDir != "" {
@@ -332,7 +328,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if s.fleet != nil {
 		s.fleet.SetNamespace(CacheNamespace(cfg.EngineVersion))
-		s.fleet.OnChange(s.warmReowned)
 		s.log.Info("fleet peering attached",
 			"self", s.fleet.Self(), "nodes", len(s.fleet.Nodes()))
 	}
@@ -479,8 +474,6 @@ func (s *Server) initObs() {
 	// Persistence + fleet operations (both satellites of DESIGN.md §13).
 	s.snapshotFlushes = r.Counter("manirank_cache_snapshot_flushes_total",
 		"background snapshot flush ticks completed")
-	s.peerWarms = r.Counter("manirank_fleet_warm_pushes_total",
-		"cache entries pushed to their new owner after a membership change")
 	if f := s.fleet; f != nil {
 		r.GaugeFunc("manirank_fleet_nodes", "configured fleet size, self included",
 			func() float64 { return float64(len(f.Nodes())) })
@@ -781,7 +774,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	waitCtx, cancelWait := context.WithTimeout(r.Context(), budget)
 	defer cancelWait()
 	waitCtx = obs.WithTrace(waitCtx, tr)
-	res, hit, shared, err := s.cache.DoFetch(waitCtx, digest, s.resultFetch(digest), func() (*result, bool, error) {
+	res, hit, shared, err := s.cache.DoFetch(waitCtx, digest, s.resultFetch(pb), func() (*result, bool, error) {
 		res, err := s.admit(tr, pb.method, budget, func(ctx context.Context) (*result, error) {
 			return s.solve(ctx, pb)
 		})
@@ -800,12 +793,6 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		observeSeconds(s.histHit, elapsed)
 	} else {
 		observeSeconds(s.histSolve, elapsed)
-		if !shared {
-			// This node just paid a compute for a digest the ring may home
-			// elsewhere: hand the owner a copy in the background so the next
-			// non-owner's peer fetch finds it.
-			s.pushResult(digest, res)
-		}
 	}
 	resp := &AggregateResponse{
 		result:    *res,

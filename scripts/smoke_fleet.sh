@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # smoke_fleet.sh — end-to-end fleet smoke (DESIGN.md §13): boot three
 # manirankd replicas peered over loopback, POST one request to every node,
-# and assert the ring behaved as a single sharded cache: exactly one matrix
-# build fleet-wide (per-ring single compute), every repeat answered from
-# cache, and peer hits recorded on /metricsz. Then kill the replica that
-# built and assert the survivors still answer the same request with 200 —
-# a dead peer can slow a request, never fail it. Used by CI's serve-smoke
-# stage.
+# then to every node again, and assert the ring behaved as a single sharded
+# cache: the second pass answered from cache everywhere with one ranking,
+# exactly one matrix build fleet-wide (per-ring single compute), and result
+# peer hits recorded on /metricsz — whichever replicas the ring makes
+# owners. Then kill the replica that built and assert the survivors still
+# answer the same request with 200 — a dead peer can slow a request, never
+# fail it. Used by CI's serve-smoke stage.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -62,20 +63,25 @@ REQ='{
   "delta": 0.2
 }'
 
-# First sight of the request: exactly one solve somewhere in the ring.
-FIRST="$(curl -sf -X POST "${URLS[0]}/v1/aggregate" -H 'Content-Type: application/json' -d "$REQ")"
-echo "$FIRST" | grep -q '"cached":false' || { echo "first request claimed a cache hit" >&2; exit 1; }
-echo "$FIRST" | grep -q '"ranking":\[' || { echo "no ranking in first response" >&2; exit 1; }
-R1="$(echo "$FIRST" | sed -n 's/.*"ranking":\[\([0-9,]*\)\].*/\1/p')"
-sleep 0.5 # let the background push home the result with its ring owner
+ranking_of() { sed -n 's/.*"ranking":\[\([0-9,]*\)\].*/\1/p'; }
 
-# Every other replica must now answer from the fleet's shared working set —
-# a memory hit on the owner, a peer fetch everywhere else.
-for url in "${URLS[1]}" "${URLS[2]}"; do
+# First pass: every replica sees the request once. Each either reads the
+# result from a peer or solves it itself; all must agree on the ranking.
+R1=""
+for url in "${URLS[@]}"; do
   OUT="$(curl -sf -X POST "$url/v1/aggregate" -H 'Content-Type: application/json' -d "$REQ")"
-  echo "$OUT" | grep -q '"cached":true' || { echo "$url recomputed a fleet-resident result: $OUT" >&2; exit 1; }
-  RN="$(echo "$OUT" | sed -n 's/.*"ranking":\[\([0-9,]*\)\].*/\1/p')"
+  RN="$(echo "$OUT" | ranking_of)"
+  [ -n "$RN" ] || { echo "$url: no ranking in response: $OUT" >&2; exit 1; }
+  R1="${R1:-$RN}"
   [ "$R1" = "$RN" ] || { echo "$url served a different ranking" >&2; exit 1; }
+done
+
+# Second pass: every replica now holds the result and answers from cache.
+for url in "${URLS[@]}"; do
+  OUT="$(curl -sf -X POST "$url/v1/aggregate" -H 'Content-Type: application/json' -d "$REQ")"
+  echo "$OUT" | grep -q '"cached":true' || { echo "$url recomputed a result it already served: $OUT" >&2; exit 1; }
+  RN="$(echo "$OUT" | ranking_of)"
+  [ "$R1" = "$RN" ] || { echo "$url served a different ranking on the second pass" >&2; exit 1; }
 done
 
 # Per-ring single compute: exactly one matrix build across all three
