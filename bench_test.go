@@ -132,7 +132,7 @@ func BenchmarkAblationKemenyBBSeeded(b *testing.B) {
 	var nodes int64
 	for i := 0; i < b.N; i++ {
 		seed := kemeny.LocalSearch(w, w.Borda())
-		res := kemeny.BranchAndBound(w, nil, seed, 0)
+		res := kemeny.BranchAndBound(context.Background(), w, nil, seed, 0)
 		nodes = res.Nodes
 	}
 	b.ReportMetric(float64(nodes), "nodes")
@@ -144,7 +144,7 @@ func BenchmarkAblationKemenyBBUnseeded(b *testing.B) {
 	b.ResetTimer()
 	var nodes int64
 	for i := 0; i < b.N; i++ {
-		res := kemeny.BranchAndBound(w, nil, nil, 0)
+		res := kemeny.BranchAndBound(context.Background(), w, nil, nil, 0)
 		nodes = res.Nodes
 	}
 	b.ReportMetric(float64(nodes), "nodes")
@@ -380,7 +380,7 @@ func BenchmarkConstrainedDescent5k(b *testing.B) {
 	w, cons, start := fairScaleInstance(b, 4995, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kemeny.ConstrainedLocalSearch(w, cons, start)
+		kemeny.ConstrainedSearch(w, cons, start, kemeny.Options{Perturbations: -1})
 	}
 }
 
@@ -391,7 +391,7 @@ func BenchmarkConstrainedDescent1k(b *testing.B) {
 	w, cons, start := fairScaleInstance(b, 990, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kemeny.ConstrainedLocalSearch(w, cons, start)
+		kemeny.ConstrainedSearch(w, cons, start, kemeny.Options{Perturbations: -1})
 	}
 }
 
@@ -450,7 +450,7 @@ func fullAuditDescent(w *ranking.Precedence, cons []kemeny.Constraint, start ran
 func BenchmarkConstrainedDescentFullAudit5k(b *testing.B) {
 	skipIfShort(b)
 	w, cons, start := fairScaleInstance(b, 4995, 8)
-	want := kemeny.ConstrainedLocalSearch(w, cons, start)
+	want := kemeny.ConstrainedSearch(w, cons, start, kemeny.Options{Perturbations: -1})
 	b.ResetTimer()
 	var got ranking.Ranking
 	for i := 0; i < b.N; i++ {

@@ -59,7 +59,6 @@ func main() {
 	cacheSize := flag.Int("cache-size", 1024, "result cache capacity in entries (negative disables)")
 	cacheDir := flag.String("cache-dir", "", "root a persistent cache tier here: results and matrices survive restarts (empty disables)")
 	cacheEngineVersion := flag.String("cache-engine-version", "", "engine-behaviour version in the persistent cache namespace; bump to invalidate persisted entries (default "+service.DefaultEngineVersion+")")
-	snapshotInterval := flag.Duration("cache-snapshot-interval", 0, "flush memory-resident cache entries to -cache-dir on this period (0 = only on graceful shutdown)")
 	diskMiB := flag.Int("cache-disk-mib", 0, "disk budget for the persistent tier in MiB; oldest-read entries are evicted past it (0 = unbounded)")
 	fleetSelf := flag.String("fleet-self", "", "this node's advertised base URL for fleet peering, e.g. http://10.0.0.1:8080 (empty = single node)")
 	peers := flag.String("peers", "", "comma-separated base URLs of the other fleet replicas")
@@ -116,21 +115,20 @@ func main() {
 	}
 
 	srv, err := service.New(service.Config{
-		QueueDepth:       *queue,
-		Workers:          *workers,
-		SolverWorkers:    *solverWorkers,
-		CacheSize:        *cacheSize,
-		CacheDir:         *cacheDir,
-		EngineVersion:    *cacheEngineVersion,
-		SnapshotInterval: *snapshotInterval,
-		DiskBudgetBytes:  int64(*diskMiB) << 20,
-		Fleet:            ring,
-		PrecCacheCells:   precCells,
-		DefaultDeadline:  *deadline,
-		MaxDeadline:      *maxDeadline,
-		MaxSessions:      *maxSessions,
-		TraceSlow:        time.Duration(*traceSlowMS) * time.Millisecond,
-		Logger:           logger,
+		QueueDepth:      *queue,
+		Workers:         *workers,
+		SolverWorkers:   *solverWorkers,
+		CacheSize:       *cacheSize,
+		CacheDir:        *cacheDir,
+		EngineVersion:   *cacheEngineVersion,
+		DiskBudgetBytes: int64(*diskMiB) << 20,
+		Fleet:           ring,
+		PrecCacheCells:  precCells,
+		DefaultDeadline: *deadline,
+		MaxDeadline:     *maxDeadline,
+		MaxSessions:     *maxSessions,
+		TraceSlow:       time.Duration(*traceSlowMS) * time.Millisecond,
+		Logger:          logger,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "manirankd:", err)

@@ -67,7 +67,7 @@ func legacyCall(m manirank.Method, p manirank.Profile, tab *manirank.Table, targ
 	case manirank.MethodSchulze:
 		return aggregate.Schulze(w), nil
 	case manirank.MethodKemeny:
-		return aggregate.Kemeny(w, opts), nil
+		return aggregate.Kemeny(context.Background(), w, opts).Ranking(), nil
 	case manirank.MethodFairCopeland:
 		return core.FairCopelandW(w, targets)
 	case manirank.MethodFairSchulze:

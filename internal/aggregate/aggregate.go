@@ -7,8 +7,8 @@
 // id. The pairwise methods consume a precomputed ranking.Precedence, and
 // Borda has a matrix twin (ranking.Precedence.Borda, integer-identical
 // point totals from the matrix's row sums), so every method composes with
-// the serving layer's shared precedence-matrix tier; KemenyCtx adds
-// cooperative cancellation with a best-so-far result for deadline-bounded
+// the serving layer's shared precedence-matrix tier; Kemeny takes a context
+// for cooperative cancellation with a best-so-far result in deadline-bounded
 // serving.
 package aggregate
 
@@ -196,25 +196,20 @@ func schulzeRankFromPaths(p [][]int) ranking.Ranking {
 // Kemeny returns a consensus ranking minimising total Kendall tau distance to
 // the profile summarised by w: exactly (branch-and-bound) for small n,
 // heuristically (Borda-seeded iterated local search) for large n.
-func Kemeny(w *ranking.Precedence, opts kemeny.Options) ranking.Ranking {
-	return KemenyCtx(context.Background(), w, opts).Ranking()
-}
-
-// KemenyCtx is Kemeny with cooperative cancellation (the serving layer's
-// per-request deadline): when ctx is done both engines stop early and return
-// the best ranking found so far — never nil. A never-cancelled ctx produces
-// output identical to Kemeny. The ranking comes as a kemeny.Incumbent, with
-// its exact Kemeny cost and the descent's bounds synced to it, so a caller
-// that goes on to repair and descend again (Fair-Kemeny) pays no second
-// pair sweep.
-func KemenyCtx(ctx context.Context, w *ranking.Precedence, opts kemeny.Options) *kemeny.Incumbent {
+// Cancellation is cooperative (the serving layer's per-request deadline):
+// when ctx is done both engines stop early and return the best ranking found
+// so far — never nil. The ranking comes as a kemeny.Incumbent, with its
+// exact Kemeny cost and the descent's bounds synced to it, so a caller that
+// goes on to repair and descend again (Fair-Kemeny) pays no second pair
+// sweep.
+func Kemeny(ctx context.Context, w *ranking.Precedence, opts kemeny.Options) *kemeny.Incumbent {
 	opts = opts.WithDefaults()
 	if w.N() <= opts.ExactThreshold {
 		// A warm-start ranking (opts.Warm) seeds the exact search's
 		// incumbent too: the bound tightens immediately, but the optimum —
 		// unlike the heuristic's answer — is seed-independent.
 		seed := kemeny.LocalSearch(w, kemeny.WarmOrBordaSeed(w, opts))
-		res := kemeny.BranchAndBoundCtx(ctx, w, nil, seed, opts.MaxNodes)
+		res := kemeny.BranchAndBound(ctx, w, nil, seed, opts.MaxNodes)
 		if res.Ranking != nil {
 			return kemeny.Sync(w, res.Ranking)
 		}
@@ -283,5 +278,5 @@ func KemenyWeighted(p ranking.Profile, t *attribute.Table, opts kemeny.Options) 
 	if err != nil {
 		return nil, err
 	}
-	return Kemeny(w, opts), nil
+	return Kemeny(context.Background(), w, opts).Ranking(), nil
 }

@@ -1,6 +1,7 @@
 package aggregate
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -55,7 +56,7 @@ func TestAllAggregatorsReturnValidPermutations(t *testing.T) {
 		if !Copeland(w).IsValid() || !Schulze(w).IsValid() {
 			return false
 		}
-		if !Kemeny(w, kemeny.Options{}).IsValid() {
+		if !Kemeny(context.Background(), w, kemeny.Options{}).Ranking().IsValid() {
 			return false
 		}
 		pa, err := PickAPerm(p)
@@ -86,7 +87,7 @@ func TestCondorcetConsistency(t *testing.T) {
 		if got := Schulze(w); !got.Equal(cond) {
 			t.Fatalf("Schulze %v != Condorcet order %v", got, cond)
 		}
-		if got := Kemeny(w, kemeny.Options{}); !got.Equal(cond) {
+		if got := Kemeny(context.Background(), w, kemeny.Options{}).Ranking(); !got.Equal(cond) {
 			t.Fatalf("Kemeny %v != Condorcet order %v", got, cond)
 		}
 	}
@@ -133,8 +134,8 @@ func TestKemenyExactSmallProfiles(t *testing.T) {
 		n := 3 + rng.Intn(6)
 		p := randomProfile(n, 5, rng)
 		w := ranking.MustPrecedence(p)
-		got := Kemeny(w, kemeny.Options{})
-		res := kemeny.BranchAndBound(w, nil, nil, 0)
+		got := Kemeny(context.Background(), w, kemeny.Options{}).Ranking()
+		res := kemeny.BranchAndBound(context.Background(), w, nil, nil, 0)
 		if w.KemenyCost(got) != res.Cost {
 			t.Fatalf("Kemeny cost %d, optimum %d", w.KemenyCost(got), res.Cost)
 		}

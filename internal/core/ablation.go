@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"manirank/internal/ranking"
-)
+import "manirank/internal/ranking"
 
 // RepairPolicy selects the swap-selection strategy used by Make-MR-Fair.
 // The default PolicyImpactful is the paper's design; PolicyFineGrained is an
@@ -35,82 +31,17 @@ const (
 // makes progress (tied plateaus), one minimum-distance transfer from the
 // global search unsticks the walk.
 func RepairToLevels(r ranking.Ranking, targets []Target) (ranking.Ranking, error) {
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	eng := newParityEngine(r, targets)
-	n := len(r)
-	maxIters := n*n*(len(targets)+1) + n
-	for iter := 0; ; iter++ {
-		cur := eng.potential()
-		if cur <= 0 {
-			return eng.r, nil
-		}
-		if iter >= maxIters {
-			return nil, fmt.Errorf("%w (gave up after %d adjacent swaps)", ErrUnrepairable, iter)
-		}
-		if p, ok := eng.findBestAdjacentSwap(cur); ok {
-			eng.swap(p, p+1)
-			continue
-		}
-		i, j, ok := eng.findBestGlobalTransfer(cur)
-		if !ok {
-			return nil, ErrUnrepairable
-		}
-		eng.swap(i, j)
-	}
+	out, _, err := repair(r, targets, (*parityEngine).findBestAdjacentSwap, nil)
+	return out, err
 }
 
 // MakeMRFairWithPolicy is MakeMRFair with an explicit swap-selection policy
 // and a swap counter, supporting the swap-policy ablation study. It returns
 // the repaired ranking and the number of pair swaps performed.
 func MakeMRFairWithPolicy(r ranking.Ranking, targets []Target, policy RepairPolicy) (ranking.Ranking, int, error) {
-	if err := r.Validate(); err != nil {
-		return nil, 0, err
+	var pick swapPicker
+	if policy == PolicyImpactful {
+		pick = (*parityEngine).paperSwap
 	}
-	for _, tg := range targets {
-		if tg.Attr.N() != len(r) {
-			return nil, 0, fmt.Errorf("core: target attribute %q covers %d candidates, ranking has %d", tg.Attr.Name, tg.Attr.N(), len(r))
-		}
-		if tg.Delta < 0 || tg.Delta > 1 {
-			return nil, 0, fmt.Errorf("core: target %q has Delta %v outside [0,1]", tg.Attr.Name, tg.Delta)
-		}
-	}
-	eng := newParityEngine(r, targets)
-	n := len(r)
-	maxIters := n*n*(len(targets)+1) + n
-	for iter := 0; ; iter++ {
-		cur := eng.potential()
-		if cur <= 0 {
-			return eng.r, iter, nil
-		}
-		if iter >= maxIters {
-			return nil, iter, fmt.Errorf("%w (gave up after %d swaps)", ErrUnrepairable, iter)
-		}
-		if policy == PolicyImpactful {
-			k := eng.worstTarget()
-			vh, vl := eng.extremeGroups(k)
-			i1, j1, ok1 := eng.findSwap(k, vh, vl)
-			i2, j2, ok2 := eng.findCappedSwap(k, vh, vl)
-			if ok1 && ok2 && j2-i2 > j1-i1 {
-				i1, j1, i2, j2 = i2, j2, i1, j1
-			} else if !ok1 {
-				i1, j1, ok1 = i2, j2, ok2
-				ok2 = false
-			}
-			if ok1 && eng.potentialAfter(i1, j1) < cur-improveEps {
-				eng.swap(i1, j1)
-				continue
-			}
-			if ok2 && eng.potentialAfter(i2, j2) < cur-improveEps {
-				eng.swap(i2, j2)
-				continue
-			}
-		}
-		i, j, ok := eng.findBestGlobalTransfer(cur)
-		if !ok {
-			return nil, iter, ErrUnrepairable
-		}
-		eng.swap(i, j)
-	}
+	return repair(r, targets, pick, nil)
 }

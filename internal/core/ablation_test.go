@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"manirank/internal/fairness"
+	"manirank/internal/kemeny"
 	"manirank/internal/ranking"
 )
 
@@ -20,7 +21,7 @@ func TestMakeMRFairWithPolicyBothConverge(t *testing.T) {
 		if swaps <= 0 {
 			t.Fatalf("policy %d: no swaps on a maximally unfair start", policy)
 		}
-		if !Satisfies(out, targets) {
+		if !kemeny.Feasible(out, targets) {
 			t.Fatalf("policy %d: output violates targets", policy)
 		}
 		if !out.IsValid() {
@@ -119,5 +120,20 @@ func TestRepairToLevelsRejectsInvalidRanking(t *testing.T) {
 	tab := testTable(t, 30)
 	if _, err := RepairToLevels(ranking.Ranking{0, 0, 1}, Targets(tab, 0.5)); err == nil {
 		t.Fatal("invalid ranking accepted")
+	}
+}
+
+// TestRepairToLevelsRejectsBadTargets: a target attribute covering fewer
+// candidates than the ranking, or a Delta outside [0, 1], is an error, not
+// an index panic or a silent walk.
+func TestRepairToLevelsRejectsBadTargets(t *testing.T) {
+	short := Targets(testTable(t, 4), 0.5)
+	if _, err := RepairToLevels(ranking.New(30), short); err == nil {
+		t.Fatal("target over 4 candidates accepted for a 30-candidate ranking")
+	}
+	bad := Targets(testTable(t, 30), 0.5)
+	bad[0].Delta = -0.1
+	if _, err := RepairToLevels(ranking.New(30), bad); err == nil {
+		t.Fatal("delta < 0 accepted")
 	}
 }

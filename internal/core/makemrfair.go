@@ -36,27 +36,38 @@ var ErrUnrepairable = errors.New("core: Make-MR-Fair cannot reach the requested 
 // Fairness scores are maintained incrementally, so one swap costs O(span*q)
 // where span is the position distance swapped and q the number of targets.
 func MakeMRFair(r ranking.Ranking, targets []Target) (ranking.Ranking, error) {
-	return makeMRFair(r, targets, nil)
+	out, _, err := repair(r, targets, (*parityEngine).paperSwap, nil)
+	return out, err
 }
 
-// makeMRFair is MakeMRFair reporting each swap it applies, as positions
-// i < j of the working ranking, to onSwap (when non-nil) right after
-// applying it: Fair-Kemeny replays the swaps on its search state, keeping
-// that state's bounds and cost exact without re-reading the pairs.
-func makeMRFair(r ranking.Ranking, targets []Target, onSwap func(i, j int)) (ranking.Ranking, error) {
+// swapPicker proposes the next repair swap, as positions i < j of the
+// engine's working ranking, given the current potential cur. ok is false
+// when it has nothing that strictly lowers cur.
+type swapPicker func(eng *parityEngine, cur float64) (i, j int, ok bool)
+
+// repair is the one Make-MR-Fair loop behind MakeMRFair,
+// MakeMRFairWithPolicy, RepairToLevels and Fair-Kemeny's incumbent repair.
+// It validates r and targets, then applies the swap pick proposes until
+// every target holds; when pick is nil or proposes nothing, it takes the
+// best minimum-distance transfer (findBestGlobalTransfer) instead. It
+// returns the repaired ranking and the number of swaps applied, and reports
+// each swap to onSwap (when non-nil) right after applying it: Fair-Kemeny
+// replays the swaps on its search state, keeping that state's bounds and
+// cost exact without re-reading the pairs. The input ranking is not
+// modified.
+func repair(r ranking.Ranking, targets []Target, pick swapPicker, onSwap func(i, j int)) (ranking.Ranking, int, error) {
 	if err := r.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for _, tg := range targets {
 		if tg.Attr.N() != len(r) {
-			return nil, fmt.Errorf("core: target attribute %q covers %d candidates, ranking has %d", tg.Attr.Name, tg.Attr.N(), len(r))
+			return nil, 0, fmt.Errorf("core: target attribute %q covers %d candidates, ranking has %d", tg.Attr.Name, tg.Attr.N(), len(r))
 		}
 		if tg.Delta < 0 || tg.Delta > 1 {
-			return nil, fmt.Errorf("core: target %q has Delta %v outside [0,1]", tg.Attr.Name, tg.Delta)
+			return nil, 0, fmt.Errorf("core: target %q has Delta %v outside [0,1]", tg.Attr.Name, tg.Delta)
 		}
 	}
 	eng := newParityEngine(r, targets)
-	eng.onSwap = onSwap
 	n := len(r)
 	// Worst case the algorithm flips every pair once per target
 	// (paper complexity analysis); anything beyond signals an
@@ -65,64 +76,75 @@ func makeMRFair(r ranking.Ranking, targets []Target, onSwap func(i, j int)) (ran
 	for iter := 0; ; iter++ {
 		cur := eng.potential()
 		if cur <= 0 {
-			return eng.r, nil
+			return eng.r, iter, nil
 		}
 		if iter >= maxIters {
-			return nil, fmt.Errorf("%w (gave up after %d swaps)", ErrUnrepairable, iter)
+			return nil, iter, fmt.Errorf("%w (gave up after %d swaps)", ErrUnrepairable, iter)
 		}
-		// Prefer the paper's pair for the worst target ("fewer but more
-		// impactful swaps") whenever it strictly reduces the total
-		// violation. A distance-d swap transfers exactly d mixed-pair wins
-		// between the swapped candidates' groups under EVERY target, so the
-		// post-swap violation of all targets is computable in O(sum of
-		// group counts) without touching the ranking.
-		k := eng.worstTarget()
-		vh, vl := eng.extremeGroups(k)
-		// Candidate strides, longest first: the paper's pair (lowest member
-		// of the highest-FPR group against the first lowest-group member
-		// below it) and the capped pair (the longest vh-above-vl pair whose
-		// win transfer still lands the extreme pair inside the parity
-		// band). In block-unfair rankings the paper's pair IS the long
-		// stride; in well-mixed rankings it degrades to distance 1-2 while
-		// the needed transfer is Theta(n^2) wins, so preferring the longer
-		// stride keeps progress geometric in the remaining gap and the
-		// repair near-linear on large candidate databases (Table III runs
-		// n = 10^5).
-		i1, j1, ok1 := eng.findSwap(k, vh, vl)
-		i2, j2, ok2 := eng.findCappedSwap(k, vh, vl)
-		if ok1 && ok2 && j2-i2 > j1-i1 {
-			i1, j1, i2, j2 = i2, j2, i1, j1
-		} else if !ok1 {
-			i1, j1, ok1 = i2, j2, ok2
-			ok2 = false
+		i, j, ok := 0, 0, false
+		if pick != nil {
+			i, j, ok = pick(eng, cur)
 		}
-		if ok1 && eng.potentialAfter(i1, j1) < cur-improveEps {
-			eng.swap(i1, j1)
-			continue
-		}
-		if ok2 && eng.potentialAfter(i2, j2) < cur-improveEps {
-			eng.swap(i2, j2)
-			continue
-		}
-		// Otherwise search the finest-grained candidate swaps: for every
-		// target and every ordered group pair, the closest positioned pair
-		// transferring wins between those groups. Accept the candidate that
-		// most reduces (total violation, band excess) lexicographically.
-		// Requiring a strict decrease of the violation makes the repair
-		// loop immune to the cross-target ping-pong that per-target
-		// acceptance allows (fixing Gender can re-break Race and vice
-		// versa, forever); the band-excess tie-break drains plateaus where
-		// several groups tie at the extreme FPR, so a swap that pulls one
-		// of them inward counts as progress even though the spread has not
-		// moved yet. The band [0.5 - delta/2, 0.5 + delta/2] is canonical:
-		// the omega_M-weighted mean of group FPRs is exactly 0.5 in every
-		// ranking, so parity always centres there.
-		i, j, ok := eng.findBestGlobalTransfer(cur)
 		if !ok {
-			return nil, ErrUnrepairable
+			// Search the finest-grained candidate swaps: for every target
+			// and every ordered group pair, the closest positioned pair
+			// transferring wins between those groups. Accept the candidate
+			// that most reduces (total violation, band excess)
+			// lexicographically. Requiring a strict decrease of the
+			// violation makes the repair loop immune to the cross-target
+			// ping-pong that per-target acceptance allows (fixing Gender can
+			// re-break Race and vice versa, forever); the band-excess
+			// tie-break drains plateaus where several groups tie at the
+			// extreme FPR, so a swap that pulls one of them inward counts as
+			// progress even though the spread has not moved yet. The band
+			// [0.5 - delta/2, 0.5 + delta/2] is canonical: the
+			// omega_M-weighted mean of group FPRs is exactly 0.5 in every
+			// ranking, so parity always centres there.
+			if i, j, ok = eng.findBestGlobalTransfer(cur); !ok {
+				return nil, iter, ErrUnrepairable
+			}
 		}
 		eng.swap(i, j)
+		if onSwap != nil {
+			onSwap(i, j)
+		}
 	}
+}
+
+// paperSwap is the paper's pick: it prefers the paper's pair for the worst
+// target ("fewer but more impactful swaps") whenever that strictly reduces
+// the total violation. A distance-d swap transfers exactly d mixed-pair wins
+// between the swapped candidates' groups under EVERY target, so the
+// post-swap violation of all targets is computable in O(sum of group
+// counts) without touching the ranking.
+//
+// Candidate strides, longest first: the paper's pair (lowest member of the
+// highest-FPR group against the first lowest-group member below it) and the
+// capped pair (the longest vh-above-vl pair whose win transfer still lands
+// the extreme pair inside the parity band). In block-unfair rankings the
+// paper's pair IS the long stride; in well-mixed rankings it degrades to
+// distance 1-2 while the needed transfer is Theta(n^2) wins, so preferring
+// the longer stride keeps progress geometric in the remaining gap and the
+// repair near-linear on large candidate databases (Table III runs
+// n = 10^5).
+func (eng *parityEngine) paperSwap(cur float64) (i, j int, ok bool) {
+	k := eng.worstTarget()
+	vh, vl := eng.extremeGroups(k)
+	i1, j1, ok1 := eng.findSwap(k, vh, vl)
+	i2, j2, ok2 := eng.findCappedSwap(k, vh, vl)
+	if ok1 && ok2 && j2-i2 > j1-i1 {
+		i1, j1, i2, j2 = i2, j2, i1, j1
+	} else if !ok1 {
+		i1, j1, ok1 = i2, j2, ok2
+		ok2 = false
+	}
+	if ok1 && eng.potentialAfter(i1, j1) < cur-improveEps {
+		return i1, j1, true
+	}
+	if ok2 && eng.potentialAfter(i2, j2) < cur-improveEps {
+		return i2, j2, true
+	}
+	return 0, 0, false
 }
 
 // parityEngine tracks the FPR spread of every target incrementally across
@@ -134,7 +156,6 @@ func makeMRFair(r ranking.Ranking, targets []Target, onSwap func(i, j int)) (ran
 // rescans per repair iteration.
 type parityEngine struct {
 	r    ranking.Ranking
-	pos  []int
 	tgts []Target
 	// trk[k] is target k's incremental fairness state.
 	trk []*fairness.Tracker
@@ -153,8 +174,6 @@ type parityEngine struct {
 	// jointOf[c] is candidate c's joint group; nil exactly when joint is.
 	jointOf []int
 	jointG  int
-	// onSwap, when non-nil, is told every swap (i < j) after swap applies it.
-	onSwap func(i, j int)
 }
 
 // maxJointGroups caps the joint candidate-generation structure; beyond it
@@ -164,7 +183,6 @@ const maxJointGroups = 512
 func newParityEngine(r ranking.Ranking, targets []Target) *parityEngine {
 	eng := &parityEngine{
 		r:      r.Clone(),
-		pos:    r.Positions(),
 		tgts:   targets,
 		trk:    make([]*fairness.Tracker, len(targets)),
 		wins:   make([][]int, len(targets)),
@@ -441,11 +459,11 @@ func (eng *parityEngine) findBestGlobalTransfer(cur float64) (i, j int, ok bool)
 }
 
 // findBestAdjacentSwap scans the n-1 adjacent position pairs and returns the
-// one whose swap (a single-win transfer under every target) best reduces
-// (total violation, band excess) lexicographically. ok is false when no
-// adjacent swap improves — RepairToLevels then falls back to a
+// one (i, i+1) whose swap (a single-win transfer under every target) best
+// reduces (total violation, band excess) lexicographically. ok is false when
+// no adjacent swap improves — RepairToLevels then falls back to a
 // minimum-distance transfer.
-func (eng *parityEngine) findBestAdjacentSwap(cur float64) (pos int, ok bool) {
+func (eng *parityEngine) findBestAdjacentSwap(cur float64) (i, j int, ok bool) {
 	bestP := cur
 	bestB := eng.band()
 	for p := 0; p+1 < len(eng.r); p++ {
@@ -456,29 +474,10 @@ func (eng *parityEngine) findBestAdjacentSwap(cur float64) (pos int, ok bool) {
 		b := eng.bandAfter(p, p+1)
 		if pp < bestP-improveEps || b < bestB-improveEps {
 			bestP, bestB = pp, b
-			pos, ok = p, true
+			i, j, ok = p, p+1, true
 		}
 	}
-	return pos, ok
-}
-
-// gapAfterSwap predicts the absolute FPR gap between groups vh and vl of
-// target k after swapping a vh member above a vl member at position distance
-// d. Such a swap transfers exactly d mixed-pair wins from vh to vl and
-// leaves every other group's wins unchanged.
-func (eng *parityEngine) gapAfterSwap(k, vh, vl, d int) float64 {
-	fh := eng.fpr(k, vh)
-	if eng.omegaM[k][vh] != 0 {
-		fh = float64(eng.wins[k][vh]-d) / float64(eng.omegaM[k][vh])
-	}
-	fl := eng.fpr(k, vl)
-	if eng.omegaM[k][vl] != 0 {
-		fl = float64(eng.wins[k][vl]+d) / float64(eng.omegaM[k][vl])
-	}
-	if fh < fl {
-		return fl - fh
-	}
-	return fh - fl
+	return i, j, ok
 }
 
 // swap exchanges the candidates at positions i < j and updates every
@@ -499,11 +498,4 @@ func (eng *parityEngine) swap(i, j int) {
 		eng.joint.ApplySwap(i, j)
 	}
 	eng.r[i], eng.r[j] = b, a
-	eng.pos[a], eng.pos[b] = j, i
-	if eng.onSwap != nil {
-		eng.onSwap(i, j)
-	}
 }
-
-// Ranking returns the engine's current working ranking (shared storage).
-func (eng *parityEngine) Ranking() ranking.Ranking { return eng.r }

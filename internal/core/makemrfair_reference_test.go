@@ -377,40 +377,45 @@ func (eng *refEngine) swap(i, j int) {
 	eng.pos[a], eng.pos[b] = j, i
 }
 
-// referenceMakeMRFair is MakeMRFair driven by the historical engine.
-func referenceMakeMRFair(r ranking.Ranking, targets []Target) (ranking.Ranking, error) {
+// referenceMakeMRFair is MakeMRFairWithPolicy driven by the historical
+// engine: PolicyImpactful tries the paper's pair and the capped pair before
+// the best minimum-distance transfer, PolicyFineGrained takes that transfer
+// every step. It returns the swap count alongside the ranking.
+func referenceMakeMRFair(r ranking.Ranking, targets []Target, policy RepairPolicy) (ranking.Ranking, int, error) {
 	eng := newRefEngine(r, targets)
 	n := len(r)
 	maxIters := n*n*(len(targets)+1) + n
 	for iter := 0; ; iter++ {
 		cur := eng.potential()
 		if cur <= 0 {
-			return eng.r, nil
+			return eng.r, iter, nil
 		}
 		if iter >= maxIters {
-			return nil, ErrUnrepairable
+			return nil, iter, ErrUnrepairable
 		}
-		k := eng.worstTarget()
-		vh, vl := eng.extremeGroups(k)
-		i1, j1, ok1 := eng.findSwap(k, vh, vl)
-		i2, j2, ok2 := eng.findCappedSwap(k, vh, vl)
-		if ok1 && ok2 && j2-i2 > j1-i1 {
-			i1, j1, i2, j2 = i2, j2, i1, j1
-		} else if !ok1 {
-			i1, j1, ok1 = i2, j2, ok2
-			ok2 = false
-		}
-		if ok1 && eng.potentialAfter(i1, j1) < cur-1e-15 {
-			eng.swap(i1, j1)
-			continue
-		}
-		if ok2 && eng.potentialAfter(i2, j2) < cur-1e-15 {
-			eng.swap(i2, j2)
-			continue
+		if policy == PolicyImpactful {
+			k := eng.worstTarget()
+			vh, vl := eng.extremeGroups(k)
+			i1, j1, ok1 := eng.findSwap(k, vh, vl)
+			i2, j2, ok2 := eng.findCappedSwap(k, vh, vl)
+			if ok1 && ok2 && j2-i2 > j1-i1 {
+				i1, j1, i2, j2 = i2, j2, i1, j1
+			} else if !ok1 {
+				i1, j1, ok1 = i2, j2, ok2
+				ok2 = false
+			}
+			if ok1 && eng.potentialAfter(i1, j1) < cur-1e-15 {
+				eng.swap(i1, j1)
+				continue
+			}
+			if ok2 && eng.potentialAfter(i2, j2) < cur-1e-15 {
+				eng.swap(i2, j2)
+				continue
+			}
 		}
 		i, j, ok := eng.findBestGlobalTransfer(cur)
 		if !ok {
-			return nil, ErrUnrepairable
+			return nil, iter, ErrUnrepairable
 		}
 		eng.swap(i, j)
 	}
@@ -444,7 +449,9 @@ func referenceRepairToLevels(r ranking.Ranking, targets []Target) (ranking.Ranki
 // TestMakeMRFairMatchesReferenceEngine pins the tracker-backed repair bitwise
 // to the historical full-rescan engine across random instances, including
 // multi-attribute tables (exercising the joint grouping) and wide domains
-// (exercising per-target enumeration when the joint structure is capped).
+// (exercising per-target enumeration when the joint structure is capped):
+// MakeMRFair, both MakeMRFairWithPolicy policies with their swap counts, and
+// RepairToLevels.
 func TestMakeMRFairMatchesReferenceEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(555))
 	shapes := [][]int{{2}, {2, 3}, {3, 5}, {2, 2, 4}, {8}}
@@ -455,13 +462,25 @@ func TestMakeMRFairMatchesReferenceEngine(t *testing.T) {
 		targets := Targets(tab, delta)
 		start := ranking.Random(n, rng)
 
-		want, wantErr := referenceMakeMRFair(start, targets)
+		want, _, wantErr := referenceMakeMRFair(start, targets, PolicyImpactful)
 		got, gotErr := MakeMRFair(start, targets)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d: error mismatch: ref %v, got %v", trial, wantErr, gotErr)
 		}
 		if wantErr == nil && !got.Equal(want) {
 			t.Fatalf("trial %d: MakeMRFair diverged from reference engine\nref %v\ngot %v", trial, want, got)
+		}
+
+		for _, policy := range []RepairPolicy{PolicyImpactful, PolicyFineGrained} {
+			want, wantSwaps, wantErr := referenceMakeMRFair(start, targets, policy)
+			got, gotSwaps, gotErr := MakeMRFairWithPolicy(start, targets, policy)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("trial %d policy %d: error mismatch: ref %v, got %v", trial, policy, wantErr, gotErr)
+			}
+			if wantErr == nil && (!got.Equal(want) || gotSwaps != wantSwaps) {
+				t.Fatalf("trial %d policy %d: diverged from reference engine\nref %v (%d swaps)\ngot %v (%d swaps)",
+					trial, policy, want, wantSwaps, got, gotSwaps)
+			}
 		}
 
 		want, wantErr = referenceRepairToLevels(start, targets)

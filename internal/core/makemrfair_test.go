@@ -8,6 +8,7 @@ import (
 
 	"manirank/internal/attribute"
 	"manirank/internal/fairness"
+	"manirank/internal/kemeny"
 	"manirank/internal/ranking"
 )
 
@@ -49,7 +50,7 @@ func TestMakeMRFairPostcondition(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return out.IsValid() && Satisfies(out, targets)
+		return out.IsValid() && kemeny.Feasible(out, targets)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

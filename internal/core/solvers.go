@@ -68,7 +68,6 @@ func FairSchulzeW(w *ranking.Precedence, targets []Target) (ranking.Ranking, err
 // polynomial and always runs to completion.
 func FairKemenyW(ctx context.Context, w *ranking.Precedence, targets []Target, opts kemeny.Options) (ranking.Ranking, int, error) {
 	opts = opts.WithDefaults()
-	cons := constraints(targets)
 	// Warm start (opts.Warm): when the previous consensus is still feasible
 	// under the targets — parity depends only on the ranking and the
 	// attributes, never on the profile, so a consensus solved before a
@@ -79,21 +78,21 @@ func FairKemenyW(ctx context.Context, w *ranking.Precedence, targets []Target, o
 	// permutation of w's candidates, or is infeasible, falls back to the
 	// cold path.
 	var in *kemeny.Incumbent
-	if warm := opts.Warm; kemeny.UsableWarm(w, warm) && kemeny.Feasible(warm, cons) {
+	if warm := opts.Warm; kemeny.UsableWarm(w, warm) && kemeny.Feasible(warm, targets) {
 		in = kemeny.Sync(w, warm.Clone())
 	} else {
-		in = aggregate.KemenyCtx(ctx, w, opts)
-		if _, err := makeMRFair(in.Ranking(), targets, func(i, j int) { in.Swap(w, i, j) }); err != nil {
+		in = aggregate.Kemeny(ctx, w, opts)
+		if _, _, err := repair(in.Ranking(), targets, (*parityEngine).paperSwap, func(i, j int) { in.Swap(w, i, j) }); err != nil {
 			return nil, 0, fmt.Errorf("core: FairKemeny could not build a feasible incumbent: %w", err)
 		}
 	}
 	if w.N() <= opts.ExactThreshold {
-		res := kemeny.BranchAndBoundCtx(ctx, w, cons, in.Ranking(), opts.MaxNodes)
+		res := kemeny.BranchAndBound(ctx, w, targets, in.Ranking(), opts.MaxNodes)
 		if res.Ranking != nil {
 			return res.Ranking, res.Cost, nil
 		}
 	}
-	in = kemeny.ConstrainedSearchFrom(ctx, w, cons, in, opts)
+	in = kemeny.ConstrainedSearchFrom(ctx, w, targets, in, opts)
 	return in.Ranking(), in.Cost(), nil
 }
 

@@ -97,7 +97,7 @@ func TestFairKemenyExactMatchesConstrainedBB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := kemeny.BranchAndBound(w, constraints(targets), nil, 0)
+	res := kemeny.BranchAndBound(context.Background(), w, targets, nil, 0)
 	if res.Ranking == nil || !res.Optimal {
 		t.Fatal("reference search failed")
 	}
@@ -111,7 +111,7 @@ func TestPriceOfFairnessNonNegative(t *testing.T) {
 	tab := testTable(t, n)
 	p, w := lowFairProfile(t, n, 15, 0.6, 4)
 	targets := Targets(tab, 0.1)
-	unfair := aggregate.Kemeny(w, kemeny.Options{})
+	unfair := aggregate.Kemeny(context.Background(), w, kemeny.Options{}).Ranking()
 	fair, _, err := FairKemenyW(context.Background(), w, targets, kemeny.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestPoFDecreasesWithLooserDelta(t *testing.T) {
 	const n = 45
 	tab := testTable(t, n)
 	_, w := lowFairProfile(t, n, 15, 0.6, 5)
-	unfair := aggregate.Kemeny(w, kemeny.Options{})
+	unfair := aggregate.Kemeny(context.Background(), w, kemeny.Options{}).Ranking()
 	prev := -1.0
 	for _, delta := range []float64{0.5, 0.3, 0.1} {
 		fair, _, err := FairKemenyW(context.Background(), w, Targets(tab, delta), kemeny.Options{})
@@ -219,7 +219,7 @@ func TestFairBordaWMatchesFairBorda(t *testing.T) {
 	}
 }
 
-// TestRepairSwapsCarryIncumbent: the swaps makeMRFair reports are the ones
+// TestRepairSwapsCarryIncumbent: the swaps repair reports are the ones
 // it applies, so FairKemenyW's incumbent follows the repair exactly.
 // Replayed through the hook on a kemeny.Incumbent, after every swap (i < j)
 // the incumbent's ranking equals a mirror the same swaps were applied to,
@@ -239,7 +239,7 @@ func TestRepairSwapsCarryIncumbent(t *testing.T) {
 		targets := Targets(tab, []float64{0.05, 0.1, 0.3}[trial%3])
 		in := kemeny.Sync(w, start.Clone())
 		mirror := start.Clone()
-		got, err := makeMRFair(in.Ranking(), targets, func(i, j int) {
+		got, _, err := repair(in.Ranking(), targets, (*parityEngine).paperSwap, func(i, j int) {
 			if i >= j {
 				t.Fatalf("trial %d: hook told swap (%d, %d), want i < j", trial, i, j)
 			}

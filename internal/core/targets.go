@@ -1,8 +1,12 @@
 // Package core implements the paper's primary contribution: the MANI-Rank
-// fairness targets, the Make-MR-Fair pairwise repair algorithm (paper
-// Algorithm 2), and the four MFCR solvers Fair-Kemeny, Fair-Copeland,
-// Fair-Schulze and Fair-Borda (paper Section III), plus the Price of
-// Fairness measure (Section III-C).
+// fairness targets (Target, one type with the kemeny package's Constraint),
+// the Make-MR-Fair pairwise repair algorithm (paper Algorithm 2), and the
+// four MFCR solvers Fair-Kemeny, Fair-Copeland, Fair-Schulze and Fair-Borda
+// (paper Section III), plus the Price of Fairness measure (Section III-C).
+//
+// Every repair runs one loop (repair): MakeMRFair and Fair-Kemeny's
+// incumbent with the paper's swap pick, the MakeMRFairWithPolicy ablation
+// with that pick or none, and RepairToLevels with adjacent swaps.
 //
 // The solvers consume a precomputed ranking.Precedence (FairBordaW,
 // FairCopelandW, FairSchulzeW, FairKemenyW) — the entry points the Engine
@@ -22,11 +26,10 @@ import (
 
 // Target bounds the FPR spread of one attribute's groups by Delta. A full
 // MANI-Rank requirement (paper Def. 7) is one Target per protected attribute
-// plus one for the intersection pseudo-attribute.
-type Target struct {
-	Attr  *attribute.Attribute
-	Delta float64
-}
+// plus one for the intersection pseudo-attribute. It is the kemeny package's
+// Constraint, so the repair and the constrained searches share one target
+// list.
+type Target = kemeny.Constraint
 
 // Targets returns the full MANI-Rank target set for table t at a uniform
 // threshold delta: every protected attribute and the intersection.
@@ -85,16 +88,6 @@ func TargetsWithSubsets(t *attribute.Table, delta float64, subsets ...[]string) 
 	return out, nil
 }
 
-// Satisfies reports whether ranking r meets every target.
-func Satisfies(r ranking.Ranking, targets []Target) bool {
-	for _, tg := range targets {
-		if fairness.ARP(r, tg.Attr) > tg.Delta+fairness.Eps {
-			return false
-		}
-	}
-	return true
-}
-
 // MaxViolation returns the largest amount by which r exceeds any target's
 // threshold (0 when all targets hold) along with the index of the worst
 // target (-1 when none is violated).
@@ -108,13 +101,4 @@ func MaxViolation(r ranking.Ranking, targets []Target) (float64, int) {
 		}
 	}
 	return worst, idx
-}
-
-// constraints converts targets to the kemeny package's constraint type.
-func constraints(targets []Target) []kemeny.Constraint {
-	cons := make([]kemeny.Constraint, len(targets))
-	for i, tg := range targets {
-		cons[i] = kemeny.Constraint{Attr: tg.Attr, Delta: tg.Delta}
-	}
-	return cons
 }

@@ -19,12 +19,12 @@ func TestHeuristicCtxCancelledReturnsBestSoFar(t *testing.T) {
 	w := ranking.MustPrecedence(randomProfile(40, 6, rng))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the search even starts
-	got := HeuristicCtx(ctx, w, Options{Seed: 7, Perturbations: 16, Strength: 4})
+	got := HeuristicSearch(ctx, w, Options{Seed: 7, Perturbations: 16, Strength: 4}).Ranking()
 	if got == nil {
-		t.Fatal("cancelled HeuristicCtx returned nil")
+		t.Fatal("cancelled HeuristicSearch returned nil")
 	}
 	if err := got.Validate(); err != nil {
-		t.Fatalf("cancelled HeuristicCtx returned invalid ranking: %v", err)
+		t.Fatalf("cancelled HeuristicSearch returned invalid ranking: %v", err)
 	}
 	// Worst case it fell straight back to the Borda seed; it must never be
 	// worse than that.
@@ -46,15 +46,15 @@ func TestConstrainedSearchCtxCancelledStaysFeasible(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		got := ConstrainedSearchCtx(ctx, w, cons, start, Options{Seed: int64(trial), Perturbations: 12, Strength: 4})
+		got := ConstrainedSearchFrom(ctx, w, cons, Sync(w, start.Clone()), Options{Seed: int64(trial), Perturbations: 12, Strength: 4}).Ranking()
 		if got == nil {
-			t.Fatal("cancelled ConstrainedSearchCtx returned nil")
+			t.Fatal("cancelled ConstrainedSearchFrom returned nil")
 		}
 		if err := got.Validate(); err != nil {
-			t.Fatalf("cancelled ConstrainedSearchCtx returned invalid ranking: %v", err)
+			t.Fatalf("cancelled ConstrainedSearchFrom returned invalid ranking: %v", err)
 		}
 		if !Feasible(got, cons) {
-			t.Fatalf("cancelled ConstrainedSearchCtx returned infeasible ranking %v", got)
+			t.Fatalf("cancelled ConstrainedSearchFrom returned infeasible ranking %v", got)
 		}
 		if w.KemenyCost(got) > w.KemenyCost(start) {
 			t.Fatalf("cancelled result cost %d worse than start %d", w.KemenyCost(got), w.KemenyCost(start))
@@ -70,12 +70,12 @@ func TestCtxCancelledMidRun(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		cancel()
 	}()
-	got := HeuristicCtx(ctx, w, Options{Seed: 3, Perturbations: 256, Strength: 8, Workers: 4})
+	got := HeuristicSearch(ctx, w, Options{Seed: 3, Perturbations: 256, Strength: 8, Workers: 4}).Ranking()
 	if got == nil {
-		t.Fatal("mid-run cancelled HeuristicCtx returned nil")
+		t.Fatal("mid-run cancelled HeuristicSearch returned nil")
 	}
 	if err := got.Validate(); err != nil {
-		t.Fatalf("mid-run cancelled HeuristicCtx returned invalid ranking: %v", err)
+		t.Fatalf("mid-run cancelled HeuristicSearch returned invalid ranking: %v", err)
 	}
 }
 
@@ -85,7 +85,7 @@ func TestBranchAndBoundCtxCancelledReturnsIncumbent(t *testing.T) {
 	incumbent := LocalSearch(w, w.Borda())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := BranchAndBoundCtx(ctx, w, nil, incumbent, 0)
+	res := BranchAndBound(ctx, w, nil, incumbent, 0)
 	if res.Optimal {
 		t.Fatal("cancelled search claimed optimality")
 	}
@@ -97,13 +97,22 @@ func TestBranchAndBoundCtxCancelledReturnsIncumbent(t *testing.T) {
 	}
 }
 
+// TestCtxBackgroundMatchesPlainEngines: a live context that is never
+// cancelled changes nothing — the context entries return the rankings of
+// the context-free calls, with their exact costs.
 func TestCtxBackgroundMatchesPlainEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, workers := range []int{1, 4} {
 		w := ranking.MustPrecedence(randomProfile(30, 5, rng))
 		opts := Options{Seed: 11, Perturbations: 12, Strength: 5, Workers: workers}
-		if got, want := HeuristicCtx(context.Background(), w, opts), Heuristic(w, opts); !got.Equal(want) {
-			t.Fatalf("workers=%d: HeuristicCtx(Background) deviates from Heuristic", workers)
+		in := HeuristicSearch(ctx, w, opts)
+		if want := Heuristic(w, opts); !in.Ranking().Equal(want) {
+			t.Fatalf("workers=%d: HeuristicSearch(live ctx) deviates from Heuristic", workers)
+		}
+		if in.Cost() != w.KemenyCost(in.Ranking()) {
+			t.Fatalf("workers=%d: HeuristicSearch cost %d, KemenyCost %d", workers, in.Cost(), w.KemenyCost(in.Ranking()))
 		}
 		a := binaryAttr(30, rng)
 		cons := []Constraint{{Attr: a, Delta: 0.5}}
@@ -111,9 +120,12 @@ func TestCtxBackgroundMatchesPlainEngines(t *testing.T) {
 		if !Feasible(start, cons) {
 			continue
 		}
-		got := ConstrainedSearchCtx(context.Background(), w, cons, start, opts)
-		if want := ConstrainedSearch(w, cons, start, opts); !got.Equal(want) {
-			t.Fatalf("workers=%d: ConstrainedSearchCtx(Background) deviates from ConstrainedSearch", workers)
+		in = ConstrainedSearchFrom(ctx, w, cons, Sync(w, start.Clone()), opts)
+		if want := ConstrainedSearch(w, cons, start, opts); !in.Ranking().Equal(want) {
+			t.Fatalf("workers=%d: ConstrainedSearchFrom(live ctx) deviates from ConstrainedSearch", workers)
+		}
+		if in.Cost() != w.KemenyCost(in.Ranking()) {
+			t.Fatalf("workers=%d: ConstrainedSearchFrom cost %d, KemenyCost %d", workers, in.Cost(), w.KemenyCost(in.Ranking()))
 		}
 	}
 }

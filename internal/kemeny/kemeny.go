@@ -7,20 +7,22 @@
 //     pairwise lower bound, incumbent pruning, and — when constraints are
 //     given — fairness-feasibility pruning. Exact; practical for small and
 //     medium n, or larger n with strong consensus.
-//   - Heuristic / LocalSearch: Borda-seeded iterated local search with the
-//     insertion neighbourhood, the standard high-quality Kemeny heuristic,
-//     used at experiment scale (n = 90..500+).
-//   - ConstrainedLocalSearch: local search restricted to rankings satisfying
-//     fairness constraints, the large-n Fair-Kemeny engine.
+//   - Heuristic / HeuristicSearch / LocalSearch: Borda-seeded iterated local
+//     search with the insertion neighbourhood, the standard high-quality
+//     Kemeny heuristic, used at experiment scale (n = 90..500+).
+//   - ConstrainedSearch / ConstrainedSearchFrom: local search restricted to
+//     rankings satisfying fairness constraints, the large-n Fair-Kemeny
+//     engine.
 //
-// Every engine has a Ctx variant (HeuristicCtx, ConstrainedSearchCtx,
-// BranchAndBoundCtx) taking a context.Context for cooperative cancellation:
-// when the context is done mid-search the engine returns the best ranking
-// found so far — never nil, and for constrained engines always a feasible
-// one — which is how the serving layer turns request deadlines into
-// best-so-far answers. A never-cancelled context is bitwise identical to
-// the plain call. All engines consume a precomputed ranking.Precedence, so
-// they compose with the serving layer's shared matrix tier.
+// Each search has one context-taking entry (BranchAndBound, HeuristicSearch,
+// ConstrainedSearchFrom) for cooperative cancellation: when the context is
+// done mid-search the engine returns the best ranking found so far — never
+// nil, and for constrained engines always a feasible one — which is how the
+// serving layer turns request deadlines into best-so-far answers. A
+// never-cancelled context changes nothing. Heuristic and ConstrainedSearch
+// are those entries with context.Background(). All engines consume a
+// precomputed ranking.Precedence, so they compose with the serving layer's
+// shared matrix tier.
 package kemeny
 
 import (
@@ -82,7 +84,7 @@ type bbState struct {
 	nodes    int64
 	maxNodes int64
 	aborted  bool
-	ctx      context.Context // nil: never cancelled; polled every ctxPollMask+1 nodes
+	ctx      context.Context // polled every ctxPollMask+1 nodes
 }
 
 // ctxPollMask throttles context polls in the branch-and-bound hot loop: the
@@ -106,17 +108,11 @@ type consState struct {
 // constrained searches it should be feasible (e.g. a Make-MR-Fair repaired
 // ranking) so pruning starts tight. maxNodes bounds the search; when
 // exceeded, the best ranking found so far is returned with Optimal=false.
-// Pass maxNodes <= 0 for an unbounded (always optimal) search.
-func BranchAndBound(w *ranking.Precedence, cons []Constraint, incumbent ranking.Ranking, maxNodes int64) Result {
-	return BranchAndBoundCtx(nil, w, cons, incumbent, maxNodes)
-}
-
-// BranchAndBoundCtx is BranchAndBound with cooperative cancellation: when ctx
-// is done the search aborts (polled every few thousand nodes) and returns the
-// best ranking found so far with Optimal=false — exactly the node-budget
-// exhaustion behaviour. A nil or never-cancelled ctx searches identically to
-// BranchAndBound.
-func BranchAndBoundCtx(ctx context.Context, w *ranking.Precedence, cons []Constraint, incumbent ranking.Ranking, maxNodes int64) Result {
+// Pass maxNodes <= 0 for an unbounded (always optimal) search. Cancellation
+// is cooperative: when ctx is done the search aborts (polled every few
+// thousand nodes) and returns the best ranking found so far with
+// Optimal=false — exactly the node-budget exhaustion behaviour.
+func BranchAndBound(ctx context.Context, w *ranking.Precedence, cons []Constraint, incumbent ranking.Ranking, maxNodes int64) Result {
 	n := w.N()
 	st := &bbState{
 		ctx:         ctx,
@@ -177,7 +173,7 @@ func (st *bbState) dfs() {
 		st.aborted = true
 		return
 	}
-	if st.ctx != nil && st.nodes&ctxPollMask == 0 && st.ctx.Err() != nil {
+	if st.nodes&ctxPollMask == 0 && st.ctx.Err() != nil {
 		st.aborted = true
 		return
 	}

@@ -1,6 +1,7 @@
 package kemeny
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -71,7 +72,7 @@ func TestBranchAndBoundMatchesBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n, m := 2+rng.Intn(6), 1+rng.Intn(6)
 		w := ranking.MustPrecedence(randomProfile(n, m, rng))
-		res := BranchAndBound(w, nil, nil, 0)
+		res := BranchAndBound(context.Background(), w, nil, nil, 0)
 		_, want := bruteForce(w, nil)
 		return res.Optimal && res.Cost == want && w.KemenyCost(res.Ranking) == res.Cost
 	}
@@ -85,7 +86,7 @@ func TestBranchAndBoundMatchesDPMediumN(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 9 + rng.Intn(4)
 		w := ranking.MustPrecedence(randomProfile(n, 5, rng))
-		res := BranchAndBound(w, nil, nil, 0)
+		res := BranchAndBound(context.Background(), w, nil, nil, 0)
 		_, dpCost, err := ExactDP(w)
 		if err != nil {
 			t.Fatal(err)
@@ -125,7 +126,7 @@ func TestConstrainedBranchAndBoundMatchesBruteForce(t *testing.T) {
 		w := ranking.MustPrecedence(randomProfile(n, m, rng))
 		a := binaryAttr(n, rng)
 		cons := []Constraint{{Attr: a, Delta: 0.3}}
-		res := BranchAndBound(w, cons, nil, 0)
+		res := BranchAndBound(context.Background(), w, cons, nil, 0)
 		want, wantCost := bruteForce(w, cons)
 		if want == nil {
 			// No feasible ranking exists (possible with lopsided groups).
@@ -144,8 +145,8 @@ func TestConstrainedOptimumNeverBeatsUnconstrained(t *testing.T) {
 		n := 5 + rng.Intn(4)
 		w := ranking.MustPrecedence(randomProfile(n, 4, rng))
 		a := binaryAttr(n, rng)
-		free := BranchAndBound(w, nil, nil, 0)
-		cons := BranchAndBound(w, []Constraint{{Attr: a, Delta: 0.2}}, nil, 0)
+		free := BranchAndBound(context.Background(), w, nil, nil, 0)
+		cons := BranchAndBound(context.Background(), w, []Constraint{{Attr: a, Delta: 0.2}}, nil, 0)
 		if cons.Ranking != nil && cons.Cost < free.Cost {
 			t.Fatalf("constrained cost %d < unconstrained %d", cons.Cost, free.Cost)
 		}
@@ -155,7 +156,7 @@ func TestConstrainedOptimumNeverBeatsUnconstrained(t *testing.T) {
 func TestBranchAndBoundNodeBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	w := ranking.MustPrecedence(randomProfile(12, 3, rng))
-	res := BranchAndBound(w, nil, nil, 5)
+	res := BranchAndBound(context.Background(), w, nil, nil, 5)
 	if res.Optimal {
 		t.Fatal("a 5-node budget cannot prove optimality at n=12")
 	}
@@ -165,7 +166,7 @@ func TestBranchAndBoundUsesIncumbent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	w := ranking.MustPrecedence(randomProfile(8, 4, rng))
 	seed := LocalSearch(w, w.Borda())
-	res := BranchAndBound(w, nil, seed, 0)
+	res := BranchAndBound(context.Background(), w, nil, seed, 0)
 	if res.Cost > w.KemenyCost(seed) {
 		t.Fatal("result worse than incumbent")
 	}
@@ -199,7 +200,7 @@ func TestLeafFairnessMatchesAudit(t *testing.T) {
 		w := ranking.MustPrecedence(randomProfile(n, 3, rng))
 		a := binaryAttr(n, rng)
 		delta := 0.1 + rng.Float64()*0.5
-		res := BranchAndBound(w, []Constraint{{Attr: a, Delta: delta}}, nil, 0)
+		res := BranchAndBound(context.Background(), w, []Constraint{{Attr: a, Delta: delta}}, nil, 0)
 		if res.Ranking != nil && fairness.ARP(res.Ranking, a) > delta+1e-9 {
 			t.Fatalf("returned ranking violates constraint: ARP %v > %v", fairness.ARP(res.Ranking, a), delta)
 		}

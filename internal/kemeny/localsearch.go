@@ -91,24 +91,19 @@ func (o Options) WithDefaults() Options {
 // (Options.Seed, restart index) and run on an Options.Workers pool
 // (restarts.go); the result is bitwise identical for every worker count.
 func Heuristic(w *ranking.Precedence, opts Options) ranking.Ranking {
-	return HeuristicCtx(context.Background(), w, opts)
+	return HeuristicSearch(context.Background(), w, opts).Ranking()
 }
 
-// HeuristicCtx is Heuristic with cooperative cancellation: when ctx is done
-// the search stops at the next pass/restart boundary and returns the best
-// ranking found so far — at minimum the Borda seed, always a valid
-// permutation, never nil. A never-cancelled ctx yields output bitwise
-// identical to Heuristic for every worker count; a cancelled run's result
-// depends on how far the restarts got, so it is best-effort, not
+// HeuristicSearch is Heuristic with cooperative cancellation, returning the
+// whole search state: the best ranking with its exact Kemeny cost and its
+// synced sweep bounds, ready for a repair (Incumbent.Swap) and a constrained
+// descent (ConstrainedSearchFrom) that then pay no pair sweep of their own.
+// When ctx is done the search stops at the next pass/restart boundary and
+// returns the best ranking found so far — at minimum the Borda seed, always
+// a valid permutation, never nil. A never-cancelled ctx yields output
+// bitwise identical to Heuristic for every worker count; a cancelled run's
+// result depends on how far the restarts got, so it is best-effort, not
 // deterministic.
-func HeuristicCtx(ctx context.Context, w *ranking.Precedence, opts Options) ranking.Ranking {
-	return HeuristicSearch(ctx, w, opts).Ranking()
-}
-
-// HeuristicSearch is HeuristicCtx returning the whole search state: the
-// best ranking with its exact Kemeny cost and its synced sweep bounds, ready
-// for a repair (Incumbent.Swap) and a constrained descent
-// (ConstrainedSearchFrom) that then pay no pair sweep of their own.
 func HeuristicSearch(ctx context.Context, w *ranking.Precedence, opts Options) *Incumbent {
 	opts = opts.WithDefaults()
 	endSeed := obs.StartSpan(ctx, "kemeny_seed_descent")
@@ -139,49 +134,29 @@ func UsableWarm(w *ranking.Precedence, warm ranking.Ranking) bool {
 	return len(warm) == w.N() && warm.IsValid()
 }
 
-// ConstrainedLocalSearch minimises Kemeny cost over rankings satisfying cons
-// using best-improvement insertion moves that preserve feasibility. start
-// must already satisfy cons (repair it with Make-MR-Fair first); the function
-// panics otherwise, because silently optimising from an infeasible point
-// would return garbage. The result is feasible and no worse than start.
-//
-// This is the single deterministic descent; ConstrainedSearch adds sharded
-// perturbed restarts on top of it.
-func ConstrainedLocalSearch(w *ranking.Precedence, cons []Constraint, start ranking.Ranking) ranking.Ranking {
-	if !Feasible(start, cons) {
-		panic("kemeny: ConstrainedLocalSearch start ranking violates constraints")
-	}
-	in := Sync(w, start.Clone())
-	in.descend(context.Background(), w, cons)
-	return in.Ranking()
-}
-
-// ConstrainedSearch is the large-n Fair-Kemeny engine: the
-// ConstrainedLocalSearch descent from start, followed by opts.Perturbations
-// independent restarts that each apply feasibility-preserving random
-// insertion moves and descend again, sharded across opts.Workers goroutines
-// (restarts.go). start must satisfy cons (panics otherwise). The result is
-// feasible, no worse than start, and bitwise identical for every worker
-// count.
+// ConstrainedSearch is the large-n Fair-Kemeny engine: best-improvement
+// insertion moves that preserve feasibility descend from start, followed by
+// opts.Perturbations independent restarts (none when negative) that each
+// apply feasibility-preserving random insertion moves and descend again,
+// sharded across opts.Workers goroutines (restarts.go). start must already
+// satisfy cons (repair it with Make-MR-Fair first); the function panics
+// otherwise, because silently optimising from an infeasible point would
+// return garbage. The result is feasible, no worse than start, and bitwise
+// identical for every worker count.
 func ConstrainedSearch(w *ranking.Precedence, cons []Constraint, start ranking.Ranking, opts Options) ranking.Ranking {
-	return ConstrainedSearchCtx(context.Background(), w, cons, start, opts)
+	return ConstrainedSearchFrom(context.Background(), w, cons, Sync(w, start.Clone()), opts).Ranking()
 }
 
-// ConstrainedSearchCtx is ConstrainedSearch with cooperative cancellation:
-// when ctx is done the engine stops at the next pass/restart boundary and
-// returns the best feasible ranking found so far — at minimum the (possibly
-// partially descended) start clone, which stays feasible because every
-// accepted move preserves feasibility. Never nil. A never-cancelled ctx
-// yields output bitwise identical to ConstrainedSearch.
-func ConstrainedSearchCtx(ctx context.Context, w *ranking.Precedence, cons []Constraint, start ranking.Ranking, opts Options) ranking.Ranking {
-	return ConstrainedSearchFrom(ctx, w, cons, Sync(w, start.Clone()), opts).Ranking()
-}
-
-// ConstrainedSearchFrom is ConstrainedSearchCtx from an Incumbent, whose
+// ConstrainedSearchFrom is ConstrainedSearch from an Incumbent, whose
 // bounds and cost spare the descent the pair sweep that syncing a bare
-// ranking costs. It takes in over: the descent moves its ranking in place,
-// and the returned Incumbent — in itself, or a restart that beat it — holds
-// the result with its exact cost. in must satisfy cons (panics otherwise).
+// ranking costs, with cooperative cancellation. It takes in over: the
+// descent moves its ranking in place, and the returned Incumbent — in
+// itself, or a restart that beat it — holds the result with its exact cost.
+// in must satisfy cons (panics otherwise). When ctx is done the engine stops
+// at the next pass/restart boundary and returns the best feasible ranking
+// found so far — at minimum the (possibly partially descended) start, which
+// stays feasible because every accepted move preserves feasibility. A
+// never-cancelled ctx yields output bitwise identical to ConstrainedSearch.
 func ConstrainedSearchFrom(ctx context.Context, w *ranking.Precedence, cons []Constraint, in *Incumbent, opts Options) *Incumbent {
 	if !Feasible(in.Ranking(), cons) {
 		panic("kemeny: ConstrainedSearch start ranking violates constraints")

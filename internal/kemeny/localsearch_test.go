@@ -1,6 +1,7 @@
 package kemeny
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -46,7 +47,7 @@ func TestHeuristicCloseToExact(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		n := 5 + rng.Intn(6)
 		w := ranking.MustPrecedence(randomProfile(n, 5, rng))
-		res := BranchAndBound(w, nil, nil, 0)
+		res := BranchAndBound(context.Background(), w, nil, nil, 0)
 		h := Heuristic(w, Options{Seed: int64(trial)})
 		if hc := w.KemenyCost(h); hc < res.Cost {
 			t.Fatalf("heuristic cost %d below proven optimum %d", hc, res.Cost)
@@ -101,7 +102,7 @@ func TestConstrainedLocalSearch(t *testing.T) {
 			continue
 		}
 		before := w.KemenyCost(start)
-		out := ConstrainedLocalSearch(w, cons, start)
+		out := ConstrainedSearch(w, cons, start, Options{Perturbations: -1})
 		if !Feasible(out, cons) {
 			t.Fatal("CLS output violates constraints")
 		}
@@ -138,21 +139,6 @@ func alternating(a *attribute.Attribute) ranking.Ranking {
 	return out
 }
 
-func TestConstrainedLocalSearchPanicsOnInfeasibleStart(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	w := ranking.MustPrecedence(randomProfile(6, 3, rng))
-	a, err := attribute.NewAttribute("g", []string{"A", "B"}, []int{0, 0, 0, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for infeasible start")
-		}
-	}()
-	ConstrainedLocalSearch(w, []Constraint{{Attr: a, Delta: 0.1}}, ranking.New(6))
-}
-
 func TestConstrainedLocalSearchRecoversNearExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 10; trial++ {
@@ -160,7 +146,7 @@ func TestConstrainedLocalSearchRecoversNearExact(t *testing.T) {
 		w := ranking.MustPrecedence(randomProfile(n, 5, rng))
 		a := binaryAttr(n, rng)
 		cons := []Constraint{{Attr: a, Delta: 0.5}}
-		exact := BranchAndBound(w, cons, nil, 0)
+		exact := BranchAndBound(context.Background(), w, cons, nil, 0)
 		if exact.Ranking == nil {
 			continue
 		}
@@ -168,7 +154,7 @@ func TestConstrainedLocalSearchRecoversNearExact(t *testing.T) {
 		if !Feasible(start, cons) {
 			continue
 		}
-		cls := ConstrainedLocalSearch(w, cons, start)
+		cls := ConstrainedSearch(w, cons, start, Options{Perturbations: -1})
 		if w.KemenyCost(cls) < exact.Cost {
 			t.Fatalf("CLS cost %d below constrained optimum %d", w.KemenyCost(cls), exact.Cost)
 		}

@@ -128,12 +128,12 @@ func (sc *searchScratch) runRestart(ctx context.Context, w *ranking.Precedence, 
 
 // restartSearch runs opts.Perturbations independent perturbed restarts from
 // the seed incumbent (already descended to a local optimum under cons) on a
-// pool of restartWorkers goroutines, and returns the best incumbent seen:
-// seed itself, or the restart that beat it by the most. Every restart is
-// scored against seed's cost; the workers only read seed. An empty
-// constraint set selects the unconstrained engine. Ties — including every
-// restart that fails to improve — resolve to the seed first and then to the
-// lowest restart index, independent of schedule.
+// pool of restartWorkers workers, the caller's goroutine among them, and
+// returns the best incumbent seen: seed itself, or the restart that beat it
+// by the most. Every restart is scored against seed's cost; the workers only
+// read seed. An empty constraint set selects the unconstrained engine. Ties
+// — including every restart that fails to improve — resolve to the seed
+// first and then to the lowest restart index, independent of schedule.
 //
 // Cancellation is cooperative: once ctx is done no further restart starts
 // (workers stop claiming indices), the in-flight ones finish their current
@@ -146,31 +146,29 @@ func restartSearch(ctx context.Context, w *ranking.Precedence, cons []Constraint
 		return seed
 	}
 	improved := make([]*Incumbent, restarts)
-	workers := restartWorkers(opts.Workers, restarts)
-	if workers == 1 {
+	var next atomic.Int64
+	claim := func() {
 		sc := new(searchScratch)
-		for i := 0; i < restarts && ctx.Err() == nil; i++ {
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= restarts {
+				return
+			}
 			improved[i] = sc.runRestart(ctx, w, cons, seed, opts, i)
 		}
-	} else {
-		next := int64(-1)
-		var wg sync.WaitGroup
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := new(searchScratch)
-				for ctx.Err() == nil {
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= restarts {
-						return
-					}
-					improved[i] = sc.runRestart(ctx, w, cons, seed, opts, i)
-				}
-			}()
-		}
-		wg.Wait()
 	}
+	// The caller's goroutine is worker 0, so a one-worker search (the
+	// serving default) starts no goroutine.
+	var wg sync.WaitGroup
+	for k := 1; k < restartWorkers(opts.Workers, restarts); k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
+	}
+	claim()
+	wg.Wait()
 	best := seed
 	for _, in := range improved {
 		if in != nil && in.cost < best.cost {

@@ -77,7 +77,7 @@ func TestConstrainedSearchFeasibleAndNoWorse(t *testing.T) {
 		}
 		// Restarts never fall below the plain descent: the descent result is
 		// the seed every restart must strictly beat to replace.
-		cls := ConstrainedLocalSearch(w, cons, start)
+		cls := ConstrainedSearch(w, cons, start, Options{Perturbations: -1})
 		if w.KemenyCost(out) > w.KemenyCost(cls) {
 			t.Fatalf("ConstrainedSearch %d worse than plain descent %d", w.KemenyCost(out), w.KemenyCost(cls))
 		}

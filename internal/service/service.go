@@ -79,11 +79,6 @@ type Config struct {
 	// when solver behaviour changes: every entry persisted under the old
 	// version becomes unreachable. Ignored without CacheDir.
 	EngineVersion string
-	// SnapshotInterval, when positive and CacheDir is set, flushes both
-	// memory tiers to the persistent store on this period — so a crash
-	// loses at most one interval of residents whose write-through failed,
-	// not everything since the last graceful shutdown.
-	SnapshotInterval time.Duration
 	// DiskBudgetBytes, when positive and CacheDir is set, bounds the bytes
 	// the persistent tier may hold across both namespaces; the oldest-read
 	// entry files are evicted when the budget is crossed (cache.DiskBudget).
@@ -213,7 +208,6 @@ type Server struct {
 	stores  []cache.Store // persistent tiers to close after the final flush
 	slots   chan struct{} // one element per running solve, capacity Config.Workers
 	quit    chan struct{}
-	wg      sync.WaitGroup // the snapshotter
 	log     *slog.Logger
 	started time.Time
 
@@ -246,8 +240,7 @@ type Server struct {
 	sessionOps  map[string]*obs.Counter   // session operations by op
 	closeOnce   sync.Once
 
-	fleet           *fleet.Fleet // fleet peering (peer.go): nil on a single node
-	snapshotFlushes *obs.Counter // background snapshot ticks completed
+	fleet *fleet.Fleet // fleet peering (peer.go): nil on a single node
 }
 
 // New returns a Server ready to mount with Handler. It fails on a negative
@@ -321,10 +314,6 @@ func New(cfg Config) (*Server, error) {
 		s.prec.AttachStore(ms, matrixCodec())
 		s.stores = append(s.stores, rs, ms)
 		s.log.Info("persistent cache tier attached", "dir", cfg.CacheDir, "namespace", ns)
-		if cfg.SnapshotInterval > 0 {
-			s.wg.Add(1)
-			go s.snapshotter(cfg.SnapshotInterval)
-		}
 	}
 	if s.fleet != nil {
 		s.fleet.SetNamespace(CacheNamespace(cfg.EngineVersion))
@@ -471,9 +460,7 @@ func (s *Server) initObs() {
 			"per-stage request time from trace spans", buckets, obs.L("stage", stage))
 	}
 
-	// Persistence + fleet operations (both satellites of DESIGN.md §13).
-	s.snapshotFlushes = r.Counter("manirank_cache_snapshot_flushes_total",
-		"background snapshot flush ticks completed")
+	// Fleet operations (DESIGN.md §13).
 	if f := s.fleet; f != nil {
 		r.GaugeFunc("manirank_fleet_nodes", "configured fleet size, self included",
 			func() float64 { return float64(len(f.Nodes())) })
@@ -497,28 +484,6 @@ func (s *Server) predictMatrixHitRate() float64 {
 	return s.cheMatrix.Predict(capEntries)
 }
 
-// snapshotter flushes both memory tiers to the persistent store on a fixed
-// interval (Config.SnapshotInterval). Write-through already persists every
-// admission once, so each tick only re-writes residents whose earlier disk
-// write failed — bounding what a crash can lose to one interval instead of
-// everything since the last graceful shutdown.
-func (s *Server) snapshotter(interval time.Duration) {
-	defer s.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-t.C:
-			nr := s.cache.Flush()
-			nm := s.prec.Flush()
-			s.snapshotFlushes.Inc()
-			s.log.Debug("cache snapshot flushed", "results", nr, "matrices", nm)
-		}
-	}
-}
-
 // Close stops admission: every request still waiting for a solver slot
 // fails with ErrShuttingDown, and Close takes all Workers slots, so it
 // returns once the running solves have finished. With a persistent tier
@@ -532,7 +497,6 @@ func (s *Server) Close() {
 		for i := 0; i < s.cfg.Workers; i++ {
 			s.slots <- struct{}{}
 		}
-		s.wg.Wait()
 		if len(s.stores) > 0 {
 			nr := s.cache.Flush()
 			nm := s.prec.Flush()

@@ -97,7 +97,7 @@ var registry = []methodEntry{
 		}},
 	{method: MethodKemeny, name: "kemeny",
 		solve: func(ctx context.Context, e *Engine, _ []Target, opts kemeny.Options) (Ranking, int, bool, error) {
-			in := aggregate.KemenyCtx(ctx, e.w, opts)
+			in := aggregate.Kemeny(ctx, e.w, opts)
 			return in.Ranking(), in.Cost(), ctx.Err() != nil, nil
 		}},
 	{method: MethodFairBorda, name: "fair-borda", fair: true,
