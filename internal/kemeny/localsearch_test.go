@@ -139,6 +139,23 @@ func alternating(a *attribute.Attribute) ranking.Ranking {
 	return out
 }
 
+// TestConstrainedLocalSearchPanicsOnInfeasibleStart pins the descent-only
+// path (Perturbations: -1): it too panics on an infeasible start.
+func TestConstrainedLocalSearchPanicsOnInfeasibleStart(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	w := ranking.MustPrecedence(randomProfile(6, 3, rng))
+	a, err := attribute.NewAttribute("g", []string{"A", "B"}, []int{0, 0, 0, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for infeasible start")
+		}
+	}()
+	ConstrainedSearch(w, []Constraint{{Attr: a, Delta: 0.1}}, ranking.New(6), Options{Perturbations: -1})
+}
+
 func TestConstrainedLocalSearchRecoversNearExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 10; trial++ {
