@@ -84,7 +84,7 @@ for i in 0 1 2; do
   echo "   node $i: matrix builds $B, result peer hits $P"
   [ "$B" -gt 0 ] && BUILDER=$i
 done
-curl -sf "${URLS[0]}/statz" | grep -o '"fleet":{[^]]*]}' || true
+curl -sf "${URLS[0]}/statz" | grep -o '"fleet":{[^]]*][^}]*}' || true
 echo
 
 echo

@@ -146,39 +146,6 @@ func schulzeStrongestPaths(w *ranking.Precedence) [][]int {
 	return p
 }
 
-// schulzeDensePaths is the unpruned widest-path recurrence, kept as the
-// reference the early-exit version is tested and benchmarked against.
-func schulzeDensePaths(w *ranking.Precedence) [][]int {
-	n := w.N()
-	p := schulzeInitPaths(w)
-	for k := 0; k < n; k++ {
-		pk := p[k]
-		for a := 0; a < n; a++ {
-			if a == k {
-				continue
-			}
-			pa := p[a]
-			ak := pa[k]
-			if ak == 0 {
-				continue
-			}
-			for b := 0; b < n; b++ {
-				if b == a || b == k {
-					continue
-				}
-				s := ak
-				if pk[b] < s {
-					s = pk[b]
-				}
-				if s > pa[b] {
-					pa[b] = s
-				}
-			}
-		}
-	}
-	return p
-}
-
 // schulzeRankFromPaths orders candidates by their strongest-path win counts.
 func schulzeRankFromPaths(p [][]int) ranking.Ranking {
 	n := len(p)

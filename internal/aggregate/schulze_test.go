@@ -17,6 +17,39 @@ func schulzeProfile(n, m int, theta float64, seed int64) ranking.Profile {
 	return mallows.MustNewPlackettLuce(modal, theta).SampleProfile(m, rng)
 }
 
+// schulzeDensePaths is the unpruned widest-path recurrence, kept as the
+// reference the early-exit version is tested and benchmarked against.
+func schulzeDensePaths(w *ranking.Precedence) [][]int {
+	n := w.N()
+	p := schulzeInitPaths(w)
+	for k := 0; k < n; k++ {
+		pk := p[k]
+		for a := 0; a < n; a++ {
+			if a == k {
+				continue
+			}
+			pa := p[a]
+			ak := pa[k]
+			if ak == 0 {
+				continue
+			}
+			for b := 0; b < n; b++ {
+				if b == a || b == k {
+					continue
+				}
+				s := ak
+				if pk[b] < s {
+					s = pk[b]
+				}
+				if s > pa[b] {
+					pa[b] = s
+				}
+			}
+		}
+	}
+	return p
+}
+
 // TestSchulzeEarlyExitMatchesDense pins the early-exit widest-path against
 // the unpruned recurrence cell-for-cell, across consensus strengths from
 // near-uniform (many zero-majority pairs) to strong (dense majority matrix).

@@ -195,17 +195,3 @@ func (t *Table) IntersectionOf(names ...string) (*Attribute, error) {
 	sub := &Table{n: t.n, attrs: subset}
 	return sub.Intersection(), nil
 }
-
-// WithAttrs returns a new Table over the same candidates restricted to the
-// named attributes, preserving their order in names.
-func (t *Table) WithAttrs(names ...string) (*Table, error) {
-	var subset []*Attribute
-	for _, name := range names {
-		a := t.Attr(name)
-		if a == nil {
-			return nil, fmt.Errorf("attribute: unknown attribute %q", name)
-		}
-		subset = append(subset, a)
-	}
-	return NewTable(t.n, subset...)
-}

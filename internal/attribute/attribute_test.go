@@ -123,25 +123,6 @@ func TestIntersectionOfSubset(t *testing.T) {
 	}
 }
 
-func TestWithAttrs(t *testing.T) {
-	g := mustAttr(t, "G", []string{"M", "W"}, []int{0, 1})
-	r := mustAttr(t, "R", []string{"A", "B"}, []int{0, 1})
-	tab, err := NewTable(2, g, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := tab.WithAttrs("R")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sub.Attrs()) != 1 || sub.Attrs()[0].Name != "R" {
-		t.Fatal("WithAttrs wrong")
-	}
-	if _, err := tab.WithAttrs("Z"); err == nil {
-		t.Error("unknown attribute accepted")
-	}
-}
-
 func TestAttrLookup(t *testing.T) {
 	g := mustAttr(t, "G", []string{"M", "W"}, []int{0, 1})
 	tab, err := NewTable(2, g)

@@ -188,17 +188,6 @@ func (th Thresholds) ForInter() float64 {
 	return th.Default
 }
 
-// SatisfiesThresholds reports whether r satisfies the per-attribute
-// customized MANI-Rank criteria.
-func SatisfiesThresholds(r ranking.Ranking, t *attribute.Table, th Thresholds) bool {
-	for _, a := range t.Attrs() {
-		if ARP(r, a) > th.ForAttr(a.Name)+Eps {
-			return false
-		}
-	}
-	return IRP(r, t) <= th.ForInter()+Eps
-}
-
 // String renders the report as a compact single-line summary, e.g.
 // "ARP[Gender]=0.140 ARP[Race]=0.300 IRP=0.520". Attribute names are not
 // stored in the report, so indices are used; FormatReport prints names.

@@ -250,20 +250,6 @@ func TestThresholds(t *testing.T) {
 	}
 }
 
-func TestSatisfiesThresholds(t *testing.T) {
-	tab := paperTable(t, 30)
-	r := ranking.New(30)
-	rep := Audit(r, tab)
-	th := Thresholds{Default: 1, Inter: -1}
-	if !SatisfiesThresholds(r, tab, th) {
-		t.Fatal("Delta=1 thresholds must hold")
-	}
-	th = Thresholds{Default: 1, PerAttr: map[string]float64{"Gender": rep.ARPs[0] / 2}, Inter: -1}
-	if rep.ARPs[0] > 0 && SatisfiesThresholds(r, tab, th) {
-		t.Fatal("tight Gender threshold should fail")
-	}
-}
-
 func TestReportFormatting(t *testing.T) {
 	tab := paperTable(t, 30)
 	rep := Audit(ranking.New(30), tab)

@@ -9,8 +9,10 @@
 //  1. Metrics (registry.go, metrics.go, histogram.go): a Registry of
 //     counters, gauges, and log-bucketed latency histograms. Counters and
 //     gauges are lock-free atomics that the serving layer and the cache
-//     tiers share directly — /statz and /metricsz read the very same
-//     values, so the two endpoints can never disagree. Histograms replace
+//     tiers share directly. The registry is the one telemetry source: the
+//     serving layer's /metricsz renders it as Prometheus text
+//     (WritePrometheus) and /statz as a JSON view of the same series
+//     (Value), so the two endpoints can never disagree. Histograms replace
 //     the historical fixed-window latency rings: arbitrary quantiles are
 //     answered by interpolating the log-spaced buckets, and the full bucket
 //     vector exports in Prometheus histogram format for real percentile

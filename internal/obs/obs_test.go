@@ -154,6 +154,50 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	}
 }
 
+// TestRegistryValue: Value reads every counter and gauge source live, maps
+// non-finite gauges to 0, matches labels in any order, and panics on a
+// series that is not registered (wrong name, wrong labels, or a histogram).
+func TestRegistryValue(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("manirank_requests_total", "requests", L("status", "200")).Add(7)
+	shared := new(Counter)
+	r.RegisterCounter("manirank_cache_hits_total", "hits", shared, L("tier", "result"), L("node", "a"))
+	r.CounterFunc("manirank_derived_total", "derived", func() uint64 { return 11 })
+	r.Gauge("manirank_queue_depth", "queued").Set(2.5)
+	r.GaugeFunc("manirank_rate", "rate", func() float64 { return math.Inf(1) })
+	r.Histogram("manirank_solve_seconds", "solve", LatencyBuckets())
+
+	shared.Add(3)
+	for _, c := range []struct {
+		got, want float64
+	}{
+		{r.Value("manirank_requests_total", L("status", "200")), 7},
+		{r.Value("manirank_cache_hits_total", L("node", "a"), L("tier", "result")), 3},
+		{r.Value("manirank_derived_total"), 11},
+		{r.Value("manirank_queue_depth"), 2.5},
+		{r.Value("manirank_rate"), 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("Value = %v, want %v", c.got, c.want)
+		}
+	}
+	for _, missing := range []func(){
+		func() { r.Value("manirank_nope_total") },
+		func() { r.Value("manirank_requests_total", L("status", "500")) },
+		func() { r.Value("manirank_requests_total") },
+		func() { r.Value("manirank_solve_seconds") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Value of an unregistered series did not panic")
+				}
+			}()
+			missing()
+		}()
+	}
+}
+
 func TestRegistryIdempotentAndPanics(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("manirank_a_total", "a")

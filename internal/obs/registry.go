@@ -158,9 +158,9 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 
 // RegisterCounter adopts an externally owned Counter as a series — the
 // mechanism by which the cache tiers' live counters become registry
-// members without copying: /statz reads them through the tier, /metricsz
-// through the registry, and both see the same atomic. Re-registering an
-// existing (name, labels) series replaces its source.
+// members without copying: the tier increments the atomic, and every
+// rendering of the registry (WritePrometheus, Value) reads it. Re-registering
+// an existing (name, labels) series replaces its source.
 func (r *Registry) RegisterCounter(name, help string, c *Counter, labels ...Label) {
 	s, _ := r.register(name, help, KindCounter, labels)
 	s.counter, s.counterFn = c, nil
@@ -202,6 +202,49 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	return s.hist
 }
 
+// Value returns the current value of the counter or gauge series (name,
+// labels), as /metricsz would render it: counters as floats, non-finite
+// gauges as 0 (so a JSON view never meets a NaN). Naming a series that was
+// never registered, or a histogram, panics — a view reading a series no
+// one registers is a programmer error, like registering one name under two
+// kinds.
+func (r *Registry) Value(name string, labels ...Label) float64 {
+	sig := signature(labels)
+	r.mu.Lock()
+	var s series
+	found := false
+	if f, ok := r.families[name]; ok && f.kind != KindHistogram {
+		for _, fs := range f.series {
+			if fs.sig == sig {
+				s, found = *fs, true
+				break
+			}
+		}
+	}
+	r.mu.Unlock()
+	switch {
+	case !found:
+		panic(fmt.Sprintf("obs: no counter or gauge series %s%s", name, formatLabels(labels)))
+	case s.counter != nil:
+		return float64(s.counter.Value())
+	case s.counterFn != nil:
+		return float64(s.counterFn())
+	case s.gauge != nil:
+		return finite(s.gauge.Value())
+	case s.gaugeFn != nil:
+		return finite(s.gaugeFn())
+	}
+	return 0
+}
+
+// finite maps NaN and ±Inf to 0.
+func finite(v float64) float64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0
+	}
+	return v
+}
+
 // escapeLabelValue escapes a label value per the Prometheus text format.
 func escapeLabelValue(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)
@@ -230,10 +273,7 @@ func formatLabels(labels []Label, extra ...Label) string {
 // transient NaN (e.g. a rate before any traffic) can never corrupt the
 // exposition a scraper parses.
 func formatValue(v float64) string {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return "0"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.FormatFloat(finite(v), 'g', -1, 64)
 }
 
 // WritePrometheus writes every registered family in Prometheus text

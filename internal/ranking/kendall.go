@@ -71,12 +71,3 @@ func mergeCount(s, buf []int, lo, mid, hi int) int {
 	}
 	return inv
 }
-
-// NormalizedKendallTau returns KendallTau(a, b) divided by the maximum
-// possible distance n(n-1)/2, in [0, 1].
-func NormalizedKendallTau(a, b Ranking) float64 {
-	if len(a) < 2 {
-		return 0
-	}
-	return float64(KendallTau(a, b)) / float64(TotalPairs(len(a)))
-}

@@ -105,19 +105,6 @@ func TestKendallTauPanicsOnLengthMismatch(t *testing.T) {
 	KendallTau(New(3), New(4))
 }
 
-func TestNormalizedKendallTau(t *testing.T) {
-	a := New(10)
-	if got := NormalizedKendallTau(a, a.Reverse()); got != 1.0 {
-		t.Fatalf("normalized distance to reversal = %v, want 1", got)
-	}
-	if got := NormalizedKendallTau(a, a); got != 0.0 {
-		t.Fatalf("normalized self distance = %v, want 0", got)
-	}
-	if got := NormalizedKendallTau(Ranking{0}, Ranking{0}); got != 0 {
-		t.Fatalf("single candidate distance = %v, want 0", got)
-	}
-}
-
 func BenchmarkKendallTauMerge1000(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x, y := Random(1000, rng), Random(1000, rng)

@@ -39,16 +39,6 @@ func New(n int) Ranking {
 	return r
 }
 
-// FromSlice validates s and returns it as a Ranking. The slice is used
-// directly (not copied).
-func FromSlice(s []int) (Ranking, error) {
-	r := Ranking(s)
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // Random returns a uniformly random ranking over n candidates drawn from rng.
 func Random(n int, rng *rand.Rand) Ranking {
 	r := New(n)

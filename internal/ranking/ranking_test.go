@@ -41,15 +41,6 @@ func TestValidateRejectsBadInputs(t *testing.T) {
 	}
 }
 
-func TestFromSlice(t *testing.T) {
-	if _, err := FromSlice([]int{2, 0, 1}); err != nil {
-		t.Fatalf("valid slice rejected: %v", err)
-	}
-	if _, err := FromSlice([]int{2, 2, 1}); err == nil {
-		t.Fatal("invalid slice accepted")
-	}
-}
-
 func TestPositionsInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {

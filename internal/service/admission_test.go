@@ -25,7 +25,7 @@ func TestCloseRejectsWaitersAndFinishesRunning(t *testing.T) {
 		defer close(slowDone)
 		post(t, ts.URL, slow)
 	}()
-	waitFor(t, func() bool { return s.StatzSnapshot().Queue.InFlight == 1 })
+	waitFor(t, func() bool { return s.inFlight.Load() == 1 })
 
 	waiting := testRequest("fair-kemeny", 52) // distinct digest
 	waiting.Options.Perturbations = 2_000_000
@@ -35,13 +35,13 @@ func TestCloseRejectsWaitersAndFinishesRunning(t *testing.T) {
 		status, _ := post(t, ts.URL, waiting)
 		waitingDone <- status
 	}()
-	waitFor(t, func() bool { return s.StatzSnapshot().Queue.Depth == 1 })
+	waitFor(t, func() bool { return s.queued.Load() == 1 })
 
 	closeStart := time.Now()
 	closeDone := make(chan int64, 1)
 	go func() {
 		s.Close()
-		closeDone <- s.StatzSnapshot().Queue.InFlight
+		closeDone <- s.inFlight.Load()
 	}()
 	if status := <-waitingDone; status != http.StatusServiceUnavailable {
 		t.Fatalf("waiting request: status %d, want 503", status)
@@ -72,12 +72,11 @@ func TestWorkersBoundConcurrency(t *testing.T) {
 	go func() {
 		defer close(polled)
 		for {
-			q := s.StatzSnapshot().Queue
-			if q.InFlight > maxInFlight.Load() {
-				maxInFlight.Store(q.InFlight)
+			if n := s.inFlight.Load(); n > maxInFlight.Load() {
+				maxInFlight.Store(n)
 			}
-			if q.Depth > maxDepth.Load() {
-				maxDepth.Store(q.Depth)
+			if n := s.queued.Load(); n > maxDepth.Load() {
+				maxDepth.Store(n)
 			}
 			select {
 			case <-stop:
@@ -126,7 +125,7 @@ func TestCloseAnswersRunningRequest(t *testing.T) {
 		status, out := post(t, ts.URL, slow)
 		done <- answer{status, out}
 	}()
-	waitFor(t, func() bool { return s.StatzSnapshot().Queue.InFlight == 1 })
+	waitFor(t, func() bool { return s.inFlight.Load() == 1 })
 	s.Close()
 	if a := <-done; a.status != http.StatusOK || !a.out.Partial {
 		t.Fatalf("running request: status %d, want 200 with a partial answer", a.status)
@@ -147,7 +146,7 @@ func TestAdmitPanicFreesSlot(t *testing.T) {
 			panic("solver exploded")
 		})
 	}()
-	if n := s.StatzSnapshot().Queue.InFlight; n != 0 {
+	if n := s.inFlight.Load(); n != 0 {
 		t.Fatalf("in_flight = %d after the panic, want 0", n)
 	}
 	want := &result{}

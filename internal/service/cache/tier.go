@@ -47,50 +47,48 @@ import (
 
 // Stats is a point-in-time snapshot of a tier's counters.
 type Stats struct {
-	// Policy names the replacement policy; always "lru".
-	Policy string `json:"policy"`
 	// Hits counts Do calls served from memory.
-	Hits uint64 `json:"hits"`
+	Hits uint64
 	// Misses counts Do calls that found nothing in memory (computes, joins,
 	// disk restores and peer fetches).
-	Misses uint64 `json:"misses"`
+	Misses uint64
 	// Coalesced counts Do calls that joined another caller's in-flight
 	// computation instead of starting their own (a subset of Misses).
-	Coalesced uint64 `json:"coalesced"`
+	Coalesced uint64
 	// Builds counts successful computations — the work actually paid.
-	Builds uint64 `json:"builds"`
+	Builds uint64
 	// BuildsSkipped counts Do calls that returned a value without computing
 	// on this node: Hits + Coalesced + DiskHits + PeerHits.
-	BuildsSkipped uint64 `json:"builds_skipped"`
+	BuildsSkipped uint64
 	// Evictions counts entries dropped by budget pressure.
-	Evictions uint64 `json:"evictions"`
+	Evictions uint64
 	// Rejected counts values costing more than the whole budget, which are
 	// never admitted to memory.
-	Rejected uint64 `json:"rejected"`
+	Rejected uint64
 	// DiskHits counts Do calls served by restoring an entry from the
 	// persistent store (a subset of Misses; zero without an attached Store).
-	DiskHits uint64 `json:"disk_hits"`
+	DiskHits uint64
 	// DiskPuts counts successful write-throughs to the persistent store.
-	DiskPuts uint64 `json:"disk_puts"`
+	DiskPuts uint64
 	// DiskErrors counts persistent-store failures the tier absorbed
 	// (unreadable, corrupt, or unencodable entries, failed writes).
-	DiskErrors uint64 `json:"disk_errors"`
+	DiskErrors uint64
 	// PeerHits counts Do calls served by a fleet peer fetch (a subset of
 	// Misses; zero without an attached fleet).
-	PeerHits uint64 `json:"peer_hits,omitempty"`
+	PeerHits uint64
 	// PeerMisses counts peer fetches answered with an authoritative miss.
-	PeerMisses uint64 `json:"peer_misses,omitempty"`
+	PeerMisses uint64
 	// PeerErrors counts peer fetches that failed (timeout, dead peer,
 	// decode failure) and degraded to local compute.
-	PeerErrors uint64 `json:"peer_errors,omitempty"`
+	PeerErrors uint64
 	// Entries is the current number of stored values.
-	Entries int `json:"entries"`
+	Entries int
 	// CostUsed is the summed cost of the stored values.
-	CostUsed int64 `json:"cost_used"`
+	CostUsed int64
 	// CostBudget is the configured cost capacity.
-	CostBudget int64 `json:"cost_budget"`
+	CostBudget int64
 	// InFlight is the current number of leader computations running.
-	InFlight int `json:"in_flight"`
+	InFlight int
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 before any traffic. Disk
@@ -106,8 +104,7 @@ func (s Stats) HitRate() float64 {
 
 // Counters exposes a tier's live counters. The tier owns the atomics and
 // increments them; the serving layer adopts the same pointers into its
-// obs.Registry, so /statz (via Stats) and /metricsz read one source of
-// truth.
+// obs.Registry, the one source its /statz and /metricsz both render.
 type Counters struct {
 	// Hits counts Do calls served from memory.
 	Hits *obs.Counter
@@ -599,7 +596,6 @@ func (t *Tier[V]) Stats() Stats {
 	defer t.mu.Unlock()
 	c := t.counters
 	return Stats{
-		Policy:        "lru",
 		Hits:          c.Hits.Value(),
 		Misses:        c.Misses.Value(),
 		Coalesced:     c.Coalesced.Value(),

@@ -28,6 +28,35 @@ func contractTraffic(t *testing.T, url string) {
 	}
 }
 
+// getStatz fetches /statz and decodes it as a generic JSON object.
+func getStatz(t *testing.T, url string) map[string]any {
+	t.Helper()
+	resp, err := http.Get(url + "/statz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/statz status %d", resp.StatusCode)
+	}
+	var st map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// statzAt returns the value at a key path of a decoded /statz object, or
+// nil when the path is absent.
+func statzAt(st map[string]any, path ...string) any {
+	var v any = st
+	for _, k := range path {
+		m, _ := v.(map[string]any)
+		v = m[k]
+	}
+	return v
+}
+
 // jsonKeyPaths appends every object key path in v ("cache.hits",
 // "latency_solve_by_method.kemeny.p50_ms", …) to out.
 func jsonKeyPaths(v any, prefix string, out []string) []string {
@@ -97,16 +126,7 @@ func TestTelemetryContract(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var statz map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&statz); err != nil {
-		t.Fatal(err)
-	}
-	keys := jsonKeyPaths(statz, "", nil)
+	keys := jsonKeyPaths(getStatz(t, ts.URL), "", nil)
 	sort.Strings(keys)
 	checkGolden(t, "statz_keys.golden", keys)
 }

@@ -219,31 +219,3 @@ func matrixFits(profile ranking.Profile) func(*ranking.Precedence) error {
 		return nil
 	}
 }
-
-// FleetStatz is the /statz fleet section.
-type FleetStatz struct {
-	// Self is this node's advertised base URL.
-	Self string `json:"self"`
-	// Epoch is the membership epoch (bumps on every alive-set change).
-	Epoch uint64 `json:"epoch"`
-	// Nodes is the configured fleet size, self included.
-	Nodes int `json:"nodes"`
-	// Alive is the currently-alive node count, self included.
-	Alive int `json:"alive"`
-	// Peers is the per-peer liveness table.
-	Peers []fleet.PeerStatus `json:"peers"`
-}
-
-// fleetStatz assembles the /statz fleet section (nil without a fleet).
-func (s *Server) fleetStatz() *FleetStatz {
-	if s.fleet == nil {
-		return nil
-	}
-	return &FleetStatz{
-		Self:  s.fleet.Self(),
-		Epoch: s.fleet.Epoch(),
-		Nodes: len(s.fleet.Nodes()),
-		Alive: len(s.fleet.Alive()),
-		Peers: s.fleet.PeerStatuses(),
-	}
-}

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -136,11 +137,12 @@ func rawPost(url string, req *AggregateRequest) (int, error) {
 
 // TestFleetPeerFetchServesRemoteResult: a result computed where the ring
 // says it belongs is served to every other replica as a peer hit — the
-// fleet behaves as one sharded cache, and /statz reports the ring.
+// fleet behaves as one sharded cache, and /statz reports the ring and the
+// peer counters.
 func TestFleetPeerFetchServesRemoteResult(t *testing.T) {
 	nodes := newFleetHarness(t, 3, -1)
 	req := testRequest("kemeny", 41)
-	full, _ := Digests(req)
+	full, prof := Digests(req)
 	owner := ownerIndex(nodes, full)
 
 	// Seed the entry at its owner, then read it from both non-owners.
@@ -170,9 +172,24 @@ func TestFleetPeerFetchServesRemoteResult(t *testing.T) {
 		t.Fatalf("fleet-wide matrix builds = %d, want exactly 1", builds)
 	}
 
-	st := nodes[0].srv.StatzSnapshot()
-	if st.Fleet == nil || st.Fleet.Nodes != 3 || st.Fleet.Alive != 3 || st.Fleet.Self != nodes[0].url {
-		t.Fatalf("statz fleet section = %+v", st.Fleet)
+	// The /statz shape after a peer hit, pinned on a reader that neither
+	// owns the result nor built the matrix, so only its result tier saw
+	// peer traffic: the fleet section and the peer counters that appear
+	// once non-zero. The owner asked its runner-up first and was told no.
+	reader := 0
+	for reader == owner || reader == ownerIndex(nodes, prof) {
+		reader++
+	}
+	st := getStatz(t, nodes[reader].url)
+	if statzAt(st, "fleet", "nodes") != 3.0 || statzAt(st, "fleet", "alive") != 3.0 ||
+		statzAt(st, "fleet", "self") != nodes[reader].url {
+		t.Fatalf("statz fleet section = %v", statzAt(st, "fleet"))
+	}
+	keys := jsonKeyPaths(st, "", nil)
+	sort.Strings(keys)
+	checkGolden(t, "statz_fleet_keys.golden", keys)
+	if got := statzAt(getStatz(t, nodes[owner].url), "cache", "peer_misses"); got != 1.0 {
+		t.Fatalf("owner statz cache.peer_misses = %v, want 1", got)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+
+	"manirank/internal/obs"
 )
 
 // TestPrecedenceTierSharedAcrossMethods is the tentpole contract: a second
@@ -19,15 +21,15 @@ func TestPrecedenceTierSharedAcrossMethods(t *testing.T) {
 	if status, out := post(t, ts.URL, req); status != http.StatusOK || out.Cached {
 		t.Fatalf("second method: status %d cached %v, want a fresh solve", status, out != nil && out.Cached)
 	}
-	st := s.StatzSnapshot()
-	if st.Matrix.Builds != 1 {
-		t.Fatalf("matrix builds = %d, want 1 shared construction", st.Matrix.Builds)
+	ms, cs := s.prec.Stats(), s.cache.Stats()
+	if ms.Builds != 1 {
+		t.Fatalf("matrix builds = %d, want 1 shared construction", ms.Builds)
 	}
-	if st.Matrix.BuildsSkipped != 1 || st.Matrix.Hits != 1 {
-		t.Fatalf("matrix stats %+v, want the second method to skip the build", st.Matrix)
+	if ms.BuildsSkipped != 1 || ms.Hits != 1 {
+		t.Fatalf("matrix stats %+v, want the second method to skip the build", ms)
 	}
-	if st.Cache.Hits != 0 || st.Cache.Misses != 2 {
-		t.Fatalf("result-cache stats %+v: the two methods must be distinct result entries", st.Cache)
+	if cs.Hits != 0 || cs.Misses != 2 {
+		t.Fatalf("result-cache stats %+v: the two methods must be distinct result entries", cs)
 	}
 }
 
@@ -90,11 +92,11 @@ func TestConcurrentMatrixBuildsCoalesce(t *testing.T) {
 		}(m)
 	}
 	wg.Wait()
-	st := s.StatzSnapshot()
-	if st.Matrix.Builds != 1 {
-		t.Fatalf("matrix builds = %d for 4 concurrent methods over one profile, want 1", st.Matrix.Builds)
+	ms := s.prec.Stats()
+	if ms.Builds != 1 {
+		t.Fatalf("matrix builds = %d for 4 concurrent methods over one profile, want 1", ms.Builds)
 	}
-	if got := st.Matrix.Hits + st.Matrix.Coalesced; got != uint64(len(methods)-1) {
+	if got := ms.Hits + ms.Coalesced; got != uint64(len(methods)-1) {
 		t.Fatalf("matrix hits+coalesced = %d, want %d", got, len(methods)-1)
 	}
 }
@@ -113,8 +115,7 @@ func TestStatzMatrixAccounting(t *testing.T) {
 			}
 		}
 	}
-	st := s.StatzSnapshot()
-	ms := st.Matrix
+	ms := s.prec.Stats()
 	if ms.Builds != 4 || ms.Hits != 4 {
 		t.Fatalf("matrix stats %+v, want 4 builds and 4 hits (2 methods x 4 profiles)", ms)
 	}
@@ -131,7 +132,7 @@ func TestStatzMatrixAccounting(t *testing.T) {
 	if want := int64(4 * 20 * 20); ms.CostUsed != want {
 		t.Fatalf("cost used = %d, want %d", ms.CostUsed, want)
 	}
-	if st.MatrixHitRate != ms.HitRate() {
-		t.Fatalf("statz hit rate %g != stats %g", st.MatrixHitRate, ms.HitRate())
+	if hr := s.reg.Value("manirank_cache_hit_rate", obs.L("tier", "matrix")); hr != ms.HitRate() {
+		t.Fatalf("registry hit rate %g != stats %g", hr, ms.HitRate())
 	}
 }

@@ -18,8 +18,8 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	if status != 200 || first.Cached {
 		t.Fatalf("cold request: status=%d cached=%v", status, first != nil && first.Cached)
 	}
-	if st := s1.StatzSnapshot(); st.Cache.DiskPuts != 1 || st.Matrix.DiskPuts != 1 {
-		t.Fatalf("write-through: %+v / %+v, want one put per tier", st.Cache, st.Matrix)
+	if cs, ms := s1.cache.Stats(), s1.prec.Stats(); cs.DiskPuts != 1 || ms.DiskPuts != 1 {
+		t.Fatalf("write-through: %+v / %+v, want one put per tier", cs, ms)
 	}
 	ts1.Close()
 	s1.Close() // snapshot flush + store close
@@ -41,12 +41,11 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 			t.Fatalf("restored ranking differs at position %d", i)
 		}
 	}
-	st := s2.StatzSnapshot()
-	if st.Cache.DiskHits != 1 || st.Cache.Hits != 0 {
-		t.Fatalf("restart cache stats = %+v, want exactly one disk hit", st.Cache)
+	if cs := s2.cache.Stats(); cs.DiskHits != 1 || cs.Hits != 0 {
+		t.Fatalf("restart cache stats = %+v, want exactly one disk hit", cs)
 	}
-	if st.Matrix.Builds != 0 {
-		t.Fatalf("restart rebuilt %d matrices for a result-tier hit", st.Matrix.Builds)
+	if builds := s2.prec.Stats().Builds; builds != 0 {
+		t.Fatalf("restart rebuilt %d matrices for a result-tier hit", builds)
 	}
 
 	// A NEW method over the already-seen profile misses the result tier but
@@ -55,11 +54,11 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	if status, resp := post(t, ts2.URL, other); status != 200 || resp.Cached {
 		t.Fatalf("new-method request: status=%d cached=%v", status, resp != nil && resp.Cached)
 	}
-	st = s2.StatzSnapshot()
-	if st.Matrix.DiskHits != 1 || st.Matrix.Builds != 0 {
-		t.Fatalf("matrix stats = %+v, want the matrix restored from disk, not rebuilt", st.Matrix)
+	ms := s2.prec.Stats()
+	if ms.DiskHits != 1 || ms.Builds != 0 {
+		t.Fatalf("matrix stats = %+v, want the matrix restored from disk, not rebuilt", ms)
 	}
-	if st.Matrix.BuildsSkipped == 0 {
+	if ms.BuildsSkipped == 0 {
 		t.Fatal("BuildsSkipped did not count the disk restore")
 	}
 	ts2.Close()
@@ -71,8 +70,8 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	if status, resp := post(t, ts3.URL, req); status != 200 || resp.Cached {
 		t.Fatalf("post-bump request: status=%d cached=%v, want cold", status, resp != nil && resp.Cached)
 	}
-	if st := s3.StatzSnapshot(); st.Cache.DiskHits != 0 || st.Matrix.DiskHits != 0 {
-		t.Fatalf("post-bump stats = %+v / %+v, want no disk hits", st.Cache, st.Matrix)
+	if cs, ms := s3.cache.Stats(), s3.prec.Stats(); cs.DiskHits != 0 || ms.DiskHits != 0 {
+		t.Fatalf("post-bump stats = %+v / %+v, want no disk hits", cs, ms)
 	}
 }
 

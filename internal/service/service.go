@@ -17,14 +17,15 @@
 //     beyond that; per-request deadlines are threaded as context.Context
 //     into the Kemeny/Fair-Kemeny restart loops (best-so-far on expiry);
 //  3. observability (internal/obs, DESIGN.md §11): one obs.Registry holds
-//     every counter, gauge, and latency histogram; /statz renders it as
-//     JSON and /metricsz as Prometheus text — the same live atomics, so
-//     the two can never disagree. Each request carries an obs.Trace whose
-//     per-stage spans (queue, cache lookups, disk, matrix build, solve,
-//     encode) land in a bounded ring at /tracez, with requests slower
-//     than Config.TraceSlow also logged with their span breakdown. Per
-//     tier, a Che-style estimator predicts the hit rate the configured
-//     capacity should achieve and exports it next to the measured rate.
+//     every counter, gauge, and latency histogram; /metricsz renders it as
+//     Prometheus text and /statz as a JSON view of the same series (every
+//     /statz number is a /metricsz series), so the two can never disagree.
+//     Each request carries an obs.Trace whose per-stage spans (queue, cache
+//     lookups, disk, matrix build, solve, encode) land in a bounded ring at
+//     /tracez, with requests slower than Config.TraceSlow also logged with
+//     their span breakdown. Per tier, a Che-style estimator predicts the
+//     hit rate the configured capacity should achieve and exports it next
+//     to the measured rate.
 //
 // See DESIGN.md §6–§7 for the queue → caches → solver architecture.
 package service
@@ -221,12 +222,12 @@ type Server struct {
 	sessions map[string]*session
 
 	// The telemetry core (internal/obs). Every family below lives in reg,
-	// which /metricsz renders as Prometheus text; /statz reads the same
-	// structs. All label sets are pre-registered at construction — statuses
-	// from the fixed set the handler can emit, methods from the solver
-	// registry, stages from the span allowlist — so cardinality is bounded
-	// no matter what traffic arrives (the historical methodLat sync.Map
-	// grew a ring per observed method string instead).
+	// which /metricsz renders as Prometheus text and /statz as JSON. All
+	// label sets are pre-registered at construction — statuses from the
+	// fixed set the handler can emit, methods from the solver registry,
+	// stages from the span allowlist — so cardinality is bounded no matter
+	// what traffic arrives (the historical methodLat sync.Map grew a ring
+	// per observed method string instead).
 	reg         *obs.Registry
 	traces      *obs.TraceRing
 	histSolve   *obs.Histogram            // request latency, computed requests
@@ -362,10 +363,10 @@ func resultSizer(r *result) int64 {
 	return b
 }
 
-// initObs builds the metric registry: every former /statz counter plus the
-// new histogram and model families. Counters owned by the cache tiers are
-// adopted by pointer (RegisterCounter), not copied — the registry and
-// Stats() read the same atomics.
+// initObs builds the metric registry, the one source /statz and /metricsz
+// both render. Counters owned by the cache tiers are adopted by pointer
+// (RegisterCounter), not copied — the registry and Stats() read the same
+// atomics.
 func (s *Server) initObs() {
 	r := obs.NewRegistry()
 	s.reg = r
@@ -432,6 +433,12 @@ func (s *Server) initObs() {
 			func() float64 { return float64(t.stats().Entries) }, l)
 		r.GaugeFunc("manirank_cache_resident_bytes", "approximate resident bytes per tier",
 			func() float64 { return float64(t.bytes()) }, l)
+		r.GaugeFunc("manirank_cache_in_flight", "leader computations running per tier",
+			func() float64 { return float64(t.stats().InFlight) }, l)
+		r.GaugeFunc("manirank_cache_cost_used", "summed admission cost of resident entries per tier",
+			func() float64 { return float64(t.stats().CostUsed) }, l)
+		r.GaugeFunc("manirank_cache_cost_budget", "configured admission cost budget per tier",
+			func() float64 { return float64(t.stats().CostBudget) }, l)
 		r.GaugeFunc("manirank_cache_hit_rate", "measured memory hit rate per tier",
 			func() float64 { return t.stats().HitRate() }, l)
 		r.GaugeFunc("manirank_cache_hit_rate_predicted", "Che-approximation hit rate per tier", t.predict, l)
@@ -824,98 +831,6 @@ func (s *Server) finishTrace(tr *obs.Trace) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// Statz is the /statz snapshot.
-type Statz struct {
-	UptimeSeconds float64           `json:"uptime_s"`
-	Queue         QueueStatz        `json:"queue"`
-	Cache         TierStatz         `json:"cache"`
-	CacheHitRate  float64           `json:"cache_hit_rate"`
-	Matrix        TierStatz         `json:"precedence_cache"`
-	MatrixHitRate float64           `json:"precedence_hit_rate"`
-	Requests      map[string]uint64 `json:"requests_by_status"`
-	LatencySolve  LatencySnapshot   `json:"latency_solve"`
-	LatencyHit    LatencySnapshot   `json:"latency_hit"`
-	// LatencyByMethod breaks pure solver time (queueing and cache layers
-	// excluded) down per method, so a speedup in one solver family — e.g. the
-	// incremental parity auditor in the fair methods — is visible in serving
-	// rather than only in benchmarks.
-	LatencyByMethod map[string]LatencySnapshot `json:"latency_solve_by_method"`
-	// Sessions reports the streaming-session surface.
-	Sessions SessionStatz `json:"sessions"`
-	// Fleet reports the peering layer; omitted on a single node.
-	Fleet *FleetStatz `json:"fleet,omitempty"`
-}
-
-// SessionStatz reports the streaming-session surface: live sessions and
-// operation counts (ops with no traffic are omitted, matching the
-// requests_by_status shape).
-type SessionStatz struct {
-	Active int               `json:"active"`
-	Ops    map[string]uint64 `json:"ops"`
-}
-
-// QueueStatz reports the admission layer.
-type QueueStatz struct {
-	Depth    int64 `json:"depth"`
-	Capacity int   `json:"capacity"`
-	InFlight int64 `json:"in_flight"`
-	Workers  int   `json:"workers"`
-}
-
-// StatzSnapshot assembles the /statz payload (exported for tests). Every
-// number is read from the same obs structs the registry exports at
-// /metricsz; only the rendering differs. Status and method entries appear
-// once they have traffic, preserving the pre-registry JSON shape.
-func (s *Server) StatzSnapshot() Statz {
-	cs := s.cache.Stats()
-	ms := s.prec.Stats()
-	st := Statz{
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		Queue: QueueStatz{
-			Depth:    s.queued.Load(),
-			Capacity: s.cfg.QueueDepth,
-			InFlight: s.inFlight.Load(),
-			Workers:  s.cfg.Workers,
-		},
-		Cache:           TierStatz{cs, resultStatzOmit},
-		CacheHitRate:    cs.HitRate(),
-		Matrix:          TierStatz{ms, matrixStatzOmit},
-		MatrixHitRate:   ms.HitRate(),
-		Requests:        map[string]uint64{},
-		LatencySolve:    latencySnapshot(s.histSolve),
-		LatencyHit:      latencySnapshot(s.histHit),
-		LatencyByMethod: map[string]LatencySnapshot{},
-	}
-	for code, c := range s.status {
-		if v := c.Value(); v > 0 {
-			st.Requests[strconv.Itoa(code)] = v
-		}
-	}
-	if v := s.statusOther.Value(); v > 0 {
-		st.Requests["other"] = v
-	}
-	for m, h := range s.methodHist {
-		if h.Count() > 0 {
-			st.LatencyByMethod[m] = latencySnapshot(h)
-		}
-	}
-	s.sessMu.Lock()
-	st.Sessions.Active = len(s.sessions)
-	s.sessMu.Unlock()
-	st.Sessions.Ops = map[string]uint64{}
-	for op, c := range s.sessionOps {
-		if v := c.Value(); v > 0 {
-			st.Sessions.Ops[op] = v
-		}
-	}
-	st.Fleet = s.fleetStatz()
-	return st
-}
-
-func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.StatzSnapshot())
 }
 
 // handleMetricsz serves the registry in Prometheus text exposition format.

@@ -129,8 +129,8 @@ func TestSecondIdenticalRequestIsCacheHit(t *testing.T) {
 	if !second.Ranking.Equal(first.Ranking) {
 		t.Fatal("cache returned a different ranking")
 	}
-	if st := s.StatzSnapshot(); st.Cache.Hits != 1 || st.Cache.Misses != 1 {
-		t.Fatalf("cache stats %+v, want 1 hit / 1 miss", st.Cache)
+	if cs := s.cache.Stats(); cs.Hits != 1 || cs.Misses != 1 {
+		t.Fatalf("cache stats %+v, want 1 hit / 1 miss", cs)
 	}
 }
 
@@ -141,15 +141,14 @@ func TestStatzPerMethodLatency(t *testing.T) {
 	post(t, ts.URL, testRequest("fair-borda", 6))
 	post(t, ts.URL, testRequest("fair-borda", 6)) // hit: must not record
 	post(t, ts.URL, testRequest("kemeny", 6))
-	st := s.StatzSnapshot()
-	if got := st.LatencyByMethod["fair-borda"].Count; got != 1 {
+	if got := s.methodHist["fair-borda"].Count(); got != 1 {
 		t.Fatalf("fair-borda solve count = %d, want 1 (cache hits must not record)", got)
 	}
-	if got := st.LatencyByMethod["kemeny"].Count; got != 1 {
+	if got := s.methodHist["kemeny"].Count(); got != 1 {
 		t.Fatalf("kemeny solve count = %d, want 1", got)
 	}
-	if _, ok := st.LatencyByMethod["fair-copeland"]; ok {
-		t.Fatal("unsolved method has a latency ring")
+	if got := s.methodHist["fair-copeland"].Count(); got != 0 {
+		t.Fatalf("unsolved method has %d latency observations", got)
 	}
 }
 
@@ -191,9 +190,8 @@ func TestConcurrentIdenticalRequestsComputeOnce(t *testing.T) {
 	if leaders != 1 {
 		t.Fatalf("%d clients computed independently, want exactly 1", leaders)
 	}
-	if st := s.StatzSnapshot(); st.Cache.Coalesced+st.Cache.Hits != clients-1 {
-		t.Fatalf("stats %+v: coalesced+hits = %d, want %d", st.Cache,
-			st.Cache.Coalesced+st.Cache.Hits, clients-1)
+	if cs := s.cache.Stats(); cs.Coalesced+cs.Hits != clients-1 {
+		t.Fatalf("stats %+v: coalesced+hits = %d, want %d", cs, cs.Coalesced+cs.Hits, clients-1)
 	}
 }
 
@@ -296,7 +294,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		status, _ := post(t, ts.URL, slow)
 		done <- status
 	}()
-	waitFor(t, func() bool { return s.StatzSnapshot().Queue.InFlight == 1 })
+	waitFor(t, func() bool { return s.inFlight.Load() == 1 })
 
 	queued := testRequest("fair-kemeny", 10) // distinct digest
 	queued.Options.Perturbations = 2_000_000
@@ -306,7 +304,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		status, _ := post(t, ts.URL, queued)
 		queuedDone <- status
 	}()
-	waitFor(t, func() bool { return s.StatzSnapshot().Queue.Depth == 1 })
+	waitFor(t, func() bool { return s.queued.Load() == 1 })
 
 	rejected := testRequest("fair-kemeny", 11)
 	rejected.Options.Perturbations = 2_000_000
@@ -433,23 +431,14 @@ func TestHealthzAndStatz(t *testing.T) {
 	}
 	resp.Body.Close()
 	post(t, ts.URL, testRequest("borda", 13))
-	resp, err = http.Get(ts.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st Statz
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Queue.Capacity == 0 || st.Queue.Workers == 0 {
-		t.Fatalf("statz queue config empty: %+v", st.Queue)
-	}
-	if st.Requests["200"] == 0 {
-		t.Fatalf("statz did not count the 200: %+v", st.Requests)
-	}
-	if st.LatencySolve.Count == 0 {
-		t.Fatalf("statz solve latency ring empty: %+v", st.LatencySolve)
+	st := getStatz(t, ts.URL)
+	for _, path := range [][]string{
+		{"queue", "capacity"}, {"queue", "workers"},
+		{"requests_by_status", "200"}, {"latency_solve", "count"},
+	} {
+		if n, _ := statzAt(st, path...).(float64); n == 0 {
+			t.Errorf("statz %v = %v, want a positive number", path, statzAt(st, path...))
+		}
 	}
 }
 

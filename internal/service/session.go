@@ -134,6 +134,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err, start)
 		return
 	}
+	// The mirror keeps the canonical method name (the digest canonicalises
+	// it anyway), so session info and traces name the method as every solve
+	// response does.
+	req.Method = pb.method.String()
 
 	id, err := newSessionID()
 	if err != nil {

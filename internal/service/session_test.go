@@ -306,12 +306,47 @@ func TestSessionConcurrency(t *testing.T) {
 		t.Error(err)
 	}
 
-	st := s.StatzSnapshot()
-	if st.Sessions.Active != sessions {
-		t.Fatalf("sessions active = %d, want %d", st.Sessions.Active, sessions)
+	if active := s.reg.Value("manirank_sessions_active"); active != sessions {
+		t.Fatalf("sessions active = %g, want %d", active, sessions)
 	}
-	if st.Sessions.Ops["create"] != sessions || st.Sessions.Ops["update"]+st.Sessions.Ops["solve"] == 0 {
-		t.Fatalf("session op counters = %+v", st.Sessions.Ops)
+	ops := s.sessionOps
+	if ops["create"].Value() != sessions || ops["update"].Value()+ops["solve"].Value() == 0 {
+		t.Fatalf("session op counters: create %d, update %d, solve %d",
+			ops["create"].Value(), ops["update"].Value(), ops["solve"].Value())
+	}
+}
+
+// TestSessionReportsCanonicalMethod: a session created with a loose method
+// spelling reports the canonical name everywhere — the create and solve
+// responses, GET /v1/session/{id}, and the session's request traces.
+func TestSessionReportsCanonicalMethod(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	status, created := createSession(t, ts.URL, testRequest(" Borda ", 34))
+	if status != http.StatusOK || created.Method != "borda" {
+		t.Fatalf("create: status %d, method %q", status, created.Method)
+	}
+	if status, out := postOp(t, ts.URL, created.SessionID, &SessionOp{Op: "solve"}); status != http.StatusOK || out.Method != "borda" {
+		t.Fatalf("solve: status %d", status)
+	}
+	resp, err := http.Get(ts.URL + "/v1/session/" + created.SessionID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info SessionInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Method != "borda" {
+		t.Fatalf("session info method %q, want %q", info.Method, "borda")
+	}
+	recent, _ := s.traces.Snapshot()
+	var names []string
+	for _, tr := range recent {
+		names = append(names, tr.Name)
+	}
+	if len(names) != 2 || names[0] != "session-solve/borda" || names[1] != "session-create/borda" {
+		t.Fatalf("session traces %q, want the solve and the create under the canonical name", names)
 	}
 }
 
@@ -444,8 +479,8 @@ func TestSessionCreateFailureFreesSlot(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, MaxSessions: 1})
 	var wg sync.WaitGroup
 	for i, wait := range []func() bool{
-		func() bool { return s.StatzSnapshot().Queue.InFlight == 1 },
-		func() bool { return s.StatzSnapshot().Queue.Depth == 1 },
+		func() bool { return s.inFlight.Load() == 1 },
+		func() bool { return s.queued.Load() == 1 },
 	} {
 		req := testRequest("fair-kemeny", int64(70+i))
 		req.Options.Perturbations = 2_000_000
@@ -461,21 +496,21 @@ func TestSessionCreateFailureFreesSlot(t *testing.T) {
 	if status, _ := createSession(t, ts.URL, sreq); status != http.StatusTooManyRequests {
 		t.Fatalf("create with the queue full: status %d, want 429", status)
 	}
-	if st := s.StatzSnapshot(); st.Sessions.Active != 0 || st.Sessions.Ops["create"] != 0 {
-		t.Fatalf("after a refused create: sessions %+v, want none active or created", st.Sessions)
+	if active, created := s.reg.Value("manirank_sessions_active"), s.sessionOps["create"].Value(); active != 0 || created != 0 {
+		t.Fatalf("after a refused create: %g active, %d created, want none", active, created)
 	}
 	wg.Wait()
 	if status, _ := createSession(t, ts.URL, sreq); status != http.StatusOK {
 		t.Fatalf("create after the load drained: status %d, want 200", status)
 	}
-	if st := s.StatzSnapshot(); st.Sessions.Active != 1 || st.Sessions.Ops["create"] != 1 {
-		t.Fatalf("after a served create: sessions %+v, want 1 active and 1 created", st.Sessions)
+	if active, created := s.reg.Value("manirank_sessions_active"), s.sessionOps["create"].Value(); active != 1 || created != 1 {
+		t.Fatalf("after a served create: %g active, %d created, want 1 and 1", active, created)
 	}
-	builds := s.StatzSnapshot().Matrix.Builds
+	builds := s.prec.Stats().Builds
 	if status, _ := createSession(t, ts.URL, testRequest("fair-kemeny", 73)); status != http.StatusTooManyRequests {
 		t.Fatalf("create at the limit: status %d, want 429", status)
 	}
-	if got := s.StatzSnapshot().Matrix.Builds; got != builds {
+	if got := s.prec.Stats().Builds; got != builds {
 		t.Fatalf("a create at the limit built its matrix (builds %d -> %d)", builds, got)
 	}
 }

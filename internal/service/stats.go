@@ -1,43 +1,101 @@
 package service
 
 import (
-	"encoding/json"
+	"net/http"
+	"strconv"
 	"time"
 
 	"manirank/internal/obs"
-	"manirank/internal/service/cache"
 )
 
-// TierStatz is one cache tier's /statz section: the tier's Stats under the
-// key set that section has always reported. Both tiers share one Stats
-// type, so each section names the keys it never carried — the result
-// tier's build and cost accounting, the matrix tier's policy — and
-// rendering drops them.
-type TierStatz struct {
-	cache.Stats
-	omit []string
+// handleStatz serves /statz, a JSON view of the registry /metricsz
+// renders as Prometheus text: every number is a registered series read
+// through obs.Registry.Value or one of the server's registry histograms.
+// Status codes, session ops and peer counters appear once non-zero, and the
+// fleet section only on a fleet node.
+func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
+	v := s.reg.Value
+	requests := map[string]float64{}
+	for _, code := range knownStatuses {
+		if n := v("manirank_requests_total", obs.L("status", strconv.Itoa(code))); n > 0 {
+			requests[strconv.Itoa(code)] = n
+		}
+	}
+	if n := v("manirank_requests_total", obs.L("status", "other")); n > 0 {
+		requests["other"] = n
+	}
+	ops := map[string]float64{}
+	for _, op := range sessionOpNames {
+		if n := v("manirank_session_ops_total", obs.L("op", op)); n > 0 {
+			ops[op] = n
+		}
+	}
+	byMethod := map[string]LatencySnapshot{}
+	for m, h := range s.methodHist {
+		if h.Count() > 0 {
+			byMethod[m] = latencySnapshot(h)
+		}
+	}
+	result := s.tierStatz("result")
+	result["policy"] = "lru"
+	matrix := s.tierStatz("matrix")
+	matrix["cost_used"] = v("manirank_cache_cost_used", obs.L("tier", "matrix"))
+	matrix["cost_budget"] = v("manirank_cache_cost_budget", obs.L("tier", "matrix"))
+	matrix["builds"] = v("manirank_matrix_builds_total")
+	matrix["builds_skipped"] = v("manirank_matrix_builds_skipped_total")
+	matrix["rejected"] = v("manirank_matrix_rejected_total")
+	st := map[string]any{
+		"uptime_s": v("manirank_uptime_seconds"),
+		"queue": map[string]float64{
+			"depth":     v("manirank_queue_depth"),
+			"capacity":  v("manirank_queue_capacity"),
+			"in_flight": v("manirank_in_flight"),
+			"workers":   v("manirank_workers"),
+		},
+		"cache":                   result,
+		"cache_hit_rate":          v("manirank_cache_hit_rate", obs.L("tier", "result")),
+		"precedence_cache":        matrix,
+		"precedence_hit_rate":     v("manirank_cache_hit_rate", obs.L("tier", "matrix")),
+		"requests_by_status":      requests,
+		"latency_solve":           latencySnapshot(s.histSolve),
+		"latency_hit":             latencySnapshot(s.histHit),
+		"latency_solve_by_method": byMethod,
+		"sessions":                map[string]any{"active": v("manirank_sessions_active"), "ops": ops},
+	}
+	if f := s.fleet; f != nil {
+		st["fleet"] = map[string]any{
+			"self":  f.Self(),
+			"epoch": v("manirank_fleet_epoch"),
+			"nodes": v("manirank_fleet_nodes"),
+			"alive": v("manirank_fleet_alive_nodes"),
+			"peers": f.PeerStatuses(),
+		}
+	}
+	writeJSON(w, http.StatusOK, st)
 }
 
-// Key sets dropped from each tier's /statz section.
-var (
-	resultStatzOmit = []string{"builds", "builds_skipped", "rejected", "cost_used", "cost_budget"}
-	matrixStatzOmit = []string{"policy"}
-)
-
-// MarshalJSON renders the Stats without the omitted keys.
-func (t TierStatz) MarshalJSON() ([]byte, error) {
-	data, err := json.Marshal(t.Stats)
-	if err != nil || len(t.omit) == 0 {
-		return data, err
+// tierStatz is the /statz section both cache tiers share, read from the
+// manirank_cache_* series under the tier's label.
+func (s *Server) tierStatz(tier string) map[string]any {
+	l := obs.L("tier", tier)
+	v := func(name string) float64 { return s.reg.Value(name, l) }
+	sec := map[string]any{
+		"hits":        v("manirank_cache_hits_total"),
+		"misses":      v("manirank_cache_misses_total"),
+		"coalesced":   v("manirank_cache_coalesced_total"),
+		"evictions":   v("manirank_cache_evictions_total"),
+		"disk_hits":   v("manirank_cache_disk_hits_total"),
+		"disk_puts":   v("manirank_cache_disk_puts_total"),
+		"disk_errors": v("manirank_cache_disk_errors_total"),
+		"entries":     v("manirank_cache_entries"),
+		"in_flight":   v("manirank_cache_in_flight"),
 	}
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(data, &fields); err != nil {
-		return nil, err
+	for _, k := range []string{"peer_hits", "peer_misses", "peer_errors"} {
+		if n := v("manirank_cache_" + k + "_total"); n > 0 {
+			sec[k] = n
+		}
 	}
-	for _, k := range t.omit {
-		delete(fields, k)
-	}
-	return json.Marshal(fields)
+	return sec
 }
 
 // LatencySnapshot summarises one latency histogram for /statz, in
