@@ -112,7 +112,7 @@ func (c *EngineCache) Engine(ctx context.Context, p Profile, opts ...EngineOptio
 		o(&cfg)
 	}
 	key := p.Digest(engineCacheVersion)
-	w, _, _, err := c.mc.Do(ctx, key, func() (*Precedence, bool, error) {
+	w, _, _, err := c.mc.Do(ctx, key, nil, func() (*Precedence, bool, error) {
 		if cfg.hasWorkers {
 			w, err := ranking.NewPrecedenceWorkers(p, cfg.workers)
 			return w, true, err

@@ -25,7 +25,7 @@ func compute(v any) func() (any, bool, error) {
 
 func mustDo(t *testing.T, c *Tier[any], key string, v any) (any, bool) {
 	t.Helper()
-	got, hit, _, err := c.Do(context.Background(), key, compute(v))
+	got, hit, _, err := c.Do(context.Background(), key, nil, compute(v))
 	if err != nil {
 		t.Fatalf("Do(%q): %v", key, err)
 	}
@@ -149,7 +149,7 @@ func TestZeroCapacityStoresNothing(t *testing.T) {
 
 func TestUncacheableNotStored(t *testing.T) {
 	c := newUnit(4)
-	if _, _, _, err := c.Do(context.Background(), "a", func() (any, bool, error) { return 1, false, nil }); err != nil {
+	if _, _, _, err := c.Do(context.Background(), "a", nil, func() (any, bool, error) { return 1, false, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if _, hit := mustDo(t, c, "a", 2); hit {
@@ -160,7 +160,7 @@ func TestUncacheableNotStored(t *testing.T) {
 func TestErrorNotStored(t *testing.T) {
 	c := newUnit(4)
 	boom := errors.New("boom")
-	if _, _, _, err := c.Do(context.Background(), "a", func() (any, bool, error) { return nil, true, boom }); !errors.Is(err, boom) {
+	if _, _, _, err := c.Do(context.Background(), "a", nil, func() (any, bool, error) { return nil, true, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if _, hit := mustDo(t, c, "a", 2); hit {
@@ -184,7 +184,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, shared, err := c.Do(context.Background(), "key", func() (any, bool, error) {
+			v, _, shared, err := c.Do(context.Background(), "key", nil, func() (any, bool, error) {
 				computes.Add(1)
 				<-gate // hold the flight open until all callers joined or are blocked
 				return "result", true, nil
@@ -238,7 +238,7 @@ func TestCoalescedFollowerHonoursContext(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		v, _, _, err := c.Do(context.Background(), "key", func() (any, bool, error) {
+		v, _, _, err := c.Do(context.Background(), "key", nil, func() (any, bool, error) {
 			<-gate
 			return 42, true, nil
 		})
@@ -252,7 +252,7 @@ func TestCoalescedFollowerHonoursContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, shared, err := c.Do(ctx, "key", compute(0))
+	_, _, shared, err := c.Do(ctx, "key", nil, compute(0))
 	if !errors.Is(err, context.Canceled) || !shared {
 		t.Fatalf("follower: shared=%v err=%v, want coalesced context.Canceled", shared, err)
 	}

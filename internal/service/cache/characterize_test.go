@@ -172,7 +172,7 @@ func TestResultTierMatchesChe(t *testing.T) {
 			for _, k := range zipfTrace(0x5eed, shape.keys, shape.accesses, skew) {
 				key := fmt.Sprintf("k%d", k)
 				che.Observe(key)
-				if _, _, _, err := tier.Do(ctx, key, func() (int, bool, error) { return k, true, nil }); err != nil {
+				if _, _, _, err := tier.Do(ctx, key, nil, func() (int, bool, error) { return k, true, nil }); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -19,28 +19,28 @@ func TestCacheDoFetchOutcomes(t *testing.T) {
 	compute := func() (any, bool, error) { computes++; return "computed", true, nil }
 
 	c := newUnit(8)
-	v, hit, _, err := c.DoFetch(ctx, "aa01", func(context.Context) (any, bool, error) {
+	v, hit, _, err := c.Do(ctx, "aa01", func(context.Context) (any, bool, error) {
 		return "from-peer", true, nil
 	}, compute)
 	if err != nil || !hit || v != "from-peer" || computes != 0 {
 		t.Fatalf("peer hit: v=%v hit=%v computes=%d err=%v", v, hit, computes, err)
 	}
 	// The fetched entry is now resident: a plain Do must hit memory.
-	if v, hit, _, _ := c.Do(ctx, "aa01", compute); !hit || v != "from-peer" {
+	if v, hit, _, _ := c.Do(ctx, "aa01", nil, compute); !hit || v != "from-peer" {
 		t.Fatalf("fetched entry not admitted: v=%v hit=%v", v, hit)
 	}
 
-	if v, hit, _, err := c.DoFetch(ctx, "aa02", func(context.Context) (any, bool, error) {
+	if v, hit, _, err := c.Do(ctx, "aa02", func(context.Context) (any, bool, error) {
 		return nil, false, nil // authoritative peer miss
 	}, compute); err != nil || hit || v != "computed" {
 		t.Fatalf("peer miss should compute: v=%v hit=%v err=%v", v, hit, err)
 	}
-	if v, _, _, err := c.DoFetch(ctx, "aa03", func(context.Context) (any, bool, error) {
+	if v, _, _, err := c.Do(ctx, "aa03", func(context.Context) (any, bool, error) {
 		return nil, false, errors.New("peer down")
 	}, compute); err != nil || v != "computed" {
 		t.Fatalf("peer error should compute: v=%v err=%v", v, err)
 	}
-	if _, _, _, err := c.DoFetch(ctx, "aa04", func(context.Context) (any, bool, error) {
+	if _, _, _, err := c.Do(ctx, "aa04", func(context.Context) (any, bool, error) {
 		return nil, false, ErrNotAsked // no live peer: never asked
 	}, compute); err != nil {
 		t.Fatal(err)
@@ -61,21 +61,21 @@ func TestMatrixDoFetchOutcomes(t *testing.T) {
 	build := func() (priced, bool, error) { builds++; return priced{"built", 1}, true, nil }
 
 	c := newPriced(100)
-	v, hit, _, err := c.DoFetch(ctx, "bb01", func(context.Context) (priced, bool, error) {
+	v, hit, _, err := c.Do(ctx, "bb01", func(context.Context) (priced, bool, error) {
 		return priced{"peer-matrix", 2}, true, nil
 	}, build)
 	if err != nil || !hit || v.v != "peer-matrix" || builds != 0 {
 		t.Fatalf("peer hit: v=%v hit=%v builds=%d err=%v", v, hit, builds, err)
 	}
-	if v, hit, _, _ := c.Do(ctx, "bb01", build); !hit || v.v != "peer-matrix" {
+	if v, hit, _, _ := c.Do(ctx, "bb01", nil, build); !hit || v.v != "peer-matrix" {
 		t.Fatalf("fetched matrix not admitted: v=%v hit=%v", v, hit)
 	}
-	if _, _, _, err := c.DoFetch(ctx, "bb02", func(context.Context) (priced, bool, error) {
+	if _, _, _, err := c.Do(ctx, "bb02", func(context.Context) (priced, bool, error) {
 		return priced{}, false, nil
 	}, build); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.DoFetch(ctx, "bb03", func(context.Context) (priced, bool, error) {
+	if _, _, _, err := c.Do(ctx, "bb03", func(context.Context) (priced, bool, error) {
 		return priced{}, false, errors.New("peer down")
 	}, build); err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ func build(v any, cost int64) func() (priced, bool, error) {
 // mustMatrixDo runs a plain build and fails the test on error.
 func mustMatrixDo(t *testing.T, c *Tier[priced], key string, v any, cost int64) (any, bool) {
 	t.Helper()
-	got, hit, _, err := c.Do(context.Background(), key, build(v, cost))
+	got, hit, _, err := c.Do(context.Background(), key, nil, build(v, cost))
 	if err != nil {
 		t.Fatalf("Do(%q): %v", key, err)
 	}
@@ -121,7 +121,7 @@ func TestMatrixDisabledStoresNothing(t *testing.T) {
 func TestMatrixBuildErrorNotStored(t *testing.T) {
 	c := newPriced(100)
 	boom := errors.New("boom")
-	if _, _, _, err := c.Do(context.Background(), "a", func() (priced, bool, error) { return priced{}, true, boom }); !errors.Is(err, boom) {
+	if _, _, _, err := c.Do(context.Background(), "a", nil, func() (priced, bool, error) { return priced{}, true, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if _, hit := mustMatrixDo(t, c, "a", 1, 10); hit {
@@ -147,7 +147,7 @@ func TestMatrixSingleFlightCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, shared, err := c.Do(context.Background(), "profile", func() (priced, bool, error) {
+			v, _, shared, err := c.Do(context.Background(), "profile", nil, func() (priced, bool, error) {
 				builds.Add(1)
 				<-gate
 				return priced{"matrix", 10}, true, nil
@@ -233,7 +233,7 @@ func TestMatrixPut(t *testing.T) {
 
 	// Restart: the Put entry restores from disk like any build.
 	c2 := open()
-	v, hit, _, err := c2.Do(context.Background(), testKey, build("rebuilt", 10))
+	v, hit, _, err := c2.Do(context.Background(), testKey, nil, build("rebuilt", 10))
 	if err != nil || !hit || v.v.(string) != "patched" {
 		t.Fatalf("restart Do = %v hit=%v err=%v, want disk restore of the Put", v, hit, err)
 	}

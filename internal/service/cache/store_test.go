@@ -286,7 +286,7 @@ func TestCacheDiskWarmRestart(t *testing.T) {
 
 	c2 := open() // the "restarted process"
 	recomputed := false
-	v, hit, _, err := c2.Do(context.Background(), testKey, func() (any, bool, error) {
+	v, hit, _, err := c2.Do(context.Background(), testKey, nil, func() (any, bool, error) {
 		recomputed = true
 		return "recomputed", true, nil
 	})
@@ -321,7 +321,7 @@ func TestCacheDiskDecodeErrorRecovers(t *testing.T) {
 		Encode: func(v any) ([]byte, error) { return []byte(v.(string)), nil },
 		Decode: func(d []byte) (any, error) { return nil, errors.New("schema mismatch") },
 	})
-	v, hit, _, err := c.Do(context.Background(), testKey, compute("recomputed"))
+	v, hit, _, err := c.Do(context.Background(), testKey, nil, compute("recomputed"))
 	if err != nil || hit || v.(string) != "recomputed" {
 		t.Fatalf("Do over corrupt entry = %v hit=%v err=%v, want recompute", v, hit, err)
 	}
@@ -366,7 +366,7 @@ func TestCachePanicSentinel(t *testing.T) {
 	leaderPanicked := make(chan any, 1)
 	go func() {
 		defer func() { leaderPanicked <- recover() }()
-		c.Do(context.Background(), "key", func() (any, bool, error) {
+		c.Do(context.Background(), "key", nil, func() (any, bool, error) {
 			<-gate
 			panic("compute exploded")
 		})
@@ -376,7 +376,7 @@ func TestCachePanicSentinel(t *testing.T) {
 	}
 	go func() {
 		close(followerJoined)
-		_, _, shared, err := c.Do(context.Background(), "key", compute(0))
+		_, _, shared, err := c.Do(context.Background(), "key", nil, compute(0))
 		if !shared || !errors.Is(err, errComputePanic) {
 			t.Errorf("follower: shared=%v err=%v, want errComputePanic", shared, err)
 		}
@@ -403,7 +403,7 @@ func TestCachePanicSentinel(t *testing.T) {
 		<-leaderPanicked
 	}
 	// The key must be retryable (no wedged flight).
-	if v, _, _, err := c.Do(context.Background(), "key", compute("retry")); err != nil || v.(string) != "retry" {
+	if v, _, _, err := c.Do(context.Background(), "key", nil, compute("retry")); err != nil || v.(string) != "retry" {
 		t.Fatalf("retry after panic: %v %v", v, err)
 	}
 }
@@ -417,7 +417,7 @@ func TestMatrixFollowerHonoursContext(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		v, _, _, err := c.Do(context.Background(), "key", func() (priced, bool, error) {
+		v, _, _, err := c.Do(context.Background(), "key", nil, func() (priced, bool, error) {
 			<-gate
 			return priced{42, 10}, true, nil
 		})
@@ -430,7 +430,7 @@ func TestMatrixFollowerHonoursContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, shared, err := c.Do(ctx, "key", build(0, 0))
+	_, _, shared, err := c.Do(ctx, "key", nil, build(0, 0))
 	if !errors.Is(err, context.Canceled) || !shared {
 		t.Fatalf("follower: shared=%v err=%v, want coalesced context.Canceled", shared, err)
 	}
@@ -449,7 +449,7 @@ func TestMatrixPanicSentinel(t *testing.T) {
 	recovered := make(chan any, 1)
 	go func() {
 		defer func() { recovered <- recover() }()
-		c.Do(context.Background(), "key", func() (priced, bool, error) {
+		c.Do(context.Background(), "key", nil, func() (priced, bool, error) {
 			<-gate
 			panic("build exploded")
 		})
@@ -459,7 +459,7 @@ func TestMatrixPanicSentinel(t *testing.T) {
 	}
 	followerErr := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.Do(context.Background(), "key", build(0, 0))
+		_, _, _, err := c.Do(context.Background(), "key", nil, build(0, 0))
 		followerErr <- err
 	}()
 	for c.Stats().Coalesced == 0 {
@@ -500,7 +500,7 @@ func TestMatrixDiskWarmRestart(t *testing.T) {
 
 	c2 := open()
 	rebuilt := false
-	v, hit, _, err := c2.Do(context.Background(), testKey, func() (priced, bool, error) {
+	v, hit, _, err := c2.Do(context.Background(), testKey, nil, func() (priced, bool, error) {
 		rebuilt = true
 		return priced{"rebuilt", 10}, true, nil
 	})

@@ -143,7 +143,7 @@ func (c Counters) BuildsSkipped() uint64 {
 // (no live peer): the tier counts nothing and computes.
 var ErrNotAsked = errors.New("cache: no peer asked")
 
-// FetchFunc is the fleet hook DoFetch tries after memory and disk miss and
+// FetchFunc is the fleet hook Do tries after memory and disk miss and
 // before computing: typically a bounded peer read from the key's rendezvous
 // owner. It returns the decoded value with found=true on a peer hit,
 // found=false on an authoritative miss, and ErrNotAsked when no fetch was
@@ -350,30 +350,24 @@ func (t *Tier[V]) evictLocked(cost int64) {
 
 // Do returns the value for key: from memory on a hit, by joining an
 // identical in-flight computation when one exists, by restoring the
-// persisted entry when a Store is attached and holds the key, and otherwise
-// by running compute in the caller's goroutine. compute returns (value,
-// cacheable, err); the value is stored only when err is nil and cacheable is
-// true (the serving layer marks deadline-truncated best-so-far results
-// uncacheable so a full-quality solve can replace them). Followers give up
-// when their ctx is done — the leader's computation is unaffected, so
-// nothing leaks. If compute panics, the panic propagates to the leader's
-// caller and followers fail with a dedicated sentinel error.
+// persisted entry when a Store is attached and holds the key, then — when
+// fetch is non-nil — from the fleet hook, and otherwise by running compute
+// in the caller's goroutine. compute returns (value, cacheable, err); the
+// value is stored only when err is nil and cacheable is true (the serving
+// layer marks deadline-truncated best-so-far results uncacheable so a
+// full-quality solve can replace them). A peer hit is admitted and written
+// through exactly like a fresh computation, while a peer miss or error
+// falls through to compute, so a dead peer can slow a request but never
+// fail it; peer outcomes land in the PeerHits / PeerMisses / PeerErrors
+// counters. Followers give up when their ctx is done — the leader's
+// computation is unaffected, so nothing leaks. If compute panics, the panic
+// propagates to the leader's caller and followers fail with a dedicated
+// sentinel error.
 //
 // The return flags: hit reports the value came from storage (memory, disk,
 // or a peer) rather than a computation; shared reports it came from another
 // caller's flight.
-func (t *Tier[V]) Do(ctx context.Context, key string, compute func() (V, bool, error)) (value V, hit, shared bool, err error) {
-	return t.DoFetch(ctx, key, nil, compute)
-}
-
-// DoFetch is Do with a fleet hook: after the memory and disk tiers miss,
-// the single-flight leader tries fetch (when non-nil) before running
-// compute. A peer hit is admitted and written through exactly like a fresh
-// computation — followers and future callers see a normal hit — while a
-// peer miss or error falls through to compute, so a dead peer can slow a
-// request but never fail it. Peer outcomes land in the PeerHits /
-// PeerMisses / PeerErrors counters.
-func (t *Tier[V]) DoFetch(ctx context.Context, key string, fetch FetchFunc[V], compute func() (V, bool, error)) (value V, hit, shared bool, err error) {
+func (t *Tier[V]) Do(ctx context.Context, key string, fetch FetchFunc[V], compute func() (V, bool, error)) (value V, hit, shared bool, err error) {
 	endLookup := obs.StartSpan(ctx, t.spans.lookup)
 	t.mu.Lock()
 	if v, ok := t.lookupLocked(key); ok {

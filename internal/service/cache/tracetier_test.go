@@ -13,7 +13,7 @@ type tierTrace[V any] struct {
 }
 
 func (tr tierTrace[V]) do(ctx context.Context, key string, build func() (string, int64)) (string, bool, error) {
-	v, hit, _, err := tr.t.Do(ctx, key, func() (V, bool, error) {
+	v, hit, _, err := tr.t.Do(ctx, key, nil, func() (V, bool, error) {
 		return tr.wrap(build()), true, nil
 	})
 	return tr.str(v), hit, err

@@ -43,12 +43,6 @@ func CacheNamespace(engineVersion string) string {
 	return strings.ReplaceAll(digestVersion, "/", "_") + "@engine-" + engineVersion
 }
 
-// Digest returns the full request digest of req (see Digests).
-func Digest(req *AggregateRequest) string {
-	full, _ := Digests(req)
-	return full
-}
-
 // Digests returns the two canonical cache keys of an aggregate request.
 //
 // The profile sub-digest covers exactly the base rankings — the only input

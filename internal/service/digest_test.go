@@ -22,12 +22,18 @@ func baseRequest() *AggregateRequest {
 	}
 }
 
+// fullDigest returns the full request digest of req (the first of Digests).
+func fullDigest(req *AggregateRequest) string {
+	full, _ := Digests(req)
+	return full
+}
+
 // TestDigestStableAcrossMapIterationOrder rebuilds the thresholds map many
 // times with different insertion orders (and therefore different internal
 // layouts Go will iterate differently) and checks the digest never moves.
 // This is the determinism property the result cache's correctness rests on.
 func TestDigestStableAcrossMapIterationOrder(t *testing.T) {
-	want := Digest(baseRequest())
+	want := fullDigest(baseRequest())
 	names := []string{"Gender", "Race", "intersection", "k3", "k4", "k5", "k6", "k7"}
 	vals := map[string]float64{"Gender": 0.1, "Race": 0.3, "intersection": 0.25,
 		"k3": 0.3, "k4": 0.4, "k5": 0.5, "k6": 0.6, "k7": 0.7}
@@ -37,7 +43,7 @@ func TestDigestStableAcrossMapIterationOrder(t *testing.T) {
 		for _, i := range order {
 			req.Thresholds[names[i]] = vals[names[i]]
 		}
-		return Digest(req)
+		return fullDigest(req)
 	}
 	forward := wide([]int{0, 1, 2, 3, 4, 5, 6, 7})
 	for trial := 0; trial < 50; trial++ {
@@ -51,7 +57,7 @@ func TestDigestStableAcrossMapIterationOrder(t *testing.T) {
 		}
 	}
 	for trial := 0; trial < 20; trial++ {
-		if got := Digest(baseRequest()); got != want {
+		if got := fullDigest(baseRequest()); got != want {
 			t.Fatalf("digest of identical request moved: %s != %s", got, want)
 		}
 	}
@@ -61,7 +67,7 @@ func TestDigestStableAcrossMapIterationOrder(t *testing.T) {
 // order) digests identically to the in-memory original.
 func TestDigestStableAcrossJSONRoundTrip(t *testing.T) {
 	req := baseRequest()
-	want := Digest(req)
+	want := fullDigest(req)
 	blob, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +76,7 @@ func TestDigestStableAcrossJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	if got := Digest(&decoded); got != want {
+	if got := fullDigest(&decoded); got != want {
 		t.Fatalf("digest moved across JSON round trip: %s != %s", got, want)
 	}
 	// Same request spelled with reordered JSON keys.
@@ -89,7 +95,7 @@ func TestDigestStableAcrossJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(reordered), &decoded2); err != nil {
 		t.Fatal(err)
 	}
-	if got := Digest(&decoded2); got != want {
+	if got := fullDigest(&decoded2); got != want {
 		t.Fatalf("digest moved across reordered JSON: %s != %s", got, want)
 	}
 }
@@ -97,7 +103,7 @@ func TestDigestStableAcrossJSONRoundTrip(t *testing.T) {
 // TestDigestSeparatesSemanticChanges: every field that influences the result
 // must separate the digest; the deadline must not.
 func TestDigestSeparatesSemanticChanges(t *testing.T) {
-	want := Digest(baseRequest())
+	want := fullDigest(baseRequest())
 	mutations := map[string]func(*AggregateRequest){
 		"method":         func(r *AggregateRequest) { r.Method = "fair-borda" },
 		"profile row":    func(r *AggregateRequest) { r.Profile[2] = []int{3, 2, 1, 0} },
@@ -117,13 +123,13 @@ func TestDigestSeparatesSemanticChanges(t *testing.T) {
 	for name, mutate := range mutations {
 		req := baseRequest()
 		mutate(req)
-		if Digest(req) == want {
+		if fullDigest(req) == want {
 			t.Errorf("mutation %q did not change the digest", name)
 		}
 	}
 	req := baseRequest()
 	req.DeadlineMillis = 12345
-	if Digest(req) != want {
+	if fullDigest(req) != want {
 		t.Error("deadline_ms changed the digest; deadlines must not shard the cache")
 	}
 	// The intersection threshold key is case-insensitive at build time, so
@@ -132,7 +138,7 @@ func TestDigestSeparatesSemanticChanges(t *testing.T) {
 	req = baseRequest()
 	delete(req.Thresholds, "intersection")
 	req.Thresholds["Intersection"] = 0.25
-	if Digest(req) != want {
+	if fullDigest(req) != want {
 		t.Error("intersection-key case changed the digest despite identical semantics")
 	}
 }
@@ -144,7 +150,7 @@ func TestDigestNoFieldConcatenationCollisions(t *testing.T) {
 		Attributes: []AttributeSpec{{Name: "ab", Values: []string{"cd"}, Of: []int{0, 0}}}}
 	b := &AggregateRequest{Method: "borda", Profile: [][]int{{0, 1}, {1, 0}},
 		Attributes: []AttributeSpec{{Name: "abc", Values: []string{"d"}, Of: []int{0, 0}}}}
-	if Digest(a) == Digest(b) {
+	if fullDigest(a) == fullDigest(b) {
 		t.Fatal("shifted attribute name/value boundary collided")
 	}
 }
@@ -154,11 +160,11 @@ func TestDigestNoFieldConcatenationCollisions(t *testing.T) {
 // fragment the cache — " Fair-Kemeny " and "fair-kemeny" are one entry,
 // one coalesced flight.
 func TestDigestCanonicalisesMethodSpelling(t *testing.T) {
-	want := Digest(baseRequest())
+	want := fullDigest(baseRequest())
 	for _, spelling := range []string{"Fair-Kemeny", " fair-kemeny ", "\tFAIR-KEMENY\n"} {
 		req := baseRequest()
 		req.Method = spelling
-		if got := Digest(req); got != want {
+		if got := fullDigest(req); got != want {
 			t.Errorf("method spelling %q digests to %s, canonical digests to %s", spelling, got, want)
 		}
 	}

@@ -118,12 +118,8 @@ func (s *Server) handlePeerBuild(w http.ResponseWriter, r *http.Request, digest 
 	// runner-up read included. The read is plain: this node is the builder,
 	// and two nodes whose views of the owner disagree must never post builds
 	// to each other.
-	s.cheMatrix.Observe(digest)
-	fetch := peerFetch(s.fleet, fleet.KindMatrices, digest, matrixCodec(), matrixFits(profile), nil)
-	m, _, _, err := s.prec.DoFetch(r.Context(), digest, fetch, func() (*ranking.Precedence, bool, error) {
-		m, err := ranking.NewPrecedence(profile)
-		return m, true, err
-	})
+	m, err := s.precedence(r.Context(), digest, profile,
+		peerFetch(s.fleet, fleet.KindMatrices, digest, matrixCodec(), matrixFits(profile), nil))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -68,11 +68,6 @@ type AggregateRequest struct {
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
 }
 
-// IsFair reports whether the request's method enforces fairness targets.
-func (req *AggregateRequest) IsFair() bool {
-	return strings.HasPrefix(strings.ToLower(req.Method), "fair-")
-}
-
 // problem is a validated, solver-ready request: the domain objects every
 // method consumes, plus the two cache keys (computed once here — the full
 // request digest for the result tier, the profile sub-digest for the
@@ -149,7 +144,7 @@ func buildProblem(req *AggregateRequest) (*problem, error) {
 		}
 	}
 
-	if !pb.IsFair() {
+	if !method.IsFair() {
 		return pb, nil
 	}
 	if pb.tab == nil {
@@ -184,6 +179,3 @@ func buildProblem(req *AggregateRequest) (*problem, error) {
 	pb.targets = append(pb.targets, core.Target{Attr: pb.tab.Intersection(), Delta: d})
 	return pb, nil
 }
-
-// IsFair reports whether the problem enforces fairness targets.
-func (pb *problem) IsFair() bool { return pb.method.IsFair() }

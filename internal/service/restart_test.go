@@ -90,3 +90,17 @@ func TestCacheNamespace(t *testing.T) {
 		t.Fatalf("namespace %q lacks the engine-version component", def)
 	}
 }
+
+// TestSessionCreateWritesMatrixOnce: a session starts on the matrix tier's
+// own entry, so creating one over an unseen profile writes that matrix to
+// disk once — the build's write-through — and the session adds no second
+// write until a mutation changes the profile.
+func TestSessionCreateWritesMatrixOnce(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheDir: t.TempDir()})
+	if status, _ := createSession(t, ts.URL, testRequest("fair-kemeny", 21)); status != 200 {
+		t.Fatalf("create: status %d", status)
+	}
+	if puts := s.prec.Stats().DiskPuts; puts != 1 {
+		t.Fatalf("session create wrote the matrix to disk %d times, want 1", puts)
+	}
+}

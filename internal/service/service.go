@@ -27,7 +27,11 @@
 //     hit rate the configured capacity should achieve and exports it next
 //     to the measured rate.
 //
-// See DESIGN.md §6–§7 for the queue → caches → solver architecture.
+// Each step has one copy: every solve — /v1/aggregate and each session
+// solve — goes through Server.resolve (result tier, admission,
+// Engine.Solve), every matrix lookup through Server.precedence, and every
+// traced answer through Server.reply or Server.fail. See DESIGN.md §6–§7
+// for the queue → caches → solver architecture.
 package service
 
 import (
@@ -527,53 +531,59 @@ func (s *Server) solveOptions(o SolverOptions) []manirank.SolveOption {
 	}
 }
 
-// precedence returns the problem's precedence matrix through the shared
-// matrix tier: keyed by the profile sub-digest, so any method over an
+// precedence returns the precedence matrix of profile through the shared
+// matrix tier, keyed by its profile sub-digest: any method over an
 // already-seen profile reuses the stored W, and concurrent first sights of
-// one profile build it exactly once. The matrix is immutable once built —
-// every solver only reads it — which is what makes sharing across worker
-// goroutines sound. ctx bounds only a follower's wait on another worker's
-// flight (which may include disk I/O); the build itself runs to completion.
-func (s *Server) precedence(ctx context.Context, pb *problem) (*ranking.Precedence, error) {
+// one profile build it exactly once. fetch is the tier's fleet hook (nil on
+// a single node). The matrix is immutable once built — every solver only
+// reads it — which is what makes sharing across worker goroutines sound.
+// ctx bounds only a follower's wait on another worker's flight (which may
+// include disk I/O); the build itself runs to completion.
+func (s *Server) precedence(ctx context.Context, digest string, profile ranking.Profile, fetch cache.FetchFunc[*ranking.Precedence]) (*ranking.Precedence, error) {
 	// Feed the popularity model the stream this tier actually sees: profile
 	// sub-digests of requests that missed the result tier.
-	s.cheMatrix.Observe(pb.profDigest)
-	w, _, _, err := s.prec.DoFetch(ctx, pb.profDigest, s.matrixFetch(pb), func() (*ranking.Precedence, bool, error) {
+	s.cheMatrix.Observe(digest)
+	w, _, _, err := s.prec.Do(ctx, digest, fetch, func() (*ranking.Precedence, bool, error) {
 		defer obs.StartSpan(ctx, "matrix_build")()
-		w, err := ranking.NewPrecedence(pb.profile)
+		w, err := ranking.NewPrecedence(profile)
 		return w, true, err
 	})
 	return w, err
 }
 
-// solve runs one problem on the engine registry. ctx carries the request
-// deadline; the Kemeny engines return best-so-far on expiry, so a partial
-// result is still a valid (and for fair methods, feasible) ranking.
-//
-// The cached precedence matrix is wrapped in a manirank.Engine (a cheap
-// three-pointer struct) so the service shares the exact dispatch path of
-// the library and the CLI: every method — Borda included — consumes the
-// shared W (Precedence.Borda / FairBordaW derive integer-identical point
-// totals from W's row sums, so routing through the tier never changes an
-// answer), the Result's PD loss divides the same integers whether computed
-// from W or from the raw profile, and the partial flag is sampled by the registry
-// immediately after the cancellable engines return (a deadline lapsing
-// during audit bookkeeping can never mislabel a complete result and evict
-// it from cacheability).
-func (s *Server) solve(ctx context.Context, pb *problem) (*result, error) {
-	w, err := s.precedence(ctx, pb)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := manirank.NewEngineW(w, manirank.WithTable(pb.tab))
-	if err != nil {
-		return nil, err
-	}
-	sr, err := eng.Solve(ctx, pb.method, pb.targets, s.solveOptions(pb.opts)...)
-	if err != nil {
-		return nil, err
-	}
-	return buildResult(sr, pb), nil
+// resolve answers one solve of pb under the result-tier key: from the tier
+// (memory, disk, or — when fetch is non-nil — a peer), from another
+// caller's in-flight solve, or else by solving on the engine that engine
+// returns, holding a solver slot (admit) for at most budget. rctx bounds
+// only a follower's wait; opts follow the request's own solver options. A
+// partial result is answered but never stored, so a full-quality solve can
+// replace it; Engine.Solve samples the partial flag right after the
+// cancellable solvers return, so a deadline lapsing during audit
+// bookkeeping can never mislabel a complete result.
+func (s *Server) resolve(rctx context.Context, tr *obs.Trace, key string, pb *problem, budget time.Duration,
+	fetch cache.FetchFunc[*result], engine func(ctx context.Context) (*manirank.Engine, error),
+	opts ...manirank.SolveOption) (res *result, hit, shared bool, err error) {
+	s.cheResult.Observe(key)
+	// Followers wait at most their own budget for the leader's flight.
+	waitCtx, cancelWait := context.WithTimeout(rctx, budget)
+	defer cancelWait()
+	return s.cache.Do(obs.WithTrace(waitCtx, tr), key, fetch, func() (*result, bool, error) {
+		res, err := s.admit(tr, pb.method, budget, func(ctx context.Context) (*result, error) {
+			eng, err := engine(ctx)
+			if err != nil {
+				return nil, err
+			}
+			sr, err := eng.Solve(ctx, pb.method, pb.targets, append(s.solveOptions(pb.opts), opts...)...)
+			if err != nil {
+				return nil, err
+			}
+			return buildResult(sr, pb), nil
+		})
+		if err != nil {
+			return nil, false, err
+		}
+		return res, !res.Partial, nil
+	})
 }
 
 // buildResult lowers an engine Result onto the wire form shared by the
@@ -733,30 +743,29 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	digest := pb.digest
-	budget := s.deadline(req.DeadlineMillis)
 
 	// The request trace starts once the problem is valid (malformed bodies
 	// have no stages worth attributing) and rides every context from here:
 	// the follower wait, both cache tiers, the queue, and the solvers.
 	tr := obs.NewTrace(pb.method.String(), digest[:12])
-	s.cheResult.Observe(digest)
-
-	// Followers wait at most their own budget for the leader's flight.
-	waitCtx, cancelWait := context.WithTimeout(r.Context(), budget)
-	defer cancelWait()
-	waitCtx = obs.WithTrace(waitCtx, tr)
-	res, hit, shared, err := s.cache.DoFetch(waitCtx, digest, s.resultFetch(pb), func() (*result, bool, error) {
-		res, err := s.admit(tr, pb.method, budget, func(ctx context.Context) (*result, error) {
-			return s.solve(ctx, pb)
+	// On a result miss the solve wraps the tier's matrix in a
+	// manirank.Engine (a cheap three-pointer struct), so the service shares
+	// the exact dispatch path of the library and the CLI: every method —
+	// Borda included — consumes the shared W (Precedence.Borda / FairBordaW
+	// derive integer-identical point totals from W's row sums, so routing
+	// through the tier never changes an answer), and the Result's PD loss
+	// divides the same integers whether computed from W or from the raw
+	// profile.
+	res, hit, shared, err := s.resolve(r.Context(), tr, digest, pb, s.deadline(req.DeadlineMillis), s.resultFetch(pb),
+		func(ctx context.Context) (*manirank.Engine, error) {
+			w, err := s.precedence(ctx, pb.profDigest, pb.profile, s.matrixFetch(pb))
+			if err != nil {
+				return nil, err
+			}
+			return manirank.NewEngineW(w, manirank.WithTable(pb.tab))
 		})
-		if err != nil {
-			return nil, false, err
-		}
-		return res, !res.Partial, nil
-	})
 	if err != nil {
-		s.writeError(w, r, admitStatus(err), err, start)
-		s.finishTrace(tr)
+		s.fail(w, r, tr, admitStatus(err), err, start)
 		return
 	}
 	elapsed := time.Since(start)
@@ -772,8 +781,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		Digest:    digest,
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
 	}
-	s.countStatus(http.StatusOK)
-	s.log.Info("aggregate",
+	s.reply(w, tr, resp, "aggregate",
 		"method", pb.method.String(),
 		"digest", digest[:12],
 		"n", pb.profile.N(),
@@ -785,9 +793,23 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		"elapsed_ms", resp.ElapsedMS,
 		"queue_depth", s.queued.Load(),
 	)
+}
+
+// reply answers a traced request 200 with resp: it counts the status, logs
+// msg with args, writes the body under the trace's encode span, and
+// finishes the trace.
+func (s *Server) reply(w http.ResponseWriter, tr *obs.Trace, resp any, msg string, args ...any) {
+	s.countStatus(http.StatusOK)
+	s.log.Info(msg, args...)
 	endEncode := tr.StartSpan("encode")
 	writeJSON(w, http.StatusOK, resp)
 	endEncode()
+	s.finishTrace(tr)
+}
+
+// fail answers a traced request with an error and finishes its trace.
+func (s *Server) fail(w http.ResponseWriter, r *http.Request, tr *obs.Trace, status int, err error, start time.Time) {
+	s.writeError(w, r, status, err, start)
 	s.finishTrace(tr)
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"manirank"
 	"manirank/internal/mallows"
 	"manirank/internal/obs"
 	"manirank/internal/ranking"
@@ -102,7 +103,7 @@ func TestAggregateAllMethods(t *testing.T) {
 		if out.Audit == nil {
 			t.Fatalf("%s: no audit despite attributes", method)
 		}
-		if req.IsFair() {
+		if m, _ := manirank.ParseMethod(method); m.IsFair() {
 			for name, arp := range out.Audit.ARPs {
 				if arp > req.Delta+1e-9 {
 					t.Fatalf("%s: ARP %s = %g exceeds delta %g", method, name, arp, req.Delta)

@@ -20,11 +20,11 @@ import (
 // a session pins one evolving profile server-side, every mutation patches
 // the session engine's precedence matrix in O(n²) instead of re-paying the
 // O(n²·m) rebuild a stateless re-POST costs, and every re-solve warm-starts
-// from the previous consensus. Results flow through the same result cache,
-// solver slots, and deadline machinery as /v1/aggregate — keyed by
-// SessionDigest so a mutated profile (or a different warm seed) can never
-// be served a stale entry, and patched matrices are written through to the
-// matrix tier under the post-mutation profile digest.
+// from the previous consensus. Results flow through Server.resolve, the one
+// result-tier path /v1/aggregate takes too — keyed by SessionDigest so a
+// mutated profile (or a different warm seed) can never be served a stale
+// entry, and patched matrices are written through to the matrix tier under
+// the post-mutation profile digest.
 
 // session is one live streaming profile.
 type session struct {
@@ -38,6 +38,11 @@ type session struct {
 	// req mirrors the session's current state in wire form; Digests over it
 	// always reflect the post-mutation profile.
 	req *AggregateRequest
+	// pb is the problem pinned at create. A mutation changes only the
+	// profile, so its method, table, targets and options hold for every
+	// state; its profile and digests are the create-time ones — req and eng
+	// carry the current state.
+	pb *problem
 	// eng holds the session's profile, table, and incrementally patched
 	// matrix.
 	eng *manirank.Engine
@@ -45,17 +50,16 @@ type session struct {
 	// Nil until the first complete solve.
 	consensus ranking.Ranking
 	// warmSeed is the warm-start seed pinned to the CURRENT profile state
-	// (engine version seedVersion): the consensus of the previous state. It
-	// is chosen once per state — re-solves of an unchanged state reuse it,
-	// so their digests agree and the result cache serves them — and
-	// re-chosen from consensus the first time a new state solves.
+	// (engine version seedVersion): the consensus of the previous state, nil
+	// at version 0. It is chosen once per state — re-solves of an unchanged
+	// state reuse it, so their digests agree and the result cache serves
+	// them — and re-chosen from consensus the first time a new state solves.
 	warmSeed    ranking.Ranking
 	seedVersion uint64
-	seedValid   bool
 	// putVersion is the engine version last written through to the matrix
-	// tier, so unchanged profiles aren't re-persisted on every solve.
+	// tier, so unchanged profiles aren't re-persisted on every solve. Version
+	// 0's matrix came from the tier, so it is never written back.
 	putVersion uint64
-	putOnce    bool
 	created    time.Time
 }
 
@@ -173,30 +177,23 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	tr := obs.NewTrace("session-create/"+pb.method.String(), pb.digest[:12])
 	budget := s.deadline(req.DeadlineMillis)
 	mctx, cancel := context.WithTimeout(obs.WithTrace(r.Context(), tr), budget)
-	w0, err := s.precedence(mctx, pb)
+	w0, err := s.precedence(mctx, pb.profDigest, pb.profile, s.matrixFetch(pb))
 	cancel()
 	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, err, start)
-		s.finishTrace(tr)
+		s.fail(w, r, tr, http.StatusInternalServerError, err, start)
 		return
 	}
-	var opts []manirank.EngineOption
-	if pb.tab != nil {
-		opts = append(opts, manirank.WithTable(pb.tab))
-	}
-	eng, err := manirank.NewEngineWithMatrix(pb.profile, w0, opts...)
+	eng, err := manirank.NewEngineWithMatrix(pb.profile, w0, manirank.WithTable(pb.tab))
 	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, err, start)
-		s.finishTrace(tr)
+		s.fail(w, r, tr, http.StatusInternalServerError, err, start)
 		return
 	}
-	sess := &session{id: id, req: &req, eng: eng, created: time.Now()}
+	sess := &session{id: id, req: &req, pb: pb, eng: eng, created: time.Now()}
 	sess.mu.Lock()
-	resp, status, err := s.solveSession(r.Context(), tr, sess, budget)
+	resp, err := s.solveSession(r.Context(), tr, sess, budget)
 	sess.mu.Unlock()
 	if err != nil {
-		s.writeError(w, r, status, err, start)
-		s.finishTrace(tr)
+		s.fail(w, r, tr, admitStatus(err), err, start)
 		return
 	}
 	s.sessMu.Lock()
@@ -205,15 +202,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	created = true
 	s.sessionOps["create"].Inc()
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.countStatus(http.StatusOK)
-	s.log.Info("session create",
+	s.reply(w, tr, resp, "session create",
 		"session", id[:12], "method", pb.method.String(),
 		"n", pb.profile.N(), "rankers", len(pb.profile),
 		"elapsed_ms", resp.ElapsedMS)
-	endEncode := tr.StartSpan("encode")
-	writeJSON(w, http.StatusOK, resp)
-	endEncode()
-	s.finishTrace(tr)
 }
 
 // handleSession routes /v1/session/{id}: POST applies one SessionOp and
@@ -308,75 +300,40 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request, sess *s
 	}
 	opc.Inc()
 
-	deadline := s.deadline(op.DeadlineMillis)
 	tr := obs.NewTrace("session-"+op.Op+"/"+sess.req.Method, sess.id[:12])
-	resp, status, serr := s.solveSession(r.Context(), tr, sess, deadline)
-	if serr != nil {
-		s.writeError(w, r, status, serr, start)
-		s.finishTrace(tr)
+	resp, err := s.solveSession(r.Context(), tr, sess, s.deadline(op.DeadlineMillis))
+	if err != nil {
+		s.fail(w, r, tr, admitStatus(err), err, start)
 		return
 	}
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.countStatus(http.StatusOK)
-	s.log.Info("session op",
+	s.reply(w, tr, resp, "session op",
 		"session", sess.id[:12], "op", op.Op,
 		"rankers", len(sess.req.Profile), "version", resp.Version,
 		"warm", resp.WarmStarted, "partial", resp.Partial,
 		"cached", resp.Cached, "elapsed_ms", resp.ElapsedMS)
-	endEncode := tr.StartSpan("encode")
-	writeJSON(w, http.StatusOK, resp)
-	endEncode()
-	s.finishTrace(tr)
 }
 
-// solveSession re-solves the session's current state through the shared
-// result cache and solver slots, warm-started from the previous consensus.
-// The caller holds sess.mu. Returns the response, or an HTTP status plus
-// error.
-func (s *Server) solveSession(rctx context.Context, tr *obs.Trace, sess *session, budget time.Duration) (*SessionResponse, int, error) {
-	pb, err := buildProblem(sess.req)
-	if err != nil {
-		// The mirror was mutated through the same validation as the engine,
-		// so this is unreachable short of a bug; surface it loudly.
-		return nil, http.StatusInternalServerError, fmt.Errorf("session state invalid: %w", err)
-	}
+// solveSession re-solves the session's current state through resolve —
+// the shared result tier and solver slots, with no fleet hook —
+// warm-started from the previous consensus. The caller holds sess.mu.
+func (s *Server) solveSession(rctx context.Context, tr *obs.Trace, sess *session, budget time.Duration) (*SessionResponse, error) {
 	// Pin the warm seed for this profile state: first solve of a new state
 	// adopts the previous state's consensus, re-solves of an unchanged state
 	// keep the seed (and therefore the digest) stable so the result cache
 	// can serve them.
-	if v := sess.eng.Version(); !sess.seedValid || sess.seedVersion != v {
-		sess.warmSeed = sess.consensus
-		sess.seedVersion, sess.seedValid = v, true
+	if v := sess.eng.Version(); v != sess.seedVersion {
+		sess.warmSeed, sess.seedVersion = sess.consensus, v
 	}
 	warm := sess.warmSeed
-	warmStarted := len(warm) == sess.eng.N()
-	digest := SessionDigest(pb.digest, warm)
-	s.cheResult.Observe(digest)
-
+	full, profDigest := Digests(sess.req)
+	digest := SessionDigest(full, warm)
 	eng := sess.eng
-	opts := append(s.solveOptions(pb.opts), manirank.WithWarmStart(warm))
-	compute := func(ctx context.Context) (*result, error) {
-		sr, err := eng.Solve(ctx, pb.method, pb.targets, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return buildResult(sr, pb), nil
-	}
-
-	waitCtx, cancelWait := context.WithTimeout(rctx, budget)
-	defer cancelWait()
-	waitCtx = obs.WithTrace(waitCtx, tr)
-	res, hit, shared, err := s.cache.Do(waitCtx, digest, func() (*result, bool, error) {
-		res, err := s.admit(tr, pb.method, budget, compute)
-		if err != nil {
-			return nil, false, err
-		}
-		// Partial (deadline-truncated) results are never cached, here
-		// exactly as on the stateless path.
-		return res, !res.Partial, nil
-	})
+	res, hit, shared, err := s.resolve(rctx, tr, digest, sess.pb, budget, nil,
+		func(context.Context) (*manirank.Engine, error) { return eng, nil },
+		manirank.WithWarmStart(warm))
 	if err != nil {
-		return nil, admitStatus(err), err
+		return nil, err
 	}
 
 	if !res.Partial {
@@ -387,10 +344,9 @@ func (s *Server) solveSession(rctx context.Context, tr *obs.Trace, sess *session
 		// — never the digest the session was created with — so a restarted
 		// server warm-restores the state the session actually reached.
 		sess.consensus = res.Ranking
-		if v := eng.Version(); !sess.putOnce || v != sess.putVersion {
-			w := eng.PrecedenceSnapshot()
-			s.prec.Put(context.WithoutCancel(rctx), pb.profDigest, w)
-			sess.putVersion, sess.putOnce = v, true
+		if v := eng.Version(); v != sess.putVersion {
+			s.prec.Put(context.WithoutCancel(rctx), profDigest, eng.PrecedenceSnapshot())
+			sess.putVersion = v
 		}
 	}
 
@@ -398,12 +354,12 @@ func (s *Server) solveSession(rctx context.Context, tr *obs.Trace, sess *session
 		SessionID:   sess.id,
 		Version:     eng.Version(),
 		Rankers:     len(sess.req.Profile),
-		WarmStarted: warmStarted,
+		WarmStarted: len(warm) == eng.N(),
 		AggregateResponse: AggregateResponse{
 			result:    *res,
 			Cached:    hit,
 			Coalesced: shared,
 			Digest:    digest,
 		},
-	}, http.StatusOK, nil
+	}, nil
 }

@@ -5,8 +5,10 @@
 # method over the same profile skips the precedence-matrix build (the
 # two-tier contract). Then the persistence contract: restart the daemon over
 # the same -cache-dir and assert the first repeated request is a disk-warm
-# hit (no solver run, no matrix build), and that bumping
-# -cache-engine-version invalidates everything persisted. First of all, a
+# hit (no solver run, no matrix build), that a session mutated before the
+# restart left its post-mutation matrix on disk (a stateless request over
+# that profile builds nothing), and that bumping -cache-engine-version
+# invalidates everything persisted. First of all, a
 # negative -queue, -deadline or -max-deadline must stop the daemon at
 # startup with exit 2. Used by CI's serve-smoke stage.
 set -euo pipefail
@@ -160,6 +162,14 @@ SERVER_PID=$!
 wait_healthy
 COLD="$(curl -sf -X POST "$BASE/v1/aggregate" -H 'Content-Type: application/json' -d "$REQ")"
 echo "$COLD" | grep -q '"cached":false' || { echo "first request against the fresh cache dir claimed a hit" >&2; exit 1; }
+# A session over the same profile, mutated once: its add writes the patched
+# matrix through to disk under the post-mutation profile digest.
+ADD_ROW='[0,2,1,4,3,6,5,8,7,10,9,12,11,14,13,16,15,18,17,19]'
+SID="$(curl -sf -X POST "$BASE/v1/session" -H 'Content-Type: application/json' -d "$REQ" \
+  | sed -n 's/.*"session_id":"\([0-9a-f]*\)".*/\1/p')"
+[ -n "$SID" ] || { echo "session create against the cache dir returned no session_id" >&2; exit 1; }
+ADDED="$(curl -sf -X POST "$BASE/v1/session/$SID" -H 'Content-Type: application/json' -d "{\"op\":\"add\",\"ranking\":$ADD_ROW}")"
+echo "$ADDED" | grep -q '"version":1' || { echo "session add did not bump the version: $ADDED" >&2; exit 1; }
 # SIGTERM: the daemon's graceful shutdown flushes both tiers to disk.
 kill "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true
 
@@ -187,6 +197,14 @@ MATRIX_TIER="$(echo "$STATZ" | sed -n 's/.*"precedence_cache":{\([^}]*\)}.*/\1/p
 echo "$MATRIX_TIER" | grep -q '"disk_hits":1' || { echo "statz did not record the matrix-tier disk restore: $MATRIX_TIER" >&2; exit 1; }
 echo "$MATRIX_TIER" | grep -q '"builds":0' || { echo "new method rebuilt the persisted matrix: $MATRIX_TIER" >&2; exit 1; }
 echo "$MATRIX_TIER" | grep -q '"builds_skipped":1' || { echo "builds_skipped did not count the disk restore: $MATRIX_TIER" >&2; exit 1; }
+
+# The session's post-mutation profile, asked statelessly under another
+# method, must restore the session's patched matrix from disk: no build.
+MUTATED_REQ="$(echo "$REQ" | sed "s/\[1,0,3,2,5,4,7,6,9,8,11,10,13,12,15,14,17,16,19,18\]/&,$ADD_ROW/; s/\"fair-kemeny\"/\"copeland\"/")"
+MUTATED="$(curl -sf -X POST "$BASE/v1/aggregate" -H 'Content-Type: application/json' -d "$MUTATED_REQ")"
+echo "$MUTATED" | grep -q '"ranking":\[' || { echo "no ranking for the post-mutation profile: $MUTATED" >&2; exit 1; }
+BUILDS="$(curl -sf "$BASE/metricsz" | awk '$1 == "manirank_matrix_builds_total" {print $2}')"
+[ "$BUILDS" = 0 ] || { echo "post-mutation profile rebuilt its matrix after the restart (builds $BUILDS)" >&2; exit 1; }
 kill "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true
 echo "restart-warm smoke ok"
 
