@@ -55,7 +55,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	queue := flag.Int("queue", 64, "requests that may wait for a solver slot; past it a request answers 429")
 	workers := flag.Int("workers", 0, "solver slots: at most this many solves run at once (0 = all CPUs)")
-	solverWorkers := flag.Int("solver-workers", 1, "restart shards per individual solve (kemeny.Options.Workers); keep 1 under concurrent load")
 	cacheSize := flag.Int("cache-size", 1024, "result cache capacity in entries (negative disables)")
 	cacheDir := flag.String("cache-dir", "", "root a persistent cache tier here: results and matrices survive restarts (empty disables)")
 	cacheEngineVersion := flag.String("cache-engine-version", "", "engine-behaviour version in the persistent cache namespace; bump to invalidate persisted entries (default "+service.DefaultEngineVersion+")")
@@ -117,7 +116,6 @@ func main() {
 	srv, err := service.New(service.Config{
 		QueueDepth:      *queue,
 		Workers:         *workers,
-		SolverWorkers:   *solverWorkers,
 		CacheSize:       *cacheSize,
 		CacheDir:        *cacheDir,
 		EngineVersion:   *cacheEngineVersion,

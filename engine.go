@@ -46,12 +46,12 @@ type Engine struct {
 
 // engineConfig collects EngineOption state.
 type engineConfig struct {
-	tab        *Table
-	workers    int
-	hasWorkers bool
+	tab     *Table
+	workers int
 }
 
-// EngineOption configures NewEngine / NewEngineW.
+// EngineOption configures the Engine constructors (NewEngine, NewEngineW,
+// NewEngineWithMatrix, EngineCache.Engine).
 type EngineOption func(*engineConfig)
 
 // WithTable attaches the candidate table X: Solve results gain a full
@@ -63,38 +63,46 @@ func WithTable(t *Table) EngineOption {
 }
 
 // WithPrecedenceWorkers pins the worker count of the one-time precedence
-// matrix construction (0 auto-sizes, 1 forces the serial kernel; the matrix
-// is bitwise identical for every width). Without this option NewEngine uses
-// the package default (ranking.DefaultWorkers). NewEngineW ignores it — its
-// matrix is already built.
+// matrix construction: 1 forces the serial kernel, and 0 — the same as
+// leaving the option out — auto-sizes the pool from ranking.DefaultWorkers
+// (GOMAXPROCS unless a CLI's -workers flag set it). The matrix is bitwise
+// identical for every width. Constructors handed a built matrix
+// (NewEngineW, NewEngineWithMatrix, an EngineCache hit) ignore it.
 func WithPrecedenceWorkers(n int) EngineOption {
-	return func(c *engineConfig) { c.workers, c.hasWorkers = n, true }
+	return func(c *engineConfig) { c.workers = n }
+}
+
+// newEngine is the tail every constructor shares: it folds opts, obtains
+// the matrix from matrix (handed the WithPrecedenceWorkers width), checks
+// the table against it, and builds the Engine over p (nil for a
+// matrix-only engine).
+func newEngine(p Profile, opts []EngineOption, matrix func(workers int) (*Precedence, error)) (*Engine, error) {
+	var cfg engineConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	w, err := matrix(cfg.workers)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.tab != nil && cfg.tab.N() != w.N() {
+		return nil, fmt.Errorf("manirank: table covers %d candidates, engine ranks %d", cfg.tab.N(), w.N())
+	}
+	return &Engine{p: p, w: w, tab: cfg.tab}, nil
+}
+
+// builtMatrix is the matrix source of the constructors handed a built W.
+func builtMatrix(w *Precedence) func(int) (*Precedence, error) {
+	return func(int) (*Precedence, error) { return w, nil }
 }
 
 // NewEngine validates the profile, builds its precedence matrix once, and
 // returns an Engine over it. The construction is the only O(n²·m) cost;
 // every subsequent Solve reuses the matrix.
 func NewEngine(p Profile, opts ...EngineOption) (*Engine, error) {
-	var cfg engineConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	var (
-		w   *Precedence
-		err error
-	)
-	if cfg.hasWorkers {
-		w, err = ranking.NewPrecedenceWorkers(p, cfg.workers)
-	} else {
-		w, err = ranking.NewPrecedence(p)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if cfg.tab != nil && cfg.tab.N() != w.N() {
-		return nil, fmt.Errorf("manirank: table covers %d candidates, profile ranks %d", cfg.tab.N(), w.N())
-	}
-	return &Engine{p: p, w: w, tab: cfg.tab}, nil
+	return newEngine(p, opts, func(workers int) (*Precedence, error) {
+		return ranking.NewPrecedenceWorkers(p, workers)
+	})
 }
 
 // NewEngineW wraps an already-built precedence matrix — the entry point for
@@ -105,14 +113,7 @@ func NewEngineW(w *Precedence, opts ...EngineOption) (*Engine, error) {
 	if w == nil {
 		return nil, errors.New("manirank: nil precedence matrix")
 	}
-	var cfg engineConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.tab != nil && cfg.tab.N() != w.N() {
-		return nil, fmt.Errorf("manirank: table covers %d candidates, matrix ranks %d", cfg.tab.N(), w.N())
-	}
-	return &Engine{w: w, tab: cfg.tab}, nil
+	return newEngine(nil, opts, builtMatrix(w))
 }
 
 // Validation errors returned by Engine.Solve.

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"manirank"
@@ -142,7 +143,7 @@ func TestEngineSolveMatchesHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := service.New(service.Config{Workers: 1, SolverWorkers: 1, Logger: discardLogger()})
+	srv, err := service.New(service.Config{Workers: 1, Logger: discardLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +302,70 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if _, err := manirank.NewEngineW(nil); err == nil {
 		t.Fatal("NewEngineW accepted a nil matrix")
+	}
+}
+
+// TestEngineConstructorContract pins what the four constructors share: a
+// table over the wrong candidate count is an error with one wording, the
+// right table solves with an audit, and WithPrecedenceWorkers(0) yields the
+// same matrix, bit for bit, as leaving the option out.
+func TestEngineConstructorContract(t *testing.T) {
+	ctx := context.Background()
+	tab := demoTable(t, 16)
+	p := demoProfile(t, tab, 8, 0.5, 5)
+	w, err := manirank.NewPrecedence(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := w.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	constructors := []struct {
+		name  string
+		build func(...manirank.EngineOption) (*manirank.Engine, error)
+	}{
+		{"NewEngine", func(opts ...manirank.EngineOption) (*manirank.Engine, error) {
+			return manirank.NewEngine(p, opts...)
+		}},
+		{"NewEngineW", func(opts ...manirank.EngineOption) (*manirank.Engine, error) {
+			return manirank.NewEngineW(w, opts...)
+		}},
+		{"NewEngineWithMatrix", func(opts ...manirank.EngineOption) (*manirank.Engine, error) {
+			return manirank.NewEngineWithMatrix(p, w, opts...)
+		}},
+		{"EngineCache.Engine", func(opts ...manirank.EngineOption) (*manirank.Engine, error) {
+			return manirank.NewEngineCache(1<<20).Engine(ctx, p, opts...)
+		}},
+	}
+	for _, c := range constructors {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := c.build(manirank.WithTable(demoTable(t, 8)))
+			if err == nil || !strings.Contains(err.Error(), "table covers 8 candidates, engine ranks 16") {
+				t.Fatalf("8-candidate table over 16 candidates: err = %v", err)
+			}
+			eng, err := c.build(manirank.WithTable(tab))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Solve(ctx, manirank.MethodBorda, nil)
+			if err != nil || res.Report == nil {
+				t.Fatalf("Solve with the right table: err=%v report=%v", err, res)
+			}
+			for _, opts := range [][]manirank.EngineOption{nil, {manirank.WithPrecedenceWorkers(0)}} {
+				eng, err := c.build(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := eng.Precedence().MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("options %d: matrix differs from NewPrecedence's", len(opts))
+				}
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package manirank
 
 import (
 	"context"
-	"fmt"
 
 	"manirank/internal/ranking"
 	"manirank/internal/service/cache"
@@ -107,28 +106,16 @@ func (c *EngineCache) AttachDir(dir, engineVersion string) error {
 // WithPrecedenceWorkers shapes only an actual build, never a cached reuse,
 // and the matrix is bitwise identical either way.
 func (c *EngineCache) Engine(ctx context.Context, p Profile, opts ...EngineOption) (*Engine, error) {
-	var cfg engineConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
 	key := p.Digest(engineCacheVersion)
-	w, _, _, err := c.mc.Do(ctx, key, nil, func() (*Precedence, bool, error) {
-		if cfg.hasWorkers {
-			w, err := ranking.NewPrecedenceWorkers(p, cfg.workers)
-			return w, true, err
-		}
-		w, err := ranking.NewPrecedence(p)
-		return w, true, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.tab != nil && cfg.tab.N() != w.N() {
-		return nil, fmt.Errorf("manirank: table covers %d candidates, profile ranks %d", cfg.tab.N(), w.N())
-	}
 	// The profile rides along (unlike NewEngineW), so profile-consuming
 	// methods stay solvable on a cache hit.
-	return &Engine{p: p, w: w, tab: cfg.tab}, nil
+	return newEngine(p, opts, func(workers int) (*Precedence, error) {
+		w, _, _, err := c.mc.Do(ctx, key, nil, func() (*Precedence, bool, error) {
+			w, err := ranking.NewPrecedenceWorkers(p, workers)
+			return w, true, err
+		})
+		return w, err
+	})
 }
 
 // Put admits e's current precedence matrix under the digest of e's CURRENT

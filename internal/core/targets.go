@@ -34,12 +34,7 @@ type Target = kemeny.Constraint
 // Targets returns the full MANI-Rank target set for table t at a uniform
 // threshold delta: every protected attribute and the intersection.
 func Targets(t *attribute.Table, delta float64) []Target {
-	out := make([]Target, 0, len(t.Attrs())+1)
-	for _, a := range t.Attrs() {
-		out = append(out, Target{Attr: a, Delta: delta})
-	}
-	out = append(out, Target{Attr: t.Intersection(), Delta: delta})
-	return out
+	return TargetsWithThresholds(t, fairness.Uniform(delta))
 }
 
 // TargetsWithThresholds returns the customized MANI-Rank target set (paper

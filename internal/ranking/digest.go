@@ -20,29 +20,36 @@ import (
 // p need not be valid; Digest hashes exactly what it is given.
 func (p Profile) Digest(namespace string) string {
 	h := sha256.New()
-	digestString(h, namespace)
-	digestInt(h, int64(len(p)))
+	HashString(h, namespace)
+	HashInt(h, int64(len(p)))
 	for _, r := range p {
-		digestInts(h, r)
+		HashInts(h, r)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// digestString writes a length-prefixed string, so no concatenation of
-// adjacent fields can collide with a different split of the same bytes.
-func digestString(h hash.Hash, s string) {
-	digestInt(h, int64(len(s)))
+// HashString writes s length-prefixed, so no concatenation of adjacent
+// fields can collide with a different split of the same bytes.
+//
+// HashString, HashInt and HashInts are the one content-address encoding:
+// Profile.Digest and the serving layer's request and session digests
+// (internal/service) serialise through them, so every key in the repo is
+// built from the same fixed-width little-endian fields.
+func HashString(h hash.Hash, s string) {
+	HashInt(h, int64(len(s)))
 	h.Write([]byte(s))
 }
 
-func digestInt(h hash.Hash, v int64) {
+// HashInt writes v as 8 little-endian bytes.
+func HashInt(h hash.Hash, v int64) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(v))
 	h.Write(buf[:])
 }
 
-func digestInts(h hash.Hash, vs []int) {
-	digestInt(h, int64(len(vs)))
+// HashInts writes vs length-prefixed, each element as HashInt would.
+func HashInts(h hash.Hash, vs []int) {
+	HashInt(h, int64(len(vs)))
 	buf := make([]byte, 8*len(vs))
 	for i, v := range vs {
 		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))

@@ -2,9 +2,7 @@ package service
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
 	"sort"
 	"strings"
@@ -43,6 +41,12 @@ func CacheNamespace(engineVersion string) string {
 	return strings.ReplaceAll(digestVersion, "/", "_") + "@engine-" + engineVersion
 }
 
+// profileDigest is the profile sub-digest: ranking.Profile.Digest — the
+// shared content-address primitive — under this schema's namespace, so the
+// serving tier and manirank.EngineCache hash a profile identically. It keys
+// the matrix tier, and a peer build request is checked against it.
+func profileDigest(p ranking.Profile) string { return p.Digest(digestVersion + "/profile") }
+
 // Digests returns the two canonical cache keys of an aggregate request.
 //
 // The profile sub-digest covers exactly the base rankings — the only input
@@ -54,7 +58,10 @@ func CacheNamespace(engineVersion string) string {
 // request field that influences the result — method, solver options,
 // fairness thresholds (sorted by name, so Go's randomised map iteration
 // order can never perturb the key), attributes, and the profile (folded in
-// as the profile sub-digest, hashed once). DeadlineMillis is deliberately
+// as the profile sub-digest, hashed once). Every field is written with the
+// ranking package's Hash* encoding (length-prefixed strings and slices,
+// 8-byte little-endian integers, floats as their IEEE-754 bits), the same
+// one the profile sub-digest uses. DeadlineMillis is deliberately
 // excluded: the deadline changes how long we are willing to search, not
 // what the request asks for, and truncated (partial) results are never
 // cached.
@@ -62,25 +69,18 @@ func CacheNamespace(engineVersion string) string {
 // Both digests are stable across processes and runs; two structurally equal
 // requests always collide and any semantic difference separates them.
 func Digests(req *AggregateRequest) (full, profile string) {
-	// The profile sub-digest is ranking.Profile.Digest — the shared
-	// content-address primitive — under this schema's namespace, so the
-	// serving tier and manirank.EngineCache hash a profile identically.
-	p := make(ranking.Profile, len(req.Profile))
-	for i, row := range req.Profile {
-		p[i] = row
-	}
-	profile = p.Digest(digestVersion + "/profile")
+	profile = profileDigest(req.Profile.Profile())
 
 	h := sha256.New()
-	writeString(h, digestVersion)
+	ranking.HashString(h, digestVersion)
 	// Method names are canonicalised exactly the way manirank.ParseMethod
 	// accepts them (trimmed, lowercased): a request spelling the method
 	// " Kemeny " must share its cache entry — and its coalesced flight —
 	// with "kemeny". For clean inputs the bytes are unchanged, so existing
 	// digests are stable.
-	writeString(h, strings.ToLower(strings.TrimSpace(req.Method)))
+	ranking.HashString(h, strings.ToLower(strings.TrimSpace(req.Method)))
 
-	writeFloat(h, req.Delta)
+	ranking.HashInt(h, int64(math.Float64bits(req.Delta)))
 	// The intersection key is matched case-insensitively at build time, so
 	// canonicalise the spelling BEFORE sorting — "Intersection" and
 	// "intersection" must serialise to the same position and bytes.
@@ -98,30 +98,30 @@ func Digests(req *AggregateRequest) (full, profile string) {
 		keys = append(keys, kv{name, v})
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].name < keys[j].name })
-	writeInt(h, int64(len(keys)))
+	ranking.HashInt(h, int64(len(keys)))
 	for _, k := range keys {
-		writeString(h, k.name)
-		writeFloat(h, k.val)
+		ranking.HashString(h, k.name)
+		ranking.HashInt(h, int64(math.Float64bits(k.val)))
 	}
 
 	o := req.Options
-	writeInt(h, o.Seed)
-	writeInt(h, int64(o.Perturbations))
-	writeInt(h, int64(o.Strength))
-	writeInt(h, int64(o.ExactThreshold))
-	writeInt(h, o.MaxNodes)
+	ranking.HashInt(h, o.Seed)
+	ranking.HashInt(h, int64(o.Perturbations))
+	ranking.HashInt(h, int64(o.Strength))
+	ranking.HashInt(h, int64(o.ExactThreshold))
+	ranking.HashInt(h, o.MaxNodes)
 
-	writeInt(h, int64(len(req.Attributes)))
+	ranking.HashInt(h, int64(len(req.Attributes)))
 	for _, a := range req.Attributes {
-		writeString(h, a.Name)
-		writeInt(h, int64(len(a.Values)))
+		ranking.HashString(h, a.Name)
+		ranking.HashInt(h, int64(len(a.Values)))
 		for _, v := range a.Values {
-			writeString(h, v)
+			ranking.HashString(h, v)
 		}
-		writeInts(h, a.Of)
+		ranking.HashInts(h, a.Of)
 	}
 
-	writeString(h, profile)
+	ranking.HashString(h, profile)
 	return hex.EncodeToString(h.Sum(nil)), profile
 }
 
@@ -141,36 +141,8 @@ func Digests(req *AggregateRequest) (full, profile string) {
 // the matrix tier shares entries between the session and stateless paths.
 func SessionDigest(base string, warm ranking.Ranking) string {
 	h := sha256.New()
-	writeString(h, digestVersion+"/session")
-	writeString(h, base)
-	writeInts(h, warm)
+	ranking.HashString(h, digestVersion+"/session")
+	ranking.HashString(h, base)
+	ranking.HashInts(h, warm)
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// writeString writes a length-prefixed string, so no concatenation of
-// adjacent fields can collide with a different split of the same bytes.
-func writeString(h hash.Hash, s string) {
-	writeInt(h, int64(len(s)))
-	h.Write([]byte(s))
-}
-
-func writeInt(h hash.Hash, v int64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	h.Write(buf[:])
-}
-
-func writeFloat(h hash.Hash, v float64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	h.Write(buf[:])
-}
-
-func writeInts(h hash.Hash, vs []int) {
-	writeInt(h, int64(len(vs)))
-	buf := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	h.Write(buf)
 }

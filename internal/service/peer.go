@@ -105,11 +105,8 @@ func (s *Server) handlePeerBuild(w http.ResponseWriter, r *http.Request, digest 
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	profile := make(ranking.Profile, len(rows))
-	for i, row := range rows {
-		profile[i] = row
-	}
-	if got := profile.Digest(digestVersion + "/profile"); got != digest {
+	profile := rows.Profile()
+	if got := profileDigest(profile); got != digest {
 		http.Error(w, fmt.Sprintf("profile hashes to %s, not %s", got, digest), http.StatusBadRequest)
 		return
 	}

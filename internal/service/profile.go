@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+
+	"manirank/internal/ranking"
 )
 
 // ProfileRows is the wire form of a profile: one row per ranker, candidate
@@ -14,6 +16,16 @@ import (
 // profile's few thousand integers were most of a request's CPU when
 // encoding/json stored each through reflection.
 type ProfileRows [][]int
+
+// Profile returns the rows as a ranking.Profile; the rankings share the
+// rows' backing arrays.
+func (p ProfileRows) Profile() ranking.Profile {
+	out := make(ranking.Profile, len(p))
+	for i, row := range p {
+		out[i] = row
+	}
+	return out
+}
 
 var (
 	intType  = reflect.TypeFor[int]()

@@ -7,6 +7,7 @@ import (
 	"manirank"
 	"manirank/internal/attribute"
 	"manirank/internal/core"
+	"manirank/internal/fairness"
 	"manirank/internal/ranking"
 )
 
@@ -99,14 +100,10 @@ func buildProblem(req *AggregateRequest) (*problem, error) {
 	if len(req.Profile) == 0 {
 		return nil, fmt.Errorf("empty profile")
 	}
-	p := make(ranking.Profile, len(req.Profile))
-	for i, row := range req.Profile {
-		p[i] = ranking.Ranking(row)
-	}
+	p := req.Profile.Profile()
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("invalid profile: %w", err)
 	}
-	n := p.N()
 
 	pb := &problem{method: method, profile: p, opts: req.Options}
 	pb.digest, pb.profDigest = Digests(req)
@@ -117,19 +114,19 @@ func buildProblem(req *AggregateRequest) (*problem, error) {
 			if err != nil {
 				return nil, fmt.Errorf("invalid attribute %d: %w", i, err)
 			}
-			if a.N() != n {
-				return nil, fmt.Errorf("attribute %q covers %d candidates, profile ranks %d", spec.Name, a.N(), n)
-			}
 			attrs[i] = a
 		}
-		tab, err := attribute.NewTable(n, attrs...)
+		tab, err := attribute.NewTable(p.N(), attrs...)
 		if err != nil {
 			return nil, fmt.Errorf("invalid candidate table: %w", err)
 		}
 		pb.tab = tab
 	}
+	// Lower Delta and Thresholds onto fairness.Thresholds: an attribute's
+	// override is matched by exact name, the intersection's by any spelling.
+	th := fairness.Thresholds{Default: req.Delta, PerAttr: req.Thresholds, Inter: -1}
 	interKeys := 0
-	for k := range req.Thresholds {
+	for k, v := range req.Thresholds {
 		if interThresholdKey(k) {
 			// At most one spelling: duplicates would be resolved by map
 			// iteration order, i.e. nondeterministically per run — the one
@@ -137,6 +134,7 @@ func buildProblem(req *AggregateRequest) (*problem, error) {
 			if interKeys++; interKeys > 1 {
 				return nil, fmt.Errorf("thresholds name the intersection more than once")
 			}
+			th.Inter = v
 			continue
 		}
 		if pb.tab == nil || pb.tab.Attr(k) == nil {
@@ -153,29 +151,18 @@ func buildProblem(req *AggregateRequest) (*problem, error) {
 	if req.Delta == 0 && len(req.Thresholds) == 0 {
 		return nil, fmt.Errorf("method %q requires delta or thresholds", method.String())
 	}
-	deltaFor := func(name string, inter bool) (float64, error) {
-		d := req.Delta
-		for k, v := range req.Thresholds {
-			if inter && interThresholdKey(k) || !inter && k == name {
-				d = v
+	pb.targets = core.TargetsWithThresholds(pb.tab, th)
+	for i, tg := range pb.targets {
+		name, d := tg.Attr.Name, tg.Delta
+		if i == len(pb.targets)-1 {
+			name = "intersection" // the last target; its Attr has a joined name
+			if interKeys > 0 {
+				d = th.Inter // ForInter reads a negative override as unset
 			}
 		}
 		if d <= 0 || d > 1 {
-			return 0, fmt.Errorf("threshold for %q is %g, want (0, 1]", name, d)
+			return nil, fmt.Errorf("threshold for %q is %g, want (0, 1]", name, d)
 		}
-		return d, nil
 	}
-	for _, a := range pb.tab.Attrs() {
-		d, err := deltaFor(a.Name, false)
-		if err != nil {
-			return nil, err
-		}
-		pb.targets = append(pb.targets, core.Target{Attr: a, Delta: d})
-	}
-	d, err := deltaFor("intersection", true)
-	if err != nil {
-		return nil, err
-	}
-	pb.targets = append(pb.targets, core.Target{Attr: pb.tab.Intersection(), Delta: d})
 	return pb, nil
 }

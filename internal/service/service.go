@@ -12,9 +12,10 @@
 //     skip the O(n²·m) matrix construction — admission is bounded by memory
 //     cost (n² cells per matrix), not entry count;
 //  2. admission and scheduling: each solve runs on its request's own
-//     goroutine once it holds one of Config.Workers slots, with at most
-//     Config.QueueDepth requests waiting for one and backpressure (HTTP 429)
-//     beyond that; per-request deadlines are threaded as context.Context
+//     goroutine once it holds one of Config.Workers slots — restarts
+//     included, so the slots are the server's whole solver parallelism —
+//     with at most Config.QueueDepth requests waiting for one and
+//     backpressure (HTTP 429) beyond that; per-request deadlines are threaded as context.Context
 //     into the Kemeny/Fair-Kemeny restart loops (best-so-far on expiry);
 //  3. observability (internal/obs, DESIGN.md §11): one obs.Registry holds
 //     every counter, gauge, and latency histogram; /metricsz renders it as
@@ -62,13 +63,10 @@ type Config struct {
 	// it a request answers 429 (default 64; negative is an error).
 	QueueDepth int
 	// Workers is the number of solver slots — at most this many requests
-	// compute concurrently (default GOMAXPROCS).
+	// compute concurrently (default GOMAXPROCS). Each solve runs its
+	// Kemeny restarts on its own goroutine, so this is the only knob on the
+	// server's solver parallelism.
 	Workers int
-	// SolverWorkers shards each individual solve's restarts
-	// (manirank.WithSolverWorkers). Default 1: under concurrent load the request
-	// pool owns the machine's parallelism, and restart pools per solve would
-	// oversubscribe it — the same reasoning as the experiment harness.
-	SolverWorkers int
 	// CacheSize is the result-cache capacity in entries (default 1024;
 	// negative disables caching).
 	CacheSize int
@@ -129,9 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.SolverWorkers == 0 {
-		c.SolverWorkers = 1
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
@@ -520,14 +515,17 @@ func (s *Server) Close() {
 }
 
 // solveOptions lowers the request's solver knobs onto Engine.Solve options.
-func (s *Server) solveOptions(o SolverOptions) []manirank.SolveOption {
+// Every solve runs its restarts on one goroutine: the Workers slots own the
+// machine's parallelism, and a restart pool per solve would oversubscribe
+// it (answers are bitwise identical for every pool width).
+func solveOptions(o SolverOptions) []manirank.SolveOption {
 	return []manirank.SolveOption{
 		manirank.WithExactThreshold(o.ExactThreshold),
 		manirank.WithMaxNodes(o.MaxNodes),
 		manirank.WithSeed(o.Seed),
 		manirank.WithPerturbations(o.Perturbations),
 		manirank.WithStrength(o.Strength),
-		manirank.WithSolverWorkers(s.cfg.SolverWorkers),
+		manirank.WithSolverWorkers(1),
 	}
 }
 
@@ -573,7 +571,7 @@ func (s *Server) resolve(rctx context.Context, tr *obs.Trace, key string, pb *pr
 			if err != nil {
 				return nil, err
 			}
-			sr, err := eng.Solve(ctx, pb.method, pb.targets, append(s.solveOptions(pb.opts), opts...)...)
+			sr, err := eng.Solve(ctx, pb.method, pb.targets, append(solveOptions(pb.opts), opts...)...)
 			if err != nil {
 				return nil, err
 			}

@@ -351,6 +351,9 @@ func TestBadRequests(t *testing.T) {
 		"attr size mismatch":     {Method: "fair-borda", Profile: [][]int{{0, 1}}, Delta: 0.1, Attributes: []AttributeSpec{{Name: "G", Values: []string{"a"}, Of: []int{0, 0, 0}}}},
 		"unknown threshold name": {Method: "fair-borda", Profile: [][]int{{0, 1}}, Delta: 0.1, Thresholds: map[string]float64{"Nope": 0.1}, Attributes: []AttributeSpec{{Name: "G", Values: []string{"a", "b"}, Of: []int{0, 1}}}},
 		"duplicate intersection": {Method: "fair-borda", Profile: [][]int{{0, 1}}, Delta: 0.1, Thresholds: map[string]float64{"intersection": 0.1, "Intersection": 0.9}, Attributes: []AttributeSpec{{Name: "G", Values: []string{"a", "b"}, Of: []int{0, 1}}}},
+		"attr threshold zero":    {Method: "fair-borda", Profile: [][]int{{0, 1}}, Delta: 0.1, Thresholds: map[string]float64{"G": 0}, Attributes: []AttributeSpec{{Name: "G", Values: []string{"a", "b"}, Of: []int{0, 1}}}},
+		"intersection above 1":   {Method: "fair-borda", Profile: [][]int{{0, 1}}, Delta: 0.1, Thresholds: map[string]float64{"Intersection": 1.5}, Attributes: []AttributeSpec{{Name: "G", Values: []string{"a", "b"}, Of: []int{0, 1}}}},
+		"negative intersection":  {Method: "fair-borda", Profile: [][]int{{0, 1}}, Delta: 0.1, Thresholds: map[string]float64{"intersection": -0.5}, Attributes: []AttributeSpec{{Name: "G", Values: []string{"a", "b"}, Of: []int{0, 1}}}},
 	}
 	for name, req := range cases {
 		if status, _ := post(t, ts.URL, req); status != http.StatusBadRequest {
@@ -405,6 +408,34 @@ func TestStrictJSONBodies(t *testing.T) {
 				t.Errorf("%s, %s: status %d, want %d", ep.name, tc.name, resp.StatusCode, tc.want)
 			}
 		}
+	}
+}
+
+// TestBuildProblemTargets pins the lowering of delta and thresholds onto
+// the solver's targets: one per attribute in table order, then the
+// intersection, each at its override or else at delta.
+func TestBuildProblemTargets(t *testing.T) {
+	req := testRequest("fair-kemeny", 12)
+	req.Delta = 0.3
+	req.Thresholds = map[string]float64{"Region": 0.05, "Intersection": 0.9}
+	pb, err := buildProblem(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		attr  string
+		delta float64
+	}{{"Gender", 0.3}, {"Region", 0.05}, {pb.tab.Intersection().Name, 0.9}}
+	if len(pb.targets) != len(want) {
+		t.Fatalf("%d targets, want %d", len(pb.targets), len(want))
+	}
+	for i, w := range want {
+		if tg := pb.targets[i]; tg.Attr.Name != w.attr || tg.Delta != w.delta {
+			t.Errorf("target %d = (%s, %g), want (%s, %g)", i, tg.Attr.Name, tg.Delta, w.attr, w.delta)
+		}
+	}
+	if pb.targets[2].Attr != pb.tab.Intersection() {
+		t.Error("last target is not the table's intersection")
 	}
 }
 

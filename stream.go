@@ -38,14 +38,7 @@ func NewEngineWithMatrix(p Profile, w *Precedence, opts ...EngineOption) (*Engin
 	if len(p) != w.Rankings() {
 		return nil, fmt.Errorf("manirank: matrix aggregates %d rankings, profile holds %d", w.Rankings(), len(p))
 	}
-	var cfg engineConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.tab != nil && cfg.tab.N() != w.N() {
-		return nil, fmt.Errorf("manirank: table covers %d candidates, profile ranks %d", cfg.tab.N(), w.N())
-	}
-	return &Engine{p: p, w: w, tab: cfg.tab}, nil
+	return newEngine(p, opts, builtMatrix(w))
 }
 
 // Profile returns a deep copy of the engine's current base profile,
