@@ -72,10 +72,9 @@ func WithPrecedenceWorkers(n int) EngineOption {
 	return func(c *engineConfig) { c.workers = n }
 }
 
-// newEngine is the tail every constructor shares: it folds opts, obtains
-// the matrix from matrix (handed the WithPrecedenceWorkers width), checks
-// the table against it, and builds the Engine over p (nil for a
-// matrix-only engine).
+// newEngine is the tail every constructor shares: it folds opts, gets W
+// from matrix (handed the WithPrecedenceWorkers width), checks the table
+// against W, and builds the Engine over p (nil for a matrix-only engine).
 func newEngine(p Profile, opts []EngineOption, matrix func(workers int) (*Precedence, error)) (*Engine, error) {
 	var cfg engineConfig
 	for _, o := range opts {

@@ -69,7 +69,7 @@ func profileDigest(p ranking.Profile) string { return p.Digest(digestVersion + "
 // Both digests are stable across processes and runs; two structurally equal
 // requests always collide and any semantic difference separates them.
 func Digests(req *AggregateRequest) (full, profile string) {
-	profile = profileDigest(req.Profile.Profile())
+	profile = profileDigest(req.Profile.profile())
 
 	h := sha256.New()
 	ranking.HashString(h, digestVersion)

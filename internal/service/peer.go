@@ -105,7 +105,7 @@ func (s *Server) handlePeerBuild(w http.ResponseWriter, r *http.Request, digest 
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	profile := rows.Profile()
+	profile := rows.profile()
 	if got := profileDigest(profile); got != digest {
 		http.Error(w, fmt.Sprintf("profile hashes to %s, not %s", got, digest), http.StatusBadRequest)
 		return

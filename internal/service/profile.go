@@ -17,9 +17,9 @@ import (
 // encoding/json stored each through reflection.
 type ProfileRows [][]int
 
-// Profile returns the rows as a ranking.Profile; the rankings share the
+// profile returns the rows as a ranking.Profile; the rankings share the
 // rows' backing arrays.
-func (p ProfileRows) Profile() ranking.Profile {
+func (p ProfileRows) profile() ranking.Profile {
 	out := make(ranking.Profile, len(p))
 	for i, row := range p {
 		out[i] = row

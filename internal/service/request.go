@@ -100,7 +100,7 @@ func buildProblem(req *AggregateRequest) (*problem, error) {
 	if len(req.Profile) == 0 {
 		return nil, fmt.Errorf("empty profile")
 	}
-	p := req.Profile.Profile()
+	p := req.Profile.profile()
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("invalid profile: %w", err)
 	}
